@@ -90,14 +90,14 @@ def _dump_json(obj) -> str:
 def cmd_transform(args) -> int:
     obj = _read_json(args.input)
     if args.to == "cfree":
-        result = cumulants.cfree_cumulants(StatePair.from_json(obj))
+        op, inputs = cumulants.cfree_cumulants, (StatePair.from_json(obj),)
     elif args.to:
-        table = MomentTable.from_json(obj)
-        result = {
+        op = {
             "free": cumulants.free_cumulants,
             "boolean": cumulants.boolean_cumulants,
             "monotone": cumulants.monotone_cumulants,
-        }[args.to](table)
+        }[args.to]
+        inputs = (MomentTable.from_json(obj),)
     elif args.from_ == "cfree":
         try:
             r_obj, psi_obj = obj["cumulants"], obj["psi"]
@@ -105,35 +105,39 @@ def cmd_transform(args) -> int:
             raise DomainError(
                 "--from cfree expects JSON {\"cumulants\": <table>, \"psi\": <table>}"
             ) from None
-        result = cumulants.moments_from_cfree(
-            CumulantTable.from_json(r_obj), MomentTable.from_json(psi_obj)
-        )
+        op = cumulants.moments_from_cfree
+        inputs = (CumulantTable.from_json(r_obj), MomentTable.from_json(psi_obj))
     else:
-        table = CumulantTable.from_json(obj)
-        result = {
+        op = {
             "free": cumulants.moments_from_free,
             "boolean": cumulants.moments_from_boolean,
             "monotone": cumulants.moments_from_monotone,
-        }[args.from_](table)
-    _check_truncation(result.max_len)
-    _write_text(args.output, _dump_json(result.to_json()))
-    return 0
+        }[args.from_]
+        inputs = (CumulantTable.from_json(obj),)
+    return _run(op, inputs, args.output)
 
 
 def cmd_convolve(args) -> int:
     a = _read_json(args.input)
     b = _read_json(args.input2)
     if args.kind == "cfree":
-        result = cumulants.convolve_cfree(StatePair.from_json(a), StatePair.from_json(b))
+        op, parse = cumulants.convolve_cfree, StatePair.from_json
     else:
         op = {
             "free": cumulants.convolve_free,
             "boolean": cumulants.convolve_boolean,
             "monotone": cumulants.convolve_monotone,
         }[args.kind]
-        result = op(MomentTable.from_json(a), MomentTable.from_json(b))
-    _check_truncation(result.max_len)
-    _write_text(args.output, _dump_json(result.to_json()))
+        parse = MomentTable.from_json
+    return _run(op, (parse(a), parse(b)), args.output)
+
+
+def _run(op, inputs, output: str) -> int:
+    """Check every parsed input's truncation before any compute, then apply
+    the op and write its result."""
+    for table in inputs:
+        _check_truncation(table.max_len)
+    _write_text(output, _dump_json(op(*inputs).to_json()))
     return 0
 
 

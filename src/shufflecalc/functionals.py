@@ -2,9 +2,10 @@
 
 A ``Functional`` is a node in an immutable expression tree (unit, character,
 infinitesimal character, sums, convolution, half-shuffles, pre-Lie product,
-convolution inverse).  Evaluation on a bar-word is exact and memoized per
-node; the same table reused under different operations lives in different
-nodes and therefore different caches.
+and the fixed points of ``X = e + g . X`` that give the convolution inverse
+and the half-shuffle exponentials).  Evaluation on a bar-word is exact and
+memoized per node; the same table reused under different operations lives in
+different nodes and therefore different caches.
 
 Unit rules for the half-shuffles follow the convention that both
 half-products vanish on the unit bar-word, so the splitting
@@ -147,6 +148,12 @@ class ValueTable:
             raw = obj["values"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed table JSON: {exc}") from exc
+        if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
+            raise DomainError("malformed table JSON: alphabet must be a list of strings")
+        if not isinstance(max_len, int) or isinstance(max_len, bool):
+            raise DomainError(f"malformed table JSON: max_len must be an integer, got {max_len!r}")
+        if not isinstance(raw, dict):
+            raise DomainError("malformed table JSON: values must be an object")
         values = {Word.parse(k): parse_scalar(v) for k, v in raw.items()}
         return cls(alphabet, max_len, values)
 
@@ -216,11 +223,6 @@ class _Unit(Functional):
 
     def _compute(self, b: BarWord) -> Fraction:
         return ONE if b.is_unit else ZERO
-
-
-class _Zero(Functional):
-    def _compute(self, b: BarWord) -> Fraction:
-        return ZERO
 
 
 class CharacterFunctional(Functional):
@@ -299,42 +301,43 @@ class _HalfProduct(Functional):
         return total
 
 
-class _Inverse(Functional):
-    """Convolution inverse via the truncated geometric (Neumann) series
-    ``sum_n (-1)^n (f - e)^{*n}``; evaluation on a bar-word of degree d only
-    needs the powers up to d."""
+class _FixedPoint(Functional):
+    """Solution of ``X = e + g . X`` (``g_left``) or ``X = e + X . g``, where
+    ``.`` pairs the legs of ``split``: ``coalgebra.coproduct`` for the
+    convolution, ``half_coproduct_left``/``_right`` for the half-shuffles.
 
-    def __init__(self, f: Functional):
+    ``g`` must vanish on the unit, and ``split`` must pair every X leg of a
+    nonzero g term with a bar-word of strictly smaller degree.  The known
+    factor ``g`` is evaluated first and zero terms are skipped, so X is only
+    ever read below the current degree.  Earlier values are read through the
+    node's own memo by calling ``self``; no child node refers back to it, so
+    reference counting alone frees it.
+    """
+
+    def __init__(self, g: Functional, split, g_left: bool):
         super().__init__()
-        if f(UNIT) != ONE:
-            raise DomainError("only functionals with value 1 on the unit are invertible")
-        self.f = f
-        self._augmented = f - unit()
-        self._powers: list[Functional] = [unit()]
+        self.g = g
+        self.split = split
+        self.g_left = g_left
 
     def _compute(self, b: BarWord) -> Fraction:
-        n = b.degree
-        powers = self._powers
-        while len(powers) <= n:
-            powers.append(_Convolution(powers[-1], self._augmented))
+        if b.is_unit:
+            return ONE
+        g = self.g
         total = ZERO
-        sign = 1
-        for j in range(n + 1):
-            total += sign * powers[j](b)
-            sign = -sign
+        for l, r, coeff in self.split(b).items():
+            known, unknown = (l, r) if self.g_left else (r, l)
+            c = g(known)
+            if c:
+                total += coeff * c * self(unknown)
         return total
 
 
 _UNIT_FUNCTIONAL = _Unit()
-_ZERO_FUNCTIONAL = _Zero()
 
 
 def unit() -> Functional:
     return _UNIT_FUNCTIONAL
-
-
-def zero() -> Functional:
-    return _ZERO_FUNCTIONAL
 
 
 def character(table: MomentTable) -> Functional:
@@ -366,8 +369,11 @@ def prelie(f: Functional, g: Functional) -> Functional:
 
 
 def inverse(f: Functional) -> Functional:
-    """Convolution inverse of a functional normalized to 1 on the unit."""
-    return _Inverse(f)
+    """Convolution inverse of a functional normalized to 1 on the unit: the
+    solution of ``X = e + (e - f) * X``."""
+    if f(UNIT) != ONE:
+        raise DomainError("only functionals with value 1 on the unit are invertible")
+    return _FixedPoint(unit() - f, coalgebra.coproduct, g_left=True)
 
 
 def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:

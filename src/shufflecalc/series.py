@@ -1,12 +1,16 @@
 """Exponentials, logarithms, the pre-Lie Magnus pair, the # product, BCH
 cross-checks and the adjoint actions.
 
-Everything here evaluates against concrete rational tables; on a bar-word of
-degree d every series truncates after d terms by grading, so all results are
-exact.  Group-side arguments must take the value 1 on the unit, Lie-side
-arguments the value 0; only these cheap normalizations are checked at
-construction (full character/infinitesimal checks are available via
-``functionals.is_character`` / ``is_infinitesimal``).
+Everything here evaluates against concrete rational tables, and all results
+are exact.  The half-shuffle exponentials ``E<``/``E>`` are fixed points, not
+series: they solve ``X = e + a < X`` and ``Y = e + Y > a`` directly, as the
+convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
+Only ``exp*``, ``log*`` and the Magnus pair truncate by degree: on a bar-word
+of degree d they stop after d terms by grading.  Group-side arguments must
+take the value 1 on the unit, Lie-side arguments the value 0; only these
+cheap normalizations are checked at construction (full
+character/infinitesimal checks are available via ``functionals.is_character``
+/ ``is_infinitesimal``).
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
+from . import coalgebra
 from .errors import DomainError
 from .functionals import (
     Functional,
     ONE,
     ZERO,
     _Convolution,
+    _FixedPoint,
     conv,
     functionals_agree,
     half_left,
@@ -90,39 +96,16 @@ def log_conv(f: Functional) -> Functional:
     return _ConvSeries(f - unit(), lambda j: Fraction((-1) ** (j - 1), j) if j else ZERO)
 
 
-class _HalfExp(Functional):
-    """Left/right half-shuffle exponential ``e + sum_n a^{<n}`` (resp.
-    ``a^{>n}``), with ``a^{<n} = a < a^{<n-1}`` and ``a^{>n} = a^{>n-1} > a``."""
-
-    def __init__(self, a: Functional, left: bool):
-        super().__init__()
-        self._a = a
-        self._left = left
-        self._powers: list[Functional] = [a]
-
-    def _compute(self, b: BarWord) -> Fraction:
-        if b.is_unit:
-            return ONE
-        n = b.degree
-        powers = self._powers
-        while len(powers) < n:
-            if self._left:
-                powers.append(half_left(self._a, powers[-1]))
-            else:
-                powers.append(half_right(powers[-1], self._a))
-        return sum((powers[j](b) for j in range(n)), ZERO)
-
-
 def exp_left(a: Functional) -> Functional:
     """Solution of the left fixed point equation ``X = e + a < X``."""
     _require_lie(a, "exp_left")
-    return _HalfExp(a, left=True)
+    return _FixedPoint(a, coalgebra.half_coproduct_left, g_left=True)
 
 
 def exp_right(a: Functional) -> Functional:
     """Solution of the right fixed point equation ``Y = e + Y > a``."""
     _require_lie(a, "exp_right")
-    return _HalfExp(a, left=False)
+    return _FixedPoint(a, coalgebra.half_coproduct_right, g_left=False)
 
 
 def log_left(f: Functional) -> Functional:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shufflecalc import CumulantTable, MomentTable, StatePair, free_cumulants
+from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants
 from shufflecalc.cli import main
 
 
@@ -81,6 +81,37 @@ class TestTransform:
         src = tmp_path / "in.json"
         write_json(src, moments_json(6))
         assert main(["transform", "--input", str(src), "--from", "cfree"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"max_len": "1"},
+        {"values": []},
+        {"alphabet": "ab"},
+        {"max_len": True},
+    ], ids=["max_len-string", "values-list", "alphabet-string", "max_len-bool"])
+    def test_mistyped_table_fields_exit_2(self, tmp_path, capsys, override):
+        src = tmp_path / "in.json"
+        write_json(src, {**moments_json(15, max_len=1), **override})
+        assert main(["transform", "--input", str(src), "--to", "free"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, op", [
+    (["transform", "--to", "free"], "free_cumulants"),
+    (["convolve", "--kind", "free", "--input2", "{src}"], "convolve_free"),
+])
+def test_truncation_is_checked_before_any_compute(tmp_path, monkeypatch, capsys, argv, op):
+    src = tmp_path / "deep.json"
+    write_json(src, MomentTable.zeros(["a"], 13).to_json())
+
+    def forbidden(*_):
+        pytest.fail(f"{op} ran before the truncation check")
+
+    monkeypatch.setattr(cumulants, op, forbidden)
+    argv = [arg.format(src=src) for arg in argv] + ["--input", str(src)]
+    assert main(argv) == 2
+    assert "truncation degree" in capsys.readouterr().err
 
 
 class TestConvolve:

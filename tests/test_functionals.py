@@ -29,7 +29,6 @@ from shufflecalc.functionals import (
     format_scalar,
     parse_scalar,
     words_up_to,
-    zero,
 )
 
 
@@ -118,9 +117,6 @@ class TestAtomicFunctionals:
         e = unit()
         assert e(UNIT) == 1
         assert e(B("a")) == 0
-
-    def test_zero_functional(self):
-        assert zero()(UNIT) == 0
 
     def test_character_is_multiplicative(self, moments):
         phi = character(moments)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from shufflecalc import (
     ad_upper,
     unit,
 )
-from shufflecalc.functionals import functionals_agree, zero
+from shufflecalc.functionals import barwords_up_to, functionals_agree, half_left, half_right
 from shufflecalc.series import bernoulli
 
 ALPHABET = ["a", "b"]
@@ -116,6 +118,51 @@ class TestInversePairs:
             assert f(BarWord()) == 1
 
 
+class TestFixedPoints:
+    """``E<``, ``E>`` and the inverse solve their fixed-point equations; hold
+    them to the power series those equations unfold into, built here from the
+    binary products alone."""
+
+    @staticmethod
+    def power_sum(first, step, degree, sign=1):
+        """``e + sum_{n=1..degree} sign^n p_n`` with ``p_1 = first`` and
+        ``p_{n+1} = step(p_n)``: the series truncates by grading at the
+        checked degree."""
+        total, power = unit(), first
+        for n in range(1, degree + 1):
+            total = total + sign**n * power
+            power = step(power)
+        return total
+
+    @pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4)])
+    def test_match_explicit_power_series(self, alphabet, degree):
+        alphabet = list(alphabet)
+        a = rand_lie(30, alphabet, degree)
+        f = rand_char(31, alphabet, degree)
+        g = unit() + rand_lie(32, alphabet, degree)  # not multiplicative
+        left = self.power_sum(a, lambda p: half_left(a, p), degree)
+        right = self.power_sum(a, lambda p: half_right(p, a), degree)
+        assert agree(exp_left(a), left, alphabet, degree)
+        assert agree(exp_right(a), right, alphabet, degree)
+        for h in (f, g):
+            neumann = self.power_sum(h - unit(), lambda p: conv(p, h - unit()), degree, -1)
+            assert agree(inverse(h), neumann, alphabet, degree)
+
+    def test_nodes_are_freed_by_reference_counting(self):
+        a, f = rand_lie(33), rand_char(34)
+        gc.disable()
+        try:
+            for make, arg in ((exp_left, a), (exp_right, a), (inverse, f)):
+                node = make(arg)
+                for b in barwords_up_to(ALPHABET, N):
+                    node(b)
+                ref = weakref.ref(node)
+                del node
+                assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestMagnus:
     def test_magnus_equals_convolution_log_of_left_exponential(self):
         a = rand_lie(5)
@@ -136,8 +183,8 @@ class TestMagnus:
 class TestSharpAndBch:
     def test_sharp_neutral_element(self):
         b = rand_lie(8)
-        assert agree(sharp(zero(), b), b)
-        assert agree(sharp(b, zero()), b)
+        assert agree(sharp(0 * unit(), b), b)
+        assert agree(sharp(b, 0 * unit()), b)
 
     def test_sharp_transports_the_group_product(self):
         a, b = rand_lie(9), rand_lie(10)
@@ -209,4 +256,4 @@ class TestDomainChecks:
                 op(k)
 
     def test_unit_is_group_sided(self):
-        assert agree(log_conv(unit()), zero())
+        assert agree(log_conv(unit()), 0 * unit())
