@@ -71,7 +71,9 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError;
+        # RecursionError is raised for deeply nested JSON.
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 

@@ -98,10 +98,6 @@ class TensorSum:
         parts = [f"{c}*{l!r}(x){r!r}" for l, r, c in self.terms()]
         return "TensorSum(%s)" % " + ".join(parts)
 
-    def to_json(self) -> list:
-        """Debug dump: (left, right, coeff) triples."""
-        return [[l.to_json(), r.to_json(), c] for l, r, c in self.terms()]
-
 
 _UNIT_SUM = TensorSum([(UNIT, UNIT, 1)])
 

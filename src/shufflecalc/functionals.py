@@ -307,10 +307,9 @@ class _FixedPoint(Functional):
     convolution, ``half_coproduct_left``/``_right`` for the half-shuffles.
 
     ``g`` must vanish on the unit, and ``split`` must pair every X leg of a
-    nonzero g term with a bar-word of strictly smaller degree.  The known
-    factor ``g`` is evaluated first and zero terms are skipped, so X is only
-    ever read below the current degree.  Earlier values are read through the
-    node's own memo by calling ``self``; no child node refers back to it, so
+    nonzero g term with a bar-word of strictly smaller degree, so that
+    ``_known_first`` reads X only below the current degree.  Earlier values
+    are read by calling ``self``; no child node refers back to it, so
     reference counting alone frees it.
     """
 
@@ -323,14 +322,22 @@ class _FixedPoint(Functional):
     def _compute(self, b: BarWord) -> Fraction:
         if b.is_unit:
             return ONE
-        g = self.g
-        total = ZERO
-        for l, r, coeff in self.split(b).items():
-            known, unknown = (l, r) if self.g_left else (r, l)
-            c = g(known)
-            if c:
-                total += coeff * c * self(unknown)
-        return total
+        return _known_first(self.split(b), self.g, self, self.g_left)
+
+
+def _known_first(terms, known, unknown, known_left: bool) -> Fraction:
+    """``sum coeff * known(k) * unknown(u)`` over the ``(l, r, coeff)`` terms of
+    a split, where ``k`` is the left leg if ``known_left`` and the right leg
+    otherwise.  ``known`` is evaluated first and zero terms are skipped, so a
+    ``known`` that vanishes on the unit keeps ``unknown`` below the degree of
+    the split bar-word."""
+    total = ZERO
+    for l, r, coeff in terms.items():
+        k, u = (l, r) if known_left else (r, l)
+        c = known(k)
+        if c:
+            total += coeff * c * unknown(u)
+    return total
 
 
 _UNIT_FUNCTIONAL = _Unit()
@@ -414,17 +421,12 @@ def functionals_agree(
     alphabet: Iterable[str],
     max_degree: int,
     include_unit: bool = True,
-    words_only: bool = False,
 ):
-    """Return None if f and g agree on the checked domain, else the first
-    counterexample as (bar-word, f-value, g-value)."""
+    """Return None if f and g agree on all bar-words of degree <= max_degree,
+    else the first counterexample as (bar-word, f-value, g-value)."""
     if include_unit and f(UNIT) != g(UNIT):
         return (UNIT, f(UNIT), g(UNIT))
-    if words_only:
-        domain = (BarWord.of(w) for w in words_up_to(alphabet, max_degree))
-    else:
-        domain = barwords_up_to(alphabet, max_degree)
-    for b in domain:
+    for b in barwords_up_to(alphabet, max_degree):
         fv, gv = f(b), g(b)
         if fv != gv:
             return (b, fv, gv)

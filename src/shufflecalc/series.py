@@ -5,8 +5,11 @@ Everything here evaluates against concrete rational tables, and all results
 are exact.  The half-shuffle exponentials ``E<``/``E>`` are fixed points, not
 series: they solve ``X = e + a < X`` and ``Y = e + Y > a`` directly, as the
 convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
-Only ``exp*``, ``log*`` and the Magnus pair truncate by degree: on a bar-word
-of degree d they stop after d terms by grading.  Group-side arguments must
+``exp*``, ``log*`` and the Magnus pair are power series
+``sum_m c_m L^m(seed)`` in a linear map L (right convolution by a
+known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node
+that memoizes the powers ``L^m(seed)`` per ``(m, bar-word)`` and stops by
+grading at the degree of the bar-word.  Group-side arguments must
 take the value 1 on the unit, Lie-side arguments the value 0; only these
 cheap normalizations are checked at construction (full
 character/infinitesimal checks are available via ``functionals.is_character``
@@ -25,14 +28,13 @@ from .functionals import (
     Functional,
     ONE,
     ZERO,
-    _Convolution,
     _FixedPoint,
+    _known_first,
     conv,
     functionals_agree,
     half_left,
     half_right,
     inverse,
-    prelie,
     unit,
 )
 from .words import UNIT, BarWord
@@ -62,38 +64,78 @@ def _require_group(f: Functional, what: str) -> None:
         raise DomainError(f"{what} requires a functional equal to 1 on the unit")
 
 
-class _ConvSeries(Functional):
-    """sum_j coeff(j) * x^{*j}, truncated at j = degree of the argument."""
+class _Series(Functional):
+    """``sum_m coeff(m) P_m``, where ``P_0 = seed`` and ``P_m = L(P_{m-1})``
+    for a linear map L.
 
-    def __init__(self, x: Functional, coeff):
+    L is given as ``(sign, split, known, known_left)`` terms, each adding
+    ``sign * (known . P)`` (``known_left``) or ``sign * (P . known)`` with
+    ``.`` pairing the legs of ``split``; ``known is None`` stands for the
+    series itself.  Every known factor vanishes on the unit, so L raises the
+    degree: P_m vanishes below degree ``m + low``, where ``low`` is 1 if the
+    seed vanishes on the unit and 0 otherwise, and on a bar-word of degree d
+    the series stops at ``m = d - low``.  The powers are memoized here, keyed
+    by ``(m, bar-word)``, and the series reads itself by calling ``self``, so
+    no child node refers back to it.
+    """
+
+    def __init__(self, seed: Functional, coeff, step):
         super().__init__()
-        self._coeff = coeff
-        self._powers: list[Functional] = [unit()]
-        self._x = x
+        self.seed = seed
+        self.coeff = coeff
+        self.step = step
+        self._powers: dict[tuple[int, BarWord], Fraction] = {}
+        self._low = 1 if seed(UNIT) == ZERO else 0
 
     def _compute(self, b: BarWord) -> Fraction:
-        n = b.degree
-        powers = self._powers
-        while len(powers) <= n:
-            powers.append(_Convolution(powers[-1], self._x))
         total = ZERO
-        for j in range(n + 1):
-            c = self._coeff(j)
+        for m in range(b.degree + 1 - self._low):
+            c = self.coeff(m)
             if c:
-                total += c * powers[j](b)
+                total += c * self._power(m, b)
         return total
+
+    def _power(self, m: int, b: BarWord) -> Fraction:
+        if m == 0:
+            return self.seed(b)
+        if m + self._low > b.degree:
+            return ZERO
+        value = self._powers.get((m, b))
+        if value is None:
+            lower = lambda u: self._power(m - 1, u)
+            value = ZERO
+            for sign, split, known, known_left in self.step:
+                known = self if known is None else known
+                value += sign * _known_first(split(b), known, lower, known_left)
+            self._powers[m, b] = value
+        return value
+
+
+def _times(g: Functional):
+    """``L(z) = z * g``: the known factor on the right leg keeps the
+    recursion on the extracted subword."""
+    return ((ONE, coalgebra.coproduct, g, False),)
+
+
+def _prelie_by(w: Functional | None):
+    """``L(z) = w |> z = w > z - z < w``; ``None`` is the series itself."""
+    return (
+        (ONE, coalgebra.half_coproduct_right, w, True),
+        (-ONE, coalgebra.half_coproduct_left, w, False),
+    )
 
 
 def exp_conv(a: Functional) -> Functional:
     """Convolution exponential ``e + sum a^{*n}/n!``."""
     _require_lie(a, "exp_conv")
-    return _ConvSeries(a, lambda j: Fraction(1, factorial(j)))
+    return _Series(unit(), lambda m: Fraction(1, factorial(m)), _times(a))
 
 
 def log_conv(f: Functional) -> Functional:
     """Convolution logarithm ``sum (-1)^{l-1} (f-e)^{*l} / l``."""
     _require_group(f, "log_conv")
-    return _ConvSeries(f - unit(), lambda j: Fraction((-1) ** (j - 1), j) if j else ZERO)
+    return _Series(unit(), lambda m: Fraction((-1) ** (m - 1), m) if m else ZERO,
+                   _times(f - unit()))
 
 
 def exp_left(a: Functional) -> Functional:
@@ -120,64 +162,19 @@ def log_right(f: Functional) -> Functional:
     return half_right(inverse(f), f - unit())
 
 
-class _Magnus(Functional):
-    """Pre-Lie Magnus expansion, solved degree by degree from the Bernoulli
-    recursion ``W = sum_m B_m/m! (L_{W |>})^m (a)``.
-
-    Each pre-Lie multiplication by the result itself raises the minimal
-    degree, so the self-referential evaluation below is well founded: the
-    value on a bar-word of degree d only needs values of strictly smaller
-    degree.
-    """
-
-    def __init__(self, a: Functional):
-        super().__init__()
-        self._a = a
-        self._iterates: list[Functional] = [a]
-
-    def _compute(self, b: BarWord) -> Fraction:
-        if b.is_unit:
-            return ZERO
-        n = b.degree
-        iterates = self._iterates
-        while len(iterates) < n:
-            iterates.append(prelie(self, iterates[-1]))
-        total = ZERO
-        for m in range(n):
-            c = bernoulli(m)
-            if c:
-                total += (c / factorial(m)) * iterates[m](b)
-        return total
-
-
-class _MagnusInverse(Functional):
-    """``sum_m 1/(m+1)! (L_{a |>})^m (a) = a + a|>a/2 + a|>(a|>a)/6 + ...``"""
-
-    def __init__(self, a: Functional):
-        super().__init__()
-        self._a = a
-        self._iterates: list[Functional] = [a]
-
-    def _compute(self, b: BarWord) -> Fraction:
-        if b.is_unit:
-            return ZERO
-        n = b.degree
-        iterates = self._iterates
-        while len(iterates) < n:
-            iterates.append(prelie(self._a, iterates[-1]))
-        return sum(
-            (Fraction(1, factorial(m + 1)) * iterates[m](b) for m in range(n)), ZERO
-        )
-
-
 def magnus(a: Functional) -> Functional:
+    """Pre-Lie Magnus expansion, the solution of the Bernoulli recursion
+    ``W = sum_m B_m/m! (W |>)^m (a)``.  Each pre-Lie multiplication by W
+    raises the degree, so on a bar-word of degree d it reads W only below
+    d."""
     _require_lie(a, "magnus")
-    return _Magnus(a)
+    return _Series(a, lambda m: bernoulli(m) / factorial(m), _prelie_by(None))
 
 
 def magnus_inverse(a: Functional) -> Functional:
+    """``sum_m 1/(m+1)! (a |>)^m (a) = a + a|>a/2 + a|>(a|>a)/6 + ...``"""
     _require_lie(a, "magnus_inverse")
-    return _MagnusInverse(a)
+    return _Series(a, lambda m: Fraction(1, factorial(m + 1)), _prelie_by(a))
 
 
 def sharp(a: Functional, b: Functional) -> Functional:

@@ -96,6 +96,18 @@ class TestTransform:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, content):
+        src = tmp_path / "in.json"
+        src.write_bytes(content)
+        assert main(["transform", "--input", str(src), "--to", "free"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv, op", [
     (["transform", "--to", "free"], "free_cumulants"),

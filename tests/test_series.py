@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -31,7 +32,13 @@ from shufflecalc import (
     ad_upper,
     unit,
 )
-from shufflecalc.functionals import barwords_up_to, functionals_agree, half_left, half_right
+from shufflecalc.functionals import (
+    barwords_up_to,
+    functionals_agree,
+    half_left,
+    half_right,
+    prelie,
+)
 from shufflecalc.series import bernoulli
 
 ALPHABET = ["a", "b"]
@@ -119,18 +126,19 @@ class TestInversePairs:
 
 
 class TestFixedPoints:
-    """``E<``, ``E>`` and the inverse solve their fixed-point equations; hold
-    them to the power series those equations unfold into, built here from the
-    binary products alone."""
+    """``E<``, ``E>`` and the inverse solve their fixed-point equations, and
+    ``exp*``, ``log*`` and the Magnus pair are power-series nodes; hold them
+    to the series they unfold into, built here from the binary products
+    alone."""
 
     @staticmethod
-    def power_sum(first, step, degree, sign=1):
-        """``e + sum_{n=1..degree} sign^n p_n`` with ``p_1 = first`` and
+    def power_sum(first, step, degree, coeff=lambda n: 1):
+        """``sum_{n=1..degree} coeff(n) p_n`` with ``p_1 = first`` and
         ``p_{n+1} = step(p_n)``: the series truncates by grading at the
         checked degree."""
-        total, power = unit(), first
+        total, power = 0 * unit(), first
         for n in range(1, degree + 1):
-            total = total + sign**n * power
+            total = total + coeff(n) * power
             power = step(power)
         return total
 
@@ -140,25 +148,41 @@ class TestFixedPoints:
         a = rand_lie(30, alphabet, degree)
         f = rand_char(31, alphabet, degree)
         g = unit() + rand_lie(32, alphabet, degree)  # not multiplicative
-        left = self.power_sum(a, lambda p: half_left(a, p), degree)
-        right = self.power_sum(a, lambda p: half_right(p, a), degree)
+        left = unit() + self.power_sum(a, lambda p: half_left(a, p), degree)
+        right = unit() + self.power_sum(a, lambda p: half_right(p, a), degree)
         assert agree(exp_left(a), left, alphabet, degree)
         assert agree(exp_right(a), right, alphabet, degree)
+        by_factorial = lambda n: Fraction(1, factorial(n))
+        exp = unit() + self.power_sum(a, lambda p: conv(p, a), degree, by_factorial)
+        assert agree(exp_conv(a), exp, alphabet, degree)
         for h in (f, g):
-            neumann = self.power_sum(h - unit(), lambda p: conv(p, h - unit()), degree, -1)
+            x = h - unit()
+            neumann = unit() + self.power_sum(x, lambda p: conv(p, x), degree, lambda n: (-1) ** n)
             assert agree(inverse(h), neumann, alphabet, degree)
+            log = self.power_sum(x, lambda p: conv(p, x), degree,
+                                 lambda n: Fraction((-1) ** (n - 1), n))
+            assert agree(log_conv(h), log, alphabet, degree)
+        inverse_magnus = self.power_sum(a, lambda p: prelie(a, p), degree, by_factorial)
+        assert agree(magnus_inverse(a), inverse_magnus, alphabet, degree)
+        w = magnus(a)
+        bernoulli_sum = self.power_sum(a, lambda p: prelie(w, p), degree,
+                                       lambda n: bernoulli(n - 1) / factorial(n - 1))
+        assert agree(w, bernoulli_sum, alphabet, degree)
 
     def test_nodes_are_freed_by_reference_counting(self):
         a, f = rand_lie(33), rand_char(34)
         gc.disable()
         try:
-            for make, arg in ((exp_left, a), (exp_right, a), (inverse, f)):
+            for make, arg in (
+                (exp_left, a), (exp_right, a), (inverse, f),
+                (exp_conv, a), (log_conv, f), (magnus, a), (magnus_inverse, a),
+            ):
                 node = make(arg)
                 for b in barwords_up_to(ALPHABET, N):
                     node(b)
                 ref = weakref.ref(node)
                 del node
-                assert ref() is None
+                assert ref() is None, make.__name__
         finally:
             gc.enable()
 
