@@ -1,29 +1,48 @@
 """State <-> cumulant transforms, inter-cumulant conversions, c-free
 cumulants of a pair of states, and the four convolutions.
 
-Moment tables extend multiplicatively to characters; cumulant tables extend
-to infinitesimal characters.  All transforms materialize the resulting
-functional back into a table on every word up to the shared truncation
-degree, so results are exact and serializable.
+Moments and cumulants are characters and infinitesimal characters, so each
+is fixed by its values on single words.  Every transform here is therefore
+a short recursion on words (letter tuples), run in increasing word length:
+
+- free and c-free: the first-block sum
+  ``phi(w) = sum_{S ∋ 1} x(w_S) prod gap(run) tail(run)`` over the position
+  sets S that contain 1, where the gaps are the runs of the complement
+  before ``max S`` and the tail is the run after it.  c-free has ``x = R``,
+  ``gap = psi`` and ``tail = phi``; free has ``x = kappa`` and
+  ``gap = tail = phi``.  Moments evaluate the sum; cumulants solve it for
+  its ``S = [n]`` term.
+- boolean: ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``.
+- monotone: ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)`` over the
+  intervals I, and ``phi = sum_m P_m / m!``; cumulants solve for ``P_1``.
+- monotone convolution: ``sum_S phi1(w_S) prod phi2(run)`` over all S.
+
+All of them are homogeneous in word length and run in ``int``: the input
+values are scaled by ``D^|w|`` (D the lcm of the input denominators), and
+by a further ``|w|!`` for the monotone pair, and each output word gets one
+``Fraction``.  ``convert`` keeps the bar-word engine route,
+the pre-Lie Magnus pair and the conjugations: it is the Lie-side relation
+of the paper, and the ``cumulant-conversions`` verify suite checks it
+against the tables computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .errors import DomainError
 from . import series
 from .functionals import (
     CumulantTable,
     MomentTable,
-    character,
-    conv,
+    ValueTable,
     half_left,
     half_right,
     infinitesimal,
     inverse,
     materialize,
-    unit,
 )
 
 FREE = "free"
@@ -70,48 +89,163 @@ def unit_state(alphabet, max_len: int) -> MomentTable:
 
 
 def free_cumulants(phi: MomentTable) -> CumulantTable:
-    """Left half-shuffle logarithm of the state, as a table."""
-    f = series.log_left(character(phi))
-    return materialize(f, phi.alphabet, phi.max_len, CumulantTable)
+    """Left half-shuffle logarithm of the state: the first-block sum with
+    ``gap = tail = phi``, solved for its ``S = [n]`` term: the c-free
+    cumulants of (phi, phi)."""
+    return _first_block_cumulants(phi, phi)
 
 
 def boolean_cumulants(phi: MomentTable) -> CumulantTable:
-    """Right half-shuffle logarithm of the state, as a table."""
-    f = series.log_right(character(phi))
-    return materialize(f, phi.alphabet, phi.max_len, CumulantTable)
+    """Right half-shuffle logarithm of the state:
+    ``beta(w) = phi(w) - sum_{k<n} beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
+    scale, (moments,) = _scaled(phi)
+    moments[()] = 1
+    beta = {}
+    for w in _by_length(phi):
+        beta[w] = moments[w] - sum(beta[w[:k]] * moments[w[k:]] for k in range(1, len(w)))
+    return _table(CumulantTable, phi, scale, beta)
 
 
 def monotone_cumulants(phi: MomentTable) -> CumulantTable:
-    """Convolution logarithm of the state, as a table."""
-    f = series.log_conv(character(phi))
-    return materialize(f, phi.alphabet, phi.max_len, CumulantTable)
+    """Convolution logarithm of the state: ``phi = sum_m P_m / m!`` solved
+    for ``P_1 = rho``."""
+    scale, moments = _monotone_scaled(phi)
+    rho: dict[tuple, int] = {}
+    powers: dict[tuple, int] = {}
+    for w in _by_length(phi):
+        # The division is exact: rho = log*(phi) has the coefficients 1/l,
+        # l <= n, on the scaled moments, so n! D^n rho(w) is an integer.
+        rho[w] = powers[1, w] = moments[w] - _higher_powers(rho, powers, w) // factorial(len(w))
+    return _table(CumulantTable, phi, scale, rho)
 
 
 def moments_from_free(kappa: CumulantTable) -> MomentTable:
-    f = series.exp_left(infinitesimal(kappa))
-    return materialize(f, kappa.alphabet, kappa.max_len, MomentTable)
+    """Left half-shuffle exponential: the first-block sum with
+    ``gap = tail = phi``."""
+    return _first_block_moments(kappa, None)
 
 
 def moments_from_boolean(beta: CumulantTable) -> MomentTable:
-    f = series.exp_right(infinitesimal(beta))
-    return materialize(f, beta.alphabet, beta.max_len, MomentTable)
+    """Right half-shuffle exponential:
+    ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
+    scale, (cumulants,) = _scaled(beta)
+    phi = {(): 1}
+    for w in _by_length(beta):
+        phi[w] = sum(cumulants[w[:k]] * phi[w[k:]] for k in range(1, len(w) + 1))
+    return _table(MomentTable, beta, scale, phi)
 
 
 def moments_from_monotone(rho: CumulantTable) -> MomentTable:
-    f = series.exp_conv(infinitesimal(rho))
-    return materialize(f, rho.alphabet, rho.max_len, MomentTable)
+    """Convolution exponential: ``phi = sum_m P_m / m!`` with ``P_1 = rho``."""
+    scale, cumulants = _monotone_scaled(rho)
+    powers: dict[tuple, int] = {}
+    phi = {}
+    for w in _by_length(rho):
+        powers[1, w] = cumulants[w]
+        phi[w] = factorial(len(w)) * cumulants[w] + _higher_powers(cumulants, powers, w)
+    # phi(w) = sum_m P_m(w) / m!, and phi[w] holds n! times that sum.
+    return _table(MomentTable, rho, [factorial(n) * s for n, s in enumerate(scale)], phi)
 
 
-_TO_MOMENTS = {
-    FREE: moments_from_free,
-    BOOLEAN: moments_from_boolean,
-    MONOTONE: moments_from_monotone,
-}
-_FROM_MOMENTS = {
-    FREE: free_cumulants,
-    BOOLEAN: boolean_cumulants,
-    MONOTONE: monotone_cumulants,
-}
+def _scaled(*tables: ValueTable):
+    """The tables' values times ``D^|w|``, as ints keyed by letter tuple,
+    with D the lcm of all their denominators; also the scales ``D^n`` by
+    word length n."""
+    d = lcm(*(v.denominator for t in tables for v in t.values.values()))
+    scale = [d**n for n in range(tables[0].max_len + 1)]
+    return scale, [
+        {w.letters: v.numerator * (scale[len(w)] // v.denominator) for w, v in t.values.items()}
+        for t in tables
+    ]
+
+
+def _monotone_scaled(table: ValueTable):
+    """Like ``_scaled`` for one table, with the scales ``n! D^n``, under
+    which every ``P_m`` is an integer (see ``_higher_powers``)."""
+    scale, (values,) = _scaled(table)
+    return ([factorial(n) * s for n, s in enumerate(scale)],
+            {w: factorial(len(w)) * v for w, v in values.items()})
+
+
+def _table(cls, like: ValueTable, scale: list[int], scaled: dict):
+    """Undo the scaling: one ``Fraction`` per word of ``like``."""
+    return cls(like.alphabet, like.max_len,
+               {w: Fraction(scaled[w.letters], scale[len(w)]) for w in like.values})
+
+
+def _by_length(table: ValueTable) -> list[tuple]:
+    """The table's words as letter tuples, shortest first."""
+    return sorted((w.letters for w in table.values), key=len)
+
+
+def _subsets(n: int, first: bool) -> list[tuple]:
+    """``(S, gaps, tail)`` for the position sets S of a word of length n,
+    only those containing position 0 if ``first``, the full set first: S as
+    0-based positions, the ``(start, stop)`` slices of the complement's runs
+    before ``max S``, and the start of the run after it."""
+    out = []
+    for mask in range((1 << n) - 1, -1, -2 if first else -1):
+        S = tuple(i for i in range(n) if mask >> i & 1)
+        gaps = tuple((a + 1, b) for a, b in zip((-1,) + S, S) if b > a + 1)
+        out.append((S, gaps, S[-1] + 1 if S else 0))
+    return out
+
+
+def _subset_sum(x: dict, gap: dict, tail: dict, w: tuple, subsets) -> int:
+    """``sum x(w_S) prod gap(run) tail(run)`` over the given subsets."""
+    total = 0
+    for S, gaps, t in subsets:
+        v = x[tuple([w[i] for i in S])]
+        if v:
+            for a, b in gaps:
+                v *= gap[w[a:b]]
+            total += v * tail[w[t:]]
+    return total
+
+
+def _first_block_moments(x: CumulantTable, psi: MomentTable | None) -> MomentTable:
+    """Evaluate the first-block sum with ``gap = psi``, or ``gap = phi``
+    (free) if psi is None."""
+    scale, (cumulants, *second) = _scaled(*((x,) if psi is None else (x, psi)))
+    phi = {(): 1}
+    gap = second[0] if second else phi
+    subsets = [_subsets(n, first=True) for n in range(x.max_len + 1)]
+    for w in _by_length(x):
+        phi[w] = _subset_sum(cumulants, gap, phi, w, subsets[len(w)])
+    return _table(MomentTable, x, scale, phi)
+
+
+def _first_block_cumulants(phi: MomentTable, psi: MomentTable) -> CumulantTable:
+    """Solve the first-block sum with ``gap = psi`` for its ``S = [n]``
+    term, shortest words first."""
+    scale, (moments, gap) = _scaled(phi, psi)
+    moments[()] = 1
+    proper = [_subsets(n, first=True)[1:] for n in range(phi.max_len + 1)]
+    x: dict[tuple, int] = {}
+    for w in _by_length(phi):
+        x[w] = moments[w] - _subset_sum(x, gap, moments, w, proper[len(w)])
+    return _table(CumulantTable, phi, scale, x)
+
+
+def _higher_powers(rho: dict, powers: dict, w: tuple) -> int:
+    """``n! sum_{m>=2} P_m(w) / m!``, storing each ``P_m(w)`` in ``powers``
+    under ``(m, w)``.  Values carry the scale ``n! D^n`` of their word
+    length n, under which ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)``
+    over the intervals I becomes ``sum_I C(n, |I|) P_{m-1}(w minus I)
+    rho(w_I)`` in integers.  For m >= 2 only proper intervals contribute, so
+    this reads rho and P only on shorter words."""
+    n = len(w)
+    total = 0
+    for m in range(2, n + 1):
+        value = 0
+        for i in range(n):
+            for j in range(i + 1, min(n, i + n - m + 1) + 1):
+                p = powers.get((m - 1, w[:i] + w[j:]))
+                if p:
+                    value += comb(n, j - i) * p * rho[w[i:j]]
+        powers[m, w] = value
+        total += value * (factorial(n) // factorial(m))
+    return total
 
 
 def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
@@ -144,23 +278,18 @@ def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
 
 
 def cfree_cumulants(pair: StatePair) -> CumulantTable:
-    """c-free cumulants of (phi, psi): the boolean logarithm of phi
-    conjugated by psi, ``R = Psi > (Phi^{*-1} > (Phi - e)) < Psi^{*-1}``."""
-    phi = character(pair.phi)
-    psi = character(pair.psi)
-    boolean_log = half_right(inverse(phi), phi - unit())
-    r = half_left(half_right(psi, boolean_log), inverse(psi))
-    return materialize(r, pair.alphabet, pair.max_len, CumulantTable)
+    """c-free cumulants of (phi, psi), ``R = Psi > (Phi^{*-1} > (Phi - e)) <
+    Psi^{*-1}``: the first-block sum with ``gap = psi`` and ``tail = phi``,
+    solved for its ``S = [n]`` term."""
+    return _first_block_cumulants(pair.phi, pair.psi)
 
 
 def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
-    """Reconstruct phi from c-free cumulants and the second state:
-    ``Phi = E>(Psi^{*-1} > R < Psi)``."""
+    """Reconstruct phi from c-free cumulants and the second state,
+    ``Phi = E>(Psi^{*-1} > R < Psi)``: the first-block sum with
+    ``gap = psi`` and ``tail = phi``."""
     R._check_compatible(psi)
-    psic = character(psi)
-    conjugated = half_left(half_right(inverse(psic), infinitesimal(R)), psic)
-    phi = series.exp_right(conjugated)
-    return materialize(phi, psi.alphabet, psi.max_len, MomentTable)
+    return _first_block_moments(R, psi)
 
 
 def convolve_free(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
@@ -174,10 +303,15 @@ def convolve_boolean(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
 
 
 def convolve_monotone(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
-    """Monotone convolution is the convolution product of the characters."""
+    """Monotone convolution is the convolution product of the characters:
+    ``sum_S phi1(w_S) prod phi2(run)`` over all position sets S."""
     phi1._check_compatible(phi2)
-    product = conv(character(phi1), character(phi2))
-    return materialize(product, phi1.alphabet, phi1.max_len, MomentTable)
+    scale, (first, second) = _scaled(phi1, phi2)
+    first[()] = second[()] = 1
+    subsets = [_subsets(n, first=False) for n in range(phi1.max_len + 1)]
+    product = {w: _subset_sum(first, second, second, w, subsets[len(w)])
+               for w in _by_length(phi1)}
+    return _table(MomentTable, phi1, scale, product)
 
 
 def convolve_cfree(p1: StatePair, p2: StatePair) -> StatePair:

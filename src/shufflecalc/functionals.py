@@ -15,6 +15,7 @@ half-products vanish on the unit bar-word, so the splitting
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -28,13 +29,19 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_scalar(obj) -> Fraction:
-    """Accept ``"p/q"`` strings, plain integer strings, and ints."""
+    """Accept ints and strings of the form ``[+-]?digits(/digits)?``; no
+    decimals, exponents, underscores or surrounding space."""
     if isinstance(obj, bool):
         raise DomainError(f"not a scalar: {obj!r}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        if _SCALAR.fullmatch(obj) is None:
+            raise DomainError(f"malformed scalar {obj!r}")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
@@ -82,7 +89,7 @@ class ValueTable:
     JSON form: ``{"alphabet": ["a","b"], "max_len": N,
     "values": {"a": "1/2", "a.b": "-2/3", ...}}``
     with words as dot-joined letter names and scalars as ``"p/q"`` strings
-    (plain integers are also accepted on input).
+    (on input, JSON integers and the strings ``parse_scalar`` accepts).
     """
 
     def __init__(self, alphabet: Iterable[str], max_len: int, values: dict[Word, Fraction]):

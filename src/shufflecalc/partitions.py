@@ -208,6 +208,36 @@ def tree_factorial(p: SetPartition) -> int:
     return total
 
 
+# The oracles below go through the words of one length at a time, so the
+# partitions of that length, with their weights and block flags, are kept
+# for the last few lengths.  ``enumerate_nc`` itself stays uncached.
+_RECENT_LENGTHS = 4
+
+
+@lru_cache(maxsize=_RECENT_LENGTHS)
+def _nc_terms(n: int) -> tuple:
+    """``(blocks, 1 / tree factorial, outer flags)`` per non-crossing
+    partition of [1..n]."""
+    return tuple(
+        (p.blocks, Fraction(1, tree_factorial(p)),
+         tuple(flag == "outer" for flag in classify_blocks(p)))
+        for p in enumerate_nc(n)
+    )
+
+
+@lru_cache(maxsize=_RECENT_LENGTHS)
+def _boolean_terms(n: int) -> tuple:
+    """The blocks of every interval partition of [1..n]."""
+    return tuple(p.blocks for p in enumerate_boolean(n))
+
+
+@lru_cache(maxsize=_RECENT_LENGTHS)
+def _irreducible_terms(n: int) -> tuple:
+    """``(blocks, sign (-1)^(#blocks - 1))`` per irreducible non-crossing
+    partition of [1..n]."""
+    return tuple((p.blocks, (-1) ** (len(p.blocks) - 1)) for p in enumerate_nc_irreducible(n))
+
+
 def _block_word(w: Word, block: tuple[int, ...]) -> Word:
     return Word(w.letters[x - 1] for x in block)
 
@@ -221,24 +251,20 @@ def _block_product(table: ValueTable, w: Word, blocks) -> Fraction:
 
 def free_moment_sum(kappa: CumulantTable, w: Word) -> Fraction:
     """sum over non-crossing partitions of the product of block cumulants."""
-    return sum(
-        (_block_product(kappa, w, p.blocks) for p in enumerate_nc(len(w))), ZERO
-    )
+    return sum((_block_product(kappa, w, blocks) for blocks, _, _ in _nc_terms(len(w))), ZERO)
 
 
 def boolean_moment_sum(beta: CumulantTable, w: Word) -> Fraction:
     """sum over interval partitions of the product of block cumulants."""
-    return sum(
-        (_block_product(beta, w, p.blocks) for p in enumerate_boolean(len(w))), ZERO
-    )
+    return sum((_block_product(beta, w, blocks) for blocks in _boolean_terms(len(w))), ZERO)
 
 
 def monotone_moment_sum(rho: CumulantTable, w: Word) -> Fraction:
     """sum over non-crossing partitions, weighted by the inverse tree
     factorial of the nesting forest."""
     total = ZERO
-    for p in enumerate_nc(len(w)):
-        total += Fraction(1, tree_factorial(p)) * _block_product(rho, w, p.blocks)
+    for blocks, weight, _ in _nc_terms(len(w)):
+        total += weight * _block_product(rho, w, blocks)
     return total
 
 
@@ -246,11 +272,10 @@ def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Fra
     """sum over non-crossing partitions: outer blocks weighted by the c-free
     cumulants, inner blocks by the free cumulants of the second state."""
     total = ZERO
-    for p in enumerate_nc(len(w)):
-        flags = classify_blocks(p)
+    for blocks, _, outer in _nc_terms(len(w)):
         value = ONE
-        for block, flag in zip(p.blocks, flags):
-            table = R if flag == "outer" else kappa_psi
+        for block, is_outer in zip(blocks, outer):
+            table = R if is_outer else kappa_psi
             value *= table.lookup(_block_word(w, block))
         total += value
     return total
@@ -286,11 +311,10 @@ def adjoint_sum_upper(mu: CumulantTable, tau: CumulantTable, w: Word) -> Fractio
     unique outer block takes mu, inner blocks take the boolean cumulants tau,
     with sign (-1)^(#blocks - 1)."""
     total = ZERO
-    for p in enumerate_nc_irreducible(len(w)):
-        sign = (-1) ** (len(p.blocks) - 1)
+    for blocks, sign in _irreducible_terms(len(w)):
         value = ONE
-        for block in p.blocks:
-            table = mu if 1 in block else tau
+        for block in blocks:
+            table = mu if block[0] == 1 else tau
             value *= table.lookup(_block_word(w, block))
         total += sign * value
     return total

@@ -1,10 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shufflecalc
 from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants
 from shufflecalc.cli import main
+
+CORPUS = Path(__file__).parent / "data" / "cli_corpus"
 
 
 def write_json(path, obj):
@@ -91,6 +98,16 @@ class TestTransform:
     def test_mistyped_table_fields_exit_2(self, tmp_path, capsys, override):
         src = tmp_path / "in.json"
         write_json(src, {**moments_json(15, max_len=1), **override})
+        assert main(["transform", "--input", str(src), "--to", "free"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scalar", ["1.5", "1e3", "1_000", " 7 ", "1e2000000"])
+    def test_scalars_outside_the_grammar_exit_2(self, tmp_path, capsys, scalar):
+        src = tmp_path / "in.json"
+        table = moments_json(16, max_len=1)
+        write_json(src, {**table, "values": {**table["values"], "a": scalar}})
         assert main(["transform", "--input", str(src), "--to", "free"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -212,3 +229,33 @@ class TestVerify:
 
     def test_empty_alphabet_exits_2(self):
         assert main(["verify", "--alphabet", ""]) == 2
+
+
+# Expected stdout per case, stored as ``<case>.out`` next to the inputs in
+# tests/data/cli_corpus (2 letters, max_len 4).  The files were recorded
+# with the bar-word engine routes of the cumulant layer, before the
+# words-only kernel replaced them; do not regenerate them from the code
+# under test.
+GOLDEN_CASES = {
+    **{f"transform-to-{k}": ["transform", "--to", k, "--input", "moments1.json"]
+       for k in ("free", "boolean", "monotone")},
+    "transform-to-cfree": ["transform", "--to", "cfree", "--input", "pair1.json"],
+    **{f"transform-from-{k}": ["transform", "--from", k, "--input", "cumulants.json"]
+       for k in ("free", "boolean", "monotone")},
+    "transform-from-cfree": ["transform", "--from", "cfree", "--input", "cfree_cumulants.json"],
+    **{f"convolve-{k}": ["convolve", "--kind", k, "--input", "moments1.json",
+                         "--input2", "moments2.json"]
+       for k in ("free", "boolean", "monotone")},
+    "convolve-cfree": ["convolve", "--kind", "cfree", "--input", "pair1.json",
+                       "--input2", "pair2.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_stdout_matches_recorded_corpus(case):
+    src = str(Path(shufflecalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "shufflecalc.cli", *GOLDEN_CASES[case]],
+                          cwd=CORPUS, env=env, capture_output=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (CORPUS / f"{case}.out").read_bytes()

@@ -10,17 +10,31 @@ from shufflecalc import (
     Word,
     boolean_cumulants,
     cfree_cumulants,
+    character,
+    conv,
     convert,
     convolve_boolean,
     convolve_cfree,
     convolve_free,
     convolve_monotone,
+    exp_conv,
+    exp_left,
+    exp_right,
     free_cumulants,
+    half_left,
+    half_right,
+    infinitesimal,
+    inverse,
+    log_conv,
+    log_left,
+    log_right,
+    materialize,
     moments_from_boolean,
     moments_from_cfree,
     moments_from_free,
     moments_from_monotone,
     monotone_cumulants,
+    unit,
     unit_state,
 )
 from fractions import Fraction
@@ -187,3 +201,95 @@ class TestConvolutions:
     def test_incompatible_inputs(self):
         with pytest.raises(DomainError):
             convolve_free(rand_moments(28, max_len=3), rand_moments(29, max_len=4))
+
+
+# --- the words-only kernel against the bar-word engine -------------------
+#
+# The engine expressions below are the definitions the kernel in
+# ``cumulants`` replaces: the half-shuffle and convolution logarithms and
+# exponentials, the conjugations of the c-free transforms and the
+# convolution of characters, evaluated on bar-words and materialized.
+
+
+def _engine_cfree_cumulants(phi, psi):
+    phic, psic = character(phi), character(psi)
+    boolean_log = half_right(inverse(phic), phic - unit())
+    return half_left(half_right(psic, boolean_log), inverse(psic))
+
+
+def _engine_moments_from_cfree(r, psi):
+    psic = character(psi)
+    return exp_right(half_left(half_right(inverse(psic), infinitesimal(r)), psic))
+
+
+# name -> (kernel function, engine expression, input kinds, output type);
+# "m" is a moment table, "k" a cumulant table, "psi" a second state.
+KERNEL_CASES = {
+    "free_cumulants": (free_cumulants, lambda m: log_left(character(m)), "m", CumulantTable),
+    "boolean_cumulants": (boolean_cumulants, lambda m: log_right(character(m)), "m", CumulantTable),
+    "monotone_cumulants": (monotone_cumulants, lambda m: log_conv(character(m)), "m", CumulantTable),
+    "moments_from_free": (moments_from_free, lambda k: exp_left(infinitesimal(k)), "k", MomentTable),
+    "moments_from_boolean": (moments_from_boolean, lambda k: exp_right(infinitesimal(k)), "k", MomentTable),
+    "moments_from_monotone": (moments_from_monotone, lambda k: exp_conv(infinitesimal(k)), "k", MomentTable),
+    "cfree_cumulants": (lambda m, psi: cfree_cumulants(StatePair(m, psi)),
+                        _engine_cfree_cumulants, "m psi", CumulantTable),
+    "moments_from_cfree": (moments_from_cfree, _engine_moments_from_cfree, "k psi", MomentTable),
+    "convolve_monotone": (convolve_monotone, lambda m1, m2: conv(character(m1), character(m2)),
+                          "m m2", MomentTable),
+}
+
+DOMAINS = [(("a",), 7), (("a", "b"), 6), (("a", "b", "c"), 4)]
+
+
+def _sparse(cls, alphabet, max_len, rng):
+    """A random table with about half of its values zero."""
+    table = cls.random(alphabet, max_len, rng)
+    return cls(alphabet, max_len,
+               {w: v if rng.random() < 0.5 else Fraction(0) for w, v in table.values.items()})
+
+
+def _kernel_inputs(alphabet, max_len):
+    """Labelled input tuples: three random seeds, a table with zero values,
+    the all-zero table, and the second states psi = e and psi = phi."""
+    zero_m = MomentTable.zeros(alphabet, max_len)
+    zero_k = CumulantTable.zeros(alphabet, max_len)
+    out = []
+    for seed in range(3):
+        rng = random.Random(f"kernel:{seed}:{len(alphabet)}")
+        tables = {
+            "m": MomentTable.random(alphabet, max_len, rng),
+            "k": CumulantTable.random(alphabet, max_len, rng),
+            "psi": MomentTable.random(alphabet, max_len, rng),
+            "m2": MomentTable.random(alphabet, max_len, rng),
+        }
+        out.append((f"seed {seed}", tables))
+    rng = random.Random(f"kernel:sparse:{len(alphabet)}")
+    sparse = {
+        "m": _sparse(MomentTable, alphabet, max_len, rng),
+        "k": _sparse(CumulantTable, alphabet, max_len, rng),
+        "psi": _sparse(MomentTable, alphabet, max_len, rng),
+        "m2": _sparse(MomentTable, alphabet, max_len, rng),
+    }
+    base = out[0][1]
+    out += [
+        ("sparse", sparse),
+        ("zeros", {"m": zero_m, "k": zero_k, "psi": zero_m, "m2": zero_m}),
+        ("psi = e", {**base, "psi": zero_m, "m2": zero_m}),
+        ("psi = phi", {**base, "psi": base["m"], "m2": base["m"]}),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("alphabet, max_len", DOMAINS,
+                         ids=[f"{''.join(a)}-{n}" for a, n in DOMAINS])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matches_engine(name, alphabet, max_len):
+    """Each word-recursion of the kernel equals its bar-word engine
+    definition on every word of the domain."""
+    kernel, engine, kinds, cls = KERNEL_CASES[name]
+    for label, tables in _kernel_inputs(alphabet, max_len):
+        args = [tables[kind] for kind in kinds.split()]
+        expected = materialize(engine(*args), alphabet, max_len, cls)
+        got = kernel(*args)
+        assert type(got) is cls
+        assert got == expected, f"{name} differs from the engine on {label}"

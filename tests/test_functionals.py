@@ -47,6 +47,17 @@ class TestScalars:
             with pytest.raises(DomainError):
                 parse_scalar(bad)
 
+    @pytest.mark.parametrize("bad", ["1.5", "1e3", "1_000", " 7 ", "7\n", "1e2000000",
+                                     "+-1", "1/-2", "1/+2", "/2", "1/", "", "\u0663"])
+    def test_rejects_forms_outside_the_grammar(self, bad):
+        with pytest.raises(DomainError):
+            parse_scalar(bad)
+
+    def test_accepts_the_grammar(self):
+        assert parse_scalar("+3") == 3
+        assert parse_scalar("-0012/0030") == Fraction(-2, 5)
+        assert parse_scalar(10**30) == 10**30
+
     def test_format_roundtrip(self):
         q = Fraction(-3, 7)
         assert parse_scalar(format_scalar(q)) == q
