@@ -64,6 +64,8 @@ from .partitions import (
     boolean_moment_sum,
     monotone_moment_sum,
     cfree_moment_sum,
+    boolean_from_free_sum,
+    free_from_boolean_sum,
     adjoint_sum_lower,
     adjoint_sum_upper,
 )

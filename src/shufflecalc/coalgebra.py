@@ -8,8 +8,13 @@ right half the subsets avoiding it.  On a bar-word the first factor uses the
 half-coproduct and the remaining factors the full coproduct; the product in
 the tensor square is componentwise bar-concatenation.
 
-Results are memoized per word / bar-word since the same subwords recur
-heavily across computations.
+Results are memoized, since the same subwords recur heavily across
+computations: the full coproduct and both half-coproducts per word
+(``_word_cache``, ``_word_left_cache``, ``_word_right_cache``), and per
+multi-factor bar-word (``_bar_cache``, ``_bar_left_cache``,
+``_bar_right_cache``).  Bar-words are interned (see ``words``), so the keys
+of these caches and the legs of their terms are shared, not copied.  The
+caches are never cleared.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class TensorSum:
     def items(self) -> Iterator[tuple[BarWord, BarWord, int]]:
         for (l, r), c in self._terms.items():
             yield l, r, c
+
+    def pairs(self):
+        """The ``((left, right), coeff)`` items in insertion order, as a
+        view of the underlying dict: the cheap iteration for evaluation."""
+        return self._terms.items()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -105,6 +115,8 @@ _word_cache: dict[Word, TensorSum] = {}
 _word_left_cache: dict[Word, TensorSum] = {}
 _word_right_cache: dict[Word, TensorSum] = {}
 _bar_cache: dict[BarWord, TensorSum] = {}
+_bar_left_cache: dict[BarWord, TensorSum] = {}
+_bar_right_cache: dict[BarWord, TensorSum] = {}
 
 
 def _split_term(w: Word, mask: int, n: int) -> tuple[BarWord, BarWord]:
@@ -171,9 +183,17 @@ def half_coproduct_right(b: BarWord) -> TensorSum:
 def _half_coproduct(b: BarWord, keep_first: bool) -> TensorSum:
     if b.is_unit:
         raise DomainError("the half-coproducts are not defined on the unit")
-    result = _half_word(b.factors[0], keep_first)
-    for factor in b.factors[1:]:
+    factors = b.factors
+    if len(factors) == 1:
+        return _half_word(factors[0], keep_first)
+    cache = _bar_left_cache if keep_first else _bar_right_cache
+    cached = cache.get(b)
+    if cached is not None:
+        return cached
+    result = _half_word(factors[0], keep_first)
+    for factor in factors[1:]:
         result = result.product(coproduct_word(factor))
+    cache[b] = result
     return result
 
 

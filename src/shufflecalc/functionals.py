@@ -3,9 +3,18 @@
 A ``Functional`` is a node in an immutable expression tree (unit, character,
 infinitesimal character, sums, convolution, half-shuffles, pre-Lie product,
 and the fixed points of ``X = e + g . X`` that give the convolution inverse
-and the half-shuffle exponentials).  Evaluation on a bar-word is exact and
-memoized per node; the same table reused under different operations lives in
-different nodes and therefore different caches.
+and the half-shuffle exponentials).
+
+The coproduct and both half-coproducts preserve degree, so every node is
+homogeneous: its values on the bar-words of degree d share one positive
+integer denominator ``den(d)``, derived from the denominators of its
+children (``D^d`` for a table whose values have the common denominator D).
+Below the public boundary everything is integer arithmetic: ``num(b)`` is
+the numerator of the value on b over ``den(b.degree)``, memoized per node,
+and a parent reads its children's numerators, rescaled by integer
+multipliers precomputed per degree.  ``__call__`` is the one place that
+builds a ``Fraction``.  The same table reused under different operations
+lives in different nodes and therefore different memos.
 
 Unit rules for the half-shuffles follow the convention that both
 half-products vanish on the unit bar-word, so the splitting
@@ -17,6 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from . import coalgebra
@@ -188,22 +198,47 @@ class CumulantTable(ValueTable):
 
 
 class Functional:
-    """Base class: a lazily evaluated linear form on bar-words."""
+    """Base class: a lazily evaluated linear form on bar-words.
+
+    Subclasses give ``_num(b)``, the integer numerator of the value on b,
+    and ``_rescale(d)``, the pair ``(den(d), weights)`` where ``weights``
+    holds whatever integer multipliers ``_num`` needs at degree d.  Both
+    are memoized here.
+    """
 
     def __init__(self):
-        self._memo: dict[BarWord, Fraction] = {}
+        self._memo: dict[BarWord, int] = {}
+        self._scales: dict[int, tuple] = {}
 
     def __call__(self, b: BarWord) -> Fraction:
+        return Fraction(self.num(b), self.den(b.degree))
+
+    def num(self, b: BarWord) -> int:
+        """The value on b times ``den(b.degree)``."""
         memo = self._memo
         try:
             return memo[b]
         except KeyError:
-            value = self._compute(b)
-            memo[b] = value
+            value = memo[b] = self._num(b)
             return value
 
-    def _compute(self, b: BarWord) -> Fraction:
+    def den(self, d: int) -> int:
+        """The denominator shared by the values on bar-words of degree d."""
+        return self._scale(d)[0]
+
+    def _scale(self, d: int) -> tuple:
+        scales = self._scales
+        try:
+            return scales[d]
+        except KeyError:
+            value = scales[d] = self._rescale(d)
+            return value
+
+    def _num(self, b: BarWord) -> int:
         raise NotImplementedError
+
+    def _rescale(self, d: int) -> tuple:
+        return 1, None
 
     # Linear structure.  `*` between functionals is convolution; with a
     # scalar it rescales.
@@ -228,40 +263,52 @@ class Functional:
 class _Unit(Functional):
     """The counit e: 1 on the unit bar-word, 0 elsewhere."""
 
-    def _compute(self, b: BarWord) -> Fraction:
-        return ONE if b.is_unit else ZERO
+    def _num(self, b: BarWord) -> int:
+        return 0 if b.factors else 1
 
 
-class CharacterFunctional(Functional):
+class _TableFunctional(Functional):
+    """A node read from a table: ``den(d) = D^d`` with D the lcm of the
+    table's denominators, so a word's value scales to an integer once."""
+
+    def __init__(self, table: ValueTable):
+        super().__init__()
+        self.table = table
+        self._base = lcm(*(v.denominator for v in table.values.values()))
+
+    def _word_num(self, w: Word) -> int:
+        v = self.table.lookup(w)
+        return v.numerator * (self._base ** len(w.letters) // v.denominator)
+
+    def _rescale(self, d: int) -> tuple:
+        return self._base ** d, None
+
+
+class CharacterFunctional(_TableFunctional):
     """Multiplicative extension of a moment table: the product of the table
     values of the factors; 1 on the unit."""
 
-    def __init__(self, table: MomentTable):
-        super().__init__()
-        self.table = table
-
-    def _compute(self, b: BarWord) -> Fraction:
-        value = ONE
+    def _num(self, b: BarWord) -> int:
+        value = 1
         for factor in b.factors:
-            value *= self.table.lookup(factor)
+            value *= self._word_num(factor)
         return value
 
 
-class InfinitesimalFunctional(Functional):
+class InfinitesimalFunctional(_TableFunctional):
     """Extension of a cumulant table: vanishes on the unit and on bar-words
     of two or more factors."""
 
-    def __init__(self, table: CumulantTable):
-        super().__init__()
-        self.table = table
-
-    def _compute(self, b: BarWord) -> Fraction:
+    def _num(self, b: BarWord) -> int:
         if len(b.factors) != 1:
-            return ZERO
-        return self.table.lookup(b.factors[0])
+            return 0
+        return self._word_num(b.factors[0])
 
 
 class _Sum(Functional):
+    """``sum c_i f_i``: ``den(d)`` is the lcm of ``c_i.denominator *
+    den_i(d)``, and each part has one integer weight per degree."""
+
     def __init__(self, parts: Iterable[tuple[Fraction, Functional]]):
         super().__init__()
         flat: list[tuple[Fraction, Functional]] = []
@@ -272,40 +319,39 @@ class _Sum(Functional):
                 flat.append((coeff, f))
         self.parts = tuple(flat)
 
-    def _compute(self, b: BarWord) -> Fraction:
-        return sum((c * f(b) for c, f in self.parts), ZERO)
+    def _rescale(self, d: int) -> tuple:
+        scaled = [(c.numerator, c.denominator * f.den(d), f) for c, f in self.parts if c]
+        den = lcm(*(x for _, x, _ in scaled))
+        return den, [(n * (den // x), f) for n, x, f in scaled]
+
+    def _num(self, b: BarWord) -> int:
+        return sum(w * f.num(b) for w, f in self._scale(b.degree)[1])
 
 
 class _Convolution(Functional):
-    def __init__(self, f: Functional, g: Functional):
+    """``sum coeff * f(left) * g(right)`` over the ``(left, right, coeff)``
+    terms of ``split``: ``coalgebra.coproduct`` for the convolution,
+    ``half_coproduct_left``/``_right`` for the half-shuffles (``half``),
+    which vanish on the unit.  ``den(d)`` is the lcm over the left-leg
+    degree k of ``den_f(k) * den_g(d - k)``, with one multiplier per k; f
+    is the known factor of ``_known_first``."""
+
+    def __init__(self, f: Functional, g: Functional, split, half: bool):
         super().__init__()
         self.f = f
         self.g = g
+        self.split = split
+        self.half = half
 
-    def _compute(self, b: BarWord) -> Fraction:
+    def _rescale(self, d: int) -> tuple:
         f, g = self.f, self.g
-        total = ZERO
-        for left, right, coeff in coalgebra.coproduct(b).items():
-            total += coeff * f(left) * g(right)
-        return total
+        return _multipliers(d, [(1, True, {k: f.den(k) * g.den(d - k) for k in range(d + 1)})])
 
-
-class _HalfProduct(Functional):
-    def __init__(self, f: Functional, g: Functional, left: bool):
-        super().__init__()
-        self.f = f
-        self.g = g
-        self.left = left
-
-    def _compute(self, b: BarWord) -> Fraction:
-        if b.is_unit:
-            return ZERO
-        split = coalgebra.half_coproduct_left if self.left else coalgebra.half_coproduct_right
-        f, g = self.f, self.g
-        total = ZERO
-        for l, r, coeff in split(b).items():
-            total += coeff * f(l) * g(r)
-        return total
+    def _num(self, b: BarWord) -> int:
+        if self.half and not b.factors:
+            return 0
+        weights = self._scale(b.degree)[1][0]
+        return _known_first(self.split(b), self.f, self.g.num, weights, True)
 
 
 class _FixedPoint(Functional):
@@ -313,11 +359,11 @@ class _FixedPoint(Functional):
     ``.`` pairs the legs of ``split``: ``coalgebra.coproduct`` for the
     convolution, ``half_coproduct_left``/``_right`` for the half-shuffles.
 
-    ``g`` must vanish on the unit, and ``split`` must pair every X leg of a
-    nonzero g term with a bar-word of strictly smaller degree, so that
-    ``_known_first`` reads X only below the current degree.  Earlier values
-    are read by calling ``self``; no child node refers back to it, so
-    reference counting alone frees it.
+    ``g`` must vanish on the unit, so on degree d the g leg has a degree k
+    in ``1..d`` and the X leg a degree below d: ``den(0) = 1`` and
+    ``den(d)`` is the lcm over k of ``den_g(k) * den_X(d - k)``.  Earlier
+    values and denominators are read from ``self``; no child node refers
+    back to it, so reference counting alone frees it.
     """
 
     def __init__(self, g: Functional, split, g_left: bool):
@@ -326,24 +372,53 @@ class _FixedPoint(Functional):
         self.split = split
         self.g_left = g_left
 
-    def _compute(self, b: BarWord) -> Fraction:
-        if b.is_unit:
-            return ONE
-        return _known_first(self.split(b), self.g, self, self.g_left)
+    def _rescale(self, d: int) -> tuple:
+        if d == 0:
+            return 1, None
+        dens = {k: self.g.den(k) * self.den(d - k) for k in range(1, d + 1)}
+        return _multipliers(d, [(1, self.g_left, dens)])
+
+    def _num(self, b: BarWord) -> int:
+        if not b.factors:
+            return 1
+        weights = self._scale(b.degree)[1][0]
+        return _known_first(self.split(b), self.g, self.num, weights, self.g_left)
 
 
-def _known_first(terms, known, unknown, known_left: bool) -> Fraction:
-    """``sum coeff * known(k) * unknown(u)`` over the ``(l, r, coeff)`` terms of
-    a split, where ``k`` is the left leg if ``known_left`` and the right leg
-    otherwise.  ``known`` is evaluated first and zero terms are skipped, so a
-    ``known`` that vanishes on the unit keeps ``unknown`` below the degree of
-    the split bar-word."""
-    total = ZERO
-    for l, r, coeff in terms.items():
-        k, u = (l, r) if known_left else (r, l)
-        c = known(k)
-        if c:
-            total += coeff * c * unknown(u)
+def _multipliers(d: int, terms) -> tuple:
+    """``(den, weights)`` for a sum of ``(sign, known_left, dens)`` split
+    terms at degree d, where ``dens`` maps the known leg's degree k to
+    ``den_known(k) * den_unknown(d - k)``.  ``den`` is the lcm of all of
+    them, and each term's weights, indexed by the degree of the left leg,
+    are ``sign * den // dens[k]``, and 0 for every k that ``dens`` leaves
+    out."""
+    den = lcm(*(x for _, _, dens in terms for x in dens.values()))
+    weights = []
+    for sign, known_left, dens in terms:
+        row = [0] * (d + 1)
+        for k, x in dens.items():
+            row[k if known_left else d - k] = sign * (den // x)
+        weights.append(row)
+    return den, weights
+
+
+def _known_first(terms, known: Functional, unknown, weights, known_left: bool) -> int:
+    """``sum coeff * weights[deg left] * known(k) * unknown(u)`` over the
+    ``(l, r, coeff)`` terms of a split, in numerators, where ``k`` is the left
+    leg if ``known_left`` and the right leg otherwise, and ``unknown`` gives
+    the numerators on the other leg.  A term whose weight is 0 is skipped,
+    and ``known`` is evaluated before ``unknown`` and zero terms are
+    skipped, so weights that vanish outside the degrees where both legs can
+    be nonzero keep ``unknown`` below the degree of the split bar-word."""
+    knum = known.num
+    total = 0
+    for (l, r), coeff in terms.pairs():
+        weight = weights[l.degree]
+        if weight:
+            k, u = (l, r) if known_left else (r, l)
+            x = knum(k)
+            if x:
+                total += coeff * weight * x * unknown(u)
     return total
 
 
@@ -364,17 +439,17 @@ def infinitesimal(table: CumulantTable) -> Functional:
 
 def conv(f: Functional, g: Functional) -> Functional:
     """Convolution: pair the coproduct legs with f and g."""
-    return _Convolution(f, g)
+    return _Convolution(f, g, coalgebra.coproduct, half=False)
 
 
 def half_left(f: Functional, g: Functional) -> Functional:
     """Left half-shuffle ``f < g``; vanishes on the unit bar-word."""
-    return _HalfProduct(f, g, left=True)
+    return _Convolution(f, g, coalgebra.half_coproduct_left, half=True)
 
 
 def half_right(f: Functional, g: Functional) -> Functional:
     """Right half-shuffle ``f > g``; vanishes on the unit bar-word."""
-    return _HalfProduct(f, g, left=False)
+    return _Convolution(f, g, coalgebra.half_coproduct_right, half=True)
 
 
 def prelie(f: Functional, g: Functional) -> Functional:

@@ -1,7 +1,8 @@
 """Independent combinatorial oracles: non-crossing, interval and irreducible
 partition enumeration, inner/outer classification, nesting forests, tree
 factorials, and direct partition-sum evaluators for the closed
-moment-cumulant formulas.
+moment-cumulant formulas and for the irreducible sums that link free and
+boolean cumulants.
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series``; cross-checking the two is the point.
@@ -279,6 +280,20 @@ def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Fra
             value *= table.lookup(_block_word(w, block))
         total += value
     return total
+
+
+def boolean_from_free_sum(kappa: CumulantTable, w: Word) -> Fraction:
+    """Boolean cumulant from free cumulants: sum over irreducible
+    non-crossing partitions of the product of block cumulants."""
+    return sum((_block_product(kappa, w, blocks) for blocks, _ in _irreducible_terms(len(w))),
+               ZERO)
+
+
+def free_from_boolean_sum(beta: CumulantTable, w: Word) -> Fraction:
+    """Free cumulant from boolean cumulants: the same sum with sign
+    (-1)^(#blocks - 1)."""
+    return sum((sign * _block_product(beta, w, blocks)
+                for blocks, sign in _irreducible_terms(len(w))), ZERO)
 
 
 def adjoint_sum_lower(mu: CumulantTable, psi: MomentTable, w: Word) -> Fraction:

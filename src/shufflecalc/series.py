@@ -8,7 +8,8 @@ convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
 ``exp*``, ``log*`` and the Magnus pair are power series
 ``sum_m c_m L^m(seed)`` in a linear map L (right convolution by a
 known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node
-that memoizes the powers ``L^m(seed)`` per ``(m, bar-word)`` and stops by
+that memoizes the integer numerators of the powers ``L^m(seed)`` per
+``(m, bar-word)``, over one denominator per ``(m, degree)``, and stops by
 grading at the degree of the bar-word.  Group-side arguments must
 take the value 1 on the unit, Lie-side arguments the value 0; only these
 cheap normalizations are checked at construction (full
@@ -19,7 +20,7 @@ character/infinitesimal checks are available via ``functionals.is_character``
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from . import coalgebra
@@ -30,6 +31,7 @@ from .functionals import (
     ZERO,
     _FixedPoint,
     _known_first,
+    _multipliers,
     conv,
     functionals_agree,
     half_left,
@@ -74,9 +76,16 @@ class _Series(Functional):
     series itself.  Every known factor vanishes on the unit, so L raises the
     degree: P_m vanishes below degree ``m + low``, where ``low`` is 1 if the
     seed vanishes on the unit and 0 otherwise, and on a bar-word of degree d
-    the series stops at ``m = d - low``.  The powers are memoized here, keyed
-    by ``(m, bar-word)``, and the series reads itself by calling ``self``, so
-    no child node refers back to it.
+    the series stops at ``m = d - low``.
+
+    The numerators of the powers are memoized here, keyed by
+    ``(m, bar-word)``, over the denominator ``den_P(m, d)``: the seed's for
+    ``m = 0``, else the lcm over the terms of L and over the known leg's
+    degree k of ``den_known(k) * den_P(m - 1, d - k)``.  k runs over
+    ``1..d - (m - 1 + low)`` only, where both legs can be nonzero; this also
+    keeps a series that is its own known factor below its own ``den(d)``.
+    The series reads itself by calling ``self``, so no child node refers
+    back to it.
     """
 
     def __init__(self, seed: Functional, coeff, step):
@@ -84,29 +93,52 @@ class _Series(Functional):
         self.seed = seed
         self.coeff = coeff
         self.step = step
-        self._powers: dict[tuple[int, BarWord], Fraction] = {}
+        self._powers: dict[tuple[int, BarWord], int] = {}
+        self._power_scales: dict[tuple[int, int], tuple] = {}
         self._low = 1 if seed(UNIT) == ZERO else 0
 
-    def _compute(self, b: BarWord) -> Fraction:
-        total = ZERO
-        for m in range(b.degree + 1 - self._low):
+    def _rescale(self, d: int) -> tuple:
+        terms = []
+        for m in range(d + 1 - self._low):
             c = self.coeff(m)
             if c:
-                total += c * self._power(m, b)
-        return total
+                terms.append((m, c.numerator, c.denominator * self._power_scale(m, d)[0]))
+        den = lcm(*(x for _, _, x in terms))
+        return den, [(m, n * (den // x)) for m, n, x in terms]
 
-    def _power(self, m: int, b: BarWord) -> Fraction:
+    def _num(self, b: BarWord) -> int:
+        return sum(w * self._power(m, b) for m, w in self._scale(b.degree)[1])
+
+    def _power_scale(self, m: int, d: int) -> tuple:
+        """``(den_P(m, d), weights per term of L)``."""
         if m == 0:
-            return self.seed(b)
+            return self.seed.den(d), None
+        key = (m, d)
+        scale = self._power_scales.get(key)
+        if scale is None:
+            top = d - (m - 1 + self._low)
+            terms = []
+            for sign, _, known, known_left in self.step:
+                known = self if known is None else known
+                terms.append((sign, known_left, {
+                    k: known.den(k) * self._power_scale(m - 1, d - k)[0]
+                    for k in range(1, top + 1)}))
+            scale = self._power_scales[key] = _multipliers(d, terms)
+        return scale
+
+    def _power(self, m: int, b: BarWord) -> int:
+        if m == 0:
+            return self.seed.num(b)
         if m + self._low > b.degree:
-            return ZERO
+            return 0
         value = self._powers.get((m, b))
         if value is None:
+            weights = self._power_scale(m, b.degree)[1]
             lower = lambda u: self._power(m - 1, u)
-            value = ZERO
-            for sign, split, known, known_left in self.step:
+            value = 0
+            for (_, split, known, known_left), row in zip(self.step, weights):
                 known = self if known is None else known
-                value += sign * _known_first(split(b), known, lower, known_left)
+                value += _known_first(split(b), known, lower, row, known_left)
             self._powers[m, b] = value
         return value
 
@@ -114,14 +146,14 @@ class _Series(Functional):
 def _times(g: Functional):
     """``L(z) = z * g``: the known factor on the right leg keeps the
     recursion on the extracted subword."""
-    return ((ONE, coalgebra.coproduct, g, False),)
+    return ((1, coalgebra.coproduct, g, False),)
 
 
 def _prelie_by(w: Functional | None):
     """``L(z) = w |> z = w > z - z < w``; ``None`` is the series itself."""
     return (
-        (ONE, coalgebra.half_coproduct_right, w, True),
-        (-ONE, coalgebra.half_coproduct_left, w, False),
+        (1, coalgebra.half_coproduct_right, w, True),
+        (-1, coalgebra.half_coproduct_left, w, False),
     )
 
 

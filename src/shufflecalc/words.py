@@ -8,6 +8,12 @@ letter values, drive all extraction operations, so repeated letters are
 handled correctly.
 
 All values are immutable after construction and every operation is pure.
+Words and bar-words are interned: the constructors return the one object
+that exists for a given letter or factor tuple, so equal values are the
+same object and equality and hashing are by identity.  The intern tables
+are never cleared, which is what keeps identity equality sound for the
+life of the process.  Interning is not locked: the package runs on one
+thread.
 """
 
 from __future__ import annotations
@@ -17,29 +23,39 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 
 
+_WORDS: dict[tuple[str, ...], "Word"] = {}
+_BARWORDS: dict[tuple["Word", ...], "BarWord"] = {}
+
+
 class Word:
     """A nonempty word over an alphabet of letter names (strings)."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
+
+    def __new__(cls, letters: Iterable[str]):
+        letters = tuple(letters)
+        try:
+            word = _WORDS.get(letters)
+        except TypeError:  # an unhashable letter; rejected below
+            word = None
+        if word is None:
+            if not letters:
+                raise DomainError("a Word must contain at least one letter")
+            for name in letters:
+                if not isinstance(name, str) or not name or "." in name:
+                    raise DomainError(f"invalid letter name: {name!r}")
+            word = _WORDS[letters] = object.__new__(cls)
+            word.letters = letters
+        return word
 
     def __init__(self, letters: Iterable[str]):
-        letters = tuple(letters)
-        if not letters:
-            raise DomainError("a Word must contain at least one letter")
-        for name in letters:
-            if not isinstance(name, str) or not name or "." in name:
-                raise DomainError(f"invalid letter name: {name!r}")
-        self.letters = letters
-        self._hash = hash(letters)
+        """All state is set once, by ``__new__``."""
+
+    def __reduce__(self):
+        return (Word, (self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Word") -> bool:
         return (len(self.letters), self.letters) < (len(other.letters), other.letters)
@@ -69,29 +85,32 @@ class Word:
 class BarWord:
     """A bar-word ``w1|...|wk``; the empty sequence of factors is the unit."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "degree")
+
+    def __new__(cls, factors: Iterable[Word] = ()):
+        factors = tuple(factors)
+        try:
+            bar = _BARWORDS.get(factors)
+        except TypeError:  # an unhashable factor; rejected below
+            bar = None
+        if bar is None:
+            for f in factors:
+                if not isinstance(f, Word):
+                    raise DomainError("BarWord factors must be nonempty Words")
+            bar = _BARWORDS[factors] = object.__new__(cls)
+            bar.factors = factors
+            bar.degree = sum(len(f.letters) for f in factors)
+        return bar
 
     def __init__(self, factors: Iterable[Word] = ()):
-        factors = tuple(factors)
-        for f in factors:
-            if not isinstance(f, Word):
-                raise DomainError("BarWord factors must be nonempty Words")
-        self.factors = factors
-        self._hash = hash(factors)
+        """All state is set once, by ``__new__``."""
 
-    @property
-    def degree(self) -> int:
-        return sum(len(f) for f in self.factors)
+    def __reduce__(self):
+        return (BarWord, (self.factors,))
 
     @property
     def is_unit(self) -> bool:
         return not self.factors
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BarWord) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "BarWord") -> bool:
         return self._key() < other._key()
@@ -107,7 +126,12 @@ class BarWord:
     def concat(self, other: "BarWord") -> "BarWord":
         """Bar-concatenation; the identification ``w|1|w' = w|w'`` is automatic
         because unit factors cannot be constructed."""
-        return BarWord(self.factors + other.factors)
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
+        factors = self.factors + other.factors
+        return _BARWORDS.get(factors) or BarWord(factors)
 
     def to_json(self) -> list:
         return [f.to_json() for f in self.factors]

@@ -12,17 +12,22 @@ from shufflecalc import (
     Word,
     adjoint_sum_lower,
     adjoint_sum_upper,
+    boolean_cumulants,
+    boolean_from_free_sum,
     boolean_moment_sum,
     cfree_moment_sum,
     classify_blocks,
     enumerate_boolean,
     enumerate_nc,
     enumerate_nc_irreducible,
+    free_cumulants,
+    free_from_boolean_sum,
     free_moment_sum,
     monotone_moment_sum,
     nesting_forest,
     tree_factorial,
 )
+from shufflecalc.functionals import words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -181,6 +186,14 @@ class TestMomentSums:
         k = CumulantTable.random(["a", "b"], 2, rng)
         expected = k.lookup(Word("ab")) + k.lookup(Word("a")) * k.lookup(Word("b"))
         assert free_moment_sum(k, Word("ab")) == expected
+
+
+def test_free_boolean_sums_match_the_kernel():
+    phi = MomentTable.random(["a", "b"], 5, random.Random(9))
+    kappa, beta = free_cumulants(phi), boolean_cumulants(phi)
+    for w in words_up_to(["a", "b"], 5):
+        assert boolean_from_free_sum(kappa, w) == beta.lookup(w)
+        assert free_from_boolean_sum(beta, w) == kappa.lookup(w)
 
 
 class TestAdjointSums:

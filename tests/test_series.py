@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -10,6 +11,7 @@ from shufflecalc import (
     BarWord,
     CumulantTable,
     DomainError,
+    Functional,
     MomentTable,
     Word,
     bch,
@@ -281,3 +283,100 @@ class TestDomainChecks:
 
     def test_unit_is_group_sided(self):
         assert agree(log_conv(unit()), 0 * unit())
+
+
+def _guarded_nodes(alphabet, degree):
+    """The nodes the value digests below cover, on seeded tables over the
+    alphabet up to the degree."""
+    rng = random.Random(6000 + len(alphabet))
+    x = infinitesimal(CumulantTable.random(alphabet, degree, rng))
+    y = infinitesimal(CumulantTable.random(alphabet, degree, rng))
+    f = character(MomentTable.random(alphabet, degree, rng))
+    return {
+        "exp_left": exp_left(x),
+        "exp_right": exp_right(x),
+        "exp_conv": exp_conv(x),
+        "log_conv": log_conv(f),
+        "log_left": log_left(f),
+        "log_right": log_right(f),
+        "magnus": magnus(x),
+        "magnus_inverse": magnus_inverse(x),
+        "bch": bch(x, y),
+        "sharp": sharp(x, y),
+        "ad_lower": ad_lower(x, y),
+        "ad_upper": ad_upper(x, y),
+        "conv_mixed": conv(f, x - Fraction(1, 2) * y),
+    }
+
+
+def value_digests() -> dict[str, str]:
+    """SHA-256 of each guarded node's ``repr(bar-word) value`` lines, over
+    the unit and every bar-word of degree <= 5 over {a, b} and <= 4 over
+    {a, b, c}."""
+    lines: dict[str, list[str]] = {}
+    for alphabet, degree in ((["a", "b"], 5), (["a", "b", "c"], 4)):
+        domain = [BarWord(), *barwords_up_to(alphabet, degree)]
+        for name, node in _guarded_nodes(alphabet, degree).items():
+            lines.setdefault(name, []).extend(f"{b!r} {node(b)}" for b in domain)
+    return {name: hashlib.sha256("\n".join(text).encode()).hexdigest()
+            for name, text in lines.items()}
+
+
+# Recorded with the Fraction-valued engine that preceded the integer one.
+VALUE_DIGESTS = {
+    "exp_left":
+        "4588e5f74f21607a1bcfd9ef3dcfe3365924d866a3b50d3ea1b5c603d6d66f04",
+    "exp_right":
+        "14538e777045da31aae666744e99ca4fa774a81ed006121bd1aff44c98b6cbef",
+    "exp_conv":
+        "68d635ecbf0d75115e328c41c82157c2f4410e31f57a9f5139d1499138dec0a1",
+    "log_conv":
+        "d2234dc8f881ee38e98168d7225717c73d06637486c936a637218b0d2c0161b4",
+    "log_left":
+        "f9c1e3246f6abcb6c0b1b8d8ce955d1e00b3f8fc02f09e9bc554d1b2a75cae3d",
+    "log_right":
+        "8c9ce3647d5bf561809a9bc03c46f29171370eed2dfb8529e0af3f0ae76edd65",
+    "magnus":
+        "2156132618ea3453715da92c86e14e276605b5584ed8636941dc4a4aca00cc83",
+    "magnus_inverse":
+        "bba6ad06d5584082c5583dc3c623fc5c7fea08cab9aa24a549ceaec5075f9b0a",
+    "bch":
+        "c960cdfdc4d9644d0e4e46ab7885196614988aea978389e4581ec8d776f53fb8",
+    "sharp":
+        "478969a69c706bb5396eb71da18e57a7c2f950607563c0df043e7ca933fb2b94",
+    "ad_lower":
+        "67a02a7c9d983c565a06524ea2c48865d08f3070b9eef286bc13cf436b424d45",
+    "ad_upper":
+        "ab2f67f0cb11f70d851787d5341a525ff49528933bfb9459173ec187bad769b1",
+    "conv_mixed":
+        "4c5bdf6d09a3ad76ab4d09a3a3ece0803eaa424fc9ca928be6f09024cd503604",
+}
+
+
+def test_values_match_recorded_digests():
+    assert value_digests() == VALUE_DIGESTS
+
+
+def test_memos_hold_integer_numerators():
+    """Below ``__call__`` the engine runs in integers: every memo of every
+    node under the guarded ones holds ``int``s."""
+    nodes = list(_guarded_nodes(["a", "b"], 3).values())
+    for node in nodes:
+        for b in barwords_up_to(["a", "b"], 3):
+            node(b)
+    seen = set()
+    while nodes:
+        node = nodes.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        memos = [node._memo, getattr(node, "_powers", {})]
+        assert all(type(v) is int for memo in memos for v in memo.values()), node
+        fields = list(vars(node).values())
+        while fields:
+            value = fields.pop()
+            if isinstance(value, tuple):
+                fields.extend(value)
+            elif isinstance(value, Functional):
+                nodes.append(value)
+    assert len(seen) > 30

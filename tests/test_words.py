@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,17 @@ class TestWord:
     def test_concat(self):
         assert Word("ab").concat(Word("c")) == Word("abc")
 
+    def test_rejects_non_string_letters(self):
+        # unhashable letters are rejected too, not just failed to intern
+        with pytest.raises(DomainError):
+            Word([["x"]])
+        with pytest.raises(DomainError):
+            Word([1])
+
+    def test_interned(self):
+        assert Word.parse("a.b") is Word(("a", "b"))
+        assert pickle.loads(pickle.dumps(Word("ab"))) is Word("ab")
+
 
 class TestBarWord:
     def test_unit(self):
@@ -59,6 +72,17 @@ class TestBarWord:
     def test_rejects_non_word_factors(self):
         with pytest.raises(DomainError):
             BarWord(["ab"])
+        with pytest.raises(DomainError):
+            BarWord(["a"])
+        with pytest.raises(DomainError):
+            BarWord.from_json([[["a"]]])
+
+    def test_interned(self):
+        b = BarWord([Word("ab"), Word("c")])
+        assert b.concat(UNIT) is b
+        assert UNIT.concat(b) is b
+        assert BarWord.of(Word("ab")).concat(BarWord.of(Word("c"))) is b
+        assert pickle.loads(pickle.dumps(b)) is b
 
     def test_json_roundtrip(self):
         b = BarWord([Word("ab"), Word("a")])
