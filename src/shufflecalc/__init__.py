@@ -66,6 +66,8 @@ from .partitions import (
     cfree_moment_sum,
     boolean_from_free_sum,
     free_from_boolean_sum,
+    boolean_from_monotone_sum,
+    free_from_monotone_sum,
     adjoint_sum_lower,
     adjoint_sum_upper,
 )

@@ -160,6 +160,8 @@ def _half_word(w: Word, keep_first: bool) -> TensorSum:
 
 def coproduct(b: BarWord) -> TensorSum:
     """Multiplicative extension of the coproduct to bar-words."""
+    if len(b.factors) == 1:
+        return coproduct_word(b.factors[0])
     cached = _bar_cache.get(b)
     if cached is not None:
         return cached

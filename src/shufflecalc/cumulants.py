@@ -20,10 +20,10 @@ a short recursion on words (letter tuples), run in increasing word length:
 All of them are homogeneous in word length and run in ``int``: the input
 values are scaled by ``D^|w|`` (D the lcm of the input denominators), and
 by a further ``|w|!`` for the monotone pair, and each output word gets one
-``Fraction``.  ``convert`` keeps the bar-word engine route,
-the pre-Lie Magnus pair and the conjugations: it is the Lie-side relation
-of the paper, and the ``cumulant-conversions`` verify suite checks it
-against the tables computed here.
+``Fraction``.  ``convert`` composes two of these transforms through the
+moments.  The paper's Lie-side form of the conversions (the pre-Lie Magnus
+pair and the adjoint actions) is evaluated on the bar-word engine by the
+``cumulant-conversions`` verify suite, which holds ``convert`` to it.
 """
 
 from __future__ import annotations
@@ -33,23 +33,11 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import DomainError
-from . import series
-from .functionals import (
-    CumulantTable,
-    MomentTable,
-    ValueTable,
-    half_left,
-    half_right,
-    infinitesimal,
-    inverse,
-    materialize,
-)
+from .functionals import CumulantTable, MomentTable, ValueTable
 
 FREE = "free"
 BOOLEAN = "boolean"
 MONOTONE = "monotone"
-CFREE = "cfree"
-KINDS = (FREE, BOOLEAN, MONOTONE)
 
 
 @dataclass(frozen=True)
@@ -248,33 +236,18 @@ def _higher_powers(rho: dict, powers: dict, w: tuple) -> int:
     return total
 
 
-def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
-    """Convert between free, boolean and monotone cumulant tables.
+_CUMULANTS = {FREE: free_cumulants, BOOLEAN: boolean_cumulants, MONOTONE: monotone_cumulants}
+_MOMENTS = {FREE: moments_from_free, BOOLEAN: moments_from_boolean, MONOTONE: moments_from_monotone}
 
-    Monotone <-> free/boolean go through the pre-Lie Magnus pair; free <->
-    boolean are conjugations by the reconstructed state.
-    """
-    if src not in KINDS or dst not in KINDS:
+
+def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
+    """Convert between free, boolean and monotone cumulant tables: the
+    ``dst`` cumulants of the state whose ``src`` cumulants are ``table``."""
+    if src not in _CUMULANTS or dst not in _CUMULANTS:
         raise DomainError(f"unknown cumulant kind: {src!r} -> {dst!r}")
     if src == dst:
         return table
-    alphabet, n = table.alphabet, table.max_len
-    a = infinitesimal(table)
-    if src == MONOTONE and dst == FREE:
-        out = series.magnus_inverse(a)
-    elif src == MONOTONE and dst == BOOLEAN:
-        out = -series.magnus_inverse(-a)
-    elif src == FREE and dst == MONOTONE:
-        out = series.magnus(a)
-    elif src == BOOLEAN and dst == MONOTONE:
-        out = -series.magnus(-a)
-    elif src == FREE and dst == BOOLEAN:
-        phi = series.exp_left(a)
-        out = half_left(half_right(inverse(phi), a), phi)
-    else:  # boolean -> free
-        phi = series.exp_right(a)
-        out = half_left(half_right(phi, a), inverse(phi))
-    return materialize(out, alphabet, n, CumulantTable)
+    return _CUMULANTS[dst](_MOMENTS[src](table))
 
 
 def cfree_cumulants(pair: StatePair) -> CumulantTable:

@@ -1,8 +1,8 @@
 """Independent combinatorial oracles: non-crossing, interval and irreducible
 partition enumeration, inner/outer classification, nesting forests, tree
 factorials, and direct partition-sum evaluators for the closed
-moment-cumulant formulas and for the irreducible sums that link free and
-boolean cumulants.
+moment-cumulant formulas and for the irreducible sums that link free,
+boolean and monotone cumulants.
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series``; cross-checking the two is the point.
@@ -234,9 +234,10 @@ def _boolean_terms(n: int) -> tuple:
 
 @lru_cache(maxsize=_RECENT_LENGTHS)
 def _irreducible_terms(n: int) -> tuple:
-    """``(blocks, sign (-1)^(#blocks - 1))`` per irreducible non-crossing
-    partition of [1..n]."""
-    return tuple((p.blocks, (-1) ** (len(p.blocks) - 1)) for p in enumerate_nc_irreducible(n))
+    """``(blocks, sign (-1)^(#blocks - 1), 1 / tree factorial)`` per
+    irreducible non-crossing partition of [1..n]."""
+    return tuple((p.blocks, (-1) ** (len(p.blocks) - 1), Fraction(1, tree_factorial(p)))
+                 for p in enumerate_nc_irreducible(n))
 
 
 def _block_word(w: Word, block: tuple[int, ...]) -> Word:
@@ -285,7 +286,7 @@ def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Fra
 def boolean_from_free_sum(kappa: CumulantTable, w: Word) -> Fraction:
     """Boolean cumulant from free cumulants: sum over irreducible
     non-crossing partitions of the product of block cumulants."""
-    return sum((_block_product(kappa, w, blocks) for blocks, _ in _irreducible_terms(len(w))),
+    return sum((_block_product(kappa, w, blocks) for blocks, _, _ in _irreducible_terms(len(w))),
                ZERO)
 
 
@@ -293,7 +294,22 @@ def free_from_boolean_sum(beta: CumulantTable, w: Word) -> Fraction:
     """Free cumulant from boolean cumulants: the same sum with sign
     (-1)^(#blocks - 1)."""
     return sum((sign * _block_product(beta, w, blocks)
-                for blocks, sign in _irreducible_terms(len(w))), ZERO)
+                for blocks, sign, _ in _irreducible_terms(len(w))), ZERO)
+
+
+def boolean_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
+    """Boolean cumulant from monotone cumulants: sum over irreducible
+    non-crossing partitions of the product of block cumulants, weighted by
+    the inverse tree factorial of the nesting forest."""
+    return sum((weight * _block_product(rho, w, blocks)
+                for blocks, _, weight in _irreducible_terms(len(w))), ZERO)
+
+
+def free_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
+    """Free cumulant from monotone cumulants: the same sum with sign
+    (-1)^(#blocks - 1)."""
+    return sum((sign * weight * _block_product(rho, w, blocks)
+                for blocks, sign, weight in _irreducible_terms(len(w))), ZERO)
 
 
 def adjoint_sum_lower(mu: CumulantTable, psi: MomentTable, w: Word) -> Fraction:
@@ -326,7 +342,7 @@ def adjoint_sum_upper(mu: CumulantTable, tau: CumulantTable, w: Word) -> Fractio
     unique outer block takes mu, inner blocks take the boolean cumulants tau,
     with sign (-1)^(#blocks - 1)."""
     total = ZERO
-    for blocks, sign in _irreducible_terms(len(w)):
+    for blocks, sign, _ in _irreducible_terms(len(w)):
         value = ONE
         for block in blocks:
             table = mu if block[0] == 1 else tau

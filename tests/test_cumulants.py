@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,8 @@ from shufflecalc import (
     unit,
     unit_state,
 )
+from shufflecalc import cumulants, partitions
+from shufflecalc.verify import VerifyConfig, run_checks
 from fractions import Fraction
 
 
@@ -293,3 +297,29 @@ def test_kernel_matches_engine(name, alphabet, max_len):
         got = kernel(*args)
         assert type(got) is cls
         assert got == expected, f"{name} differs from the engine on {label}"
+
+
+@pytest.mark.parametrize("alphabet, max_len", DOMAINS,
+                         ids=[f"{''.join(a)}-{n}" for a, n in DOMAINS])
+def test_convert_matches_the_lie_side_relations(alphabet, max_len):
+    """The cumulant-conversions suite holds the kernel's ``convert`` to the
+    Magnus and adjoint-action expressions on the engine in all six
+    directions, and the kernel's tables to the irreducible partition sums."""
+    config = VerifyConfig(alphabet=alphabet, max_len=max_len)
+    (result,) = run_checks(config, only=["cumulant-conversions"])
+    assert result.passed, result.detail
+
+
+def _package_imports(module) -> set[tuple[str, str]]:
+    """``(sibling module, name)`` per name that a module imports from its
+    own package; ``from . import x`` gives ``("", "x")``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {(node.module or "", alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+
+
+def test_cumulant_layer_and_oracles_stay_off_the_engine():
+    names = {name for _, name in _package_imports(cumulants)}
+    assert names == {"DomainError", "CumulantTable", "MomentTable", "ValueTable"}
+    modules = {module or name for module, name in _package_imports(partitions)}
+    assert not modules & {"series", "coalgebra", "cumulants"}

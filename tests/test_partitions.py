@@ -14,6 +14,7 @@ from shufflecalc import (
     adjoint_sum_upper,
     boolean_cumulants,
     boolean_from_free_sum,
+    boolean_from_monotone_sum,
     boolean_moment_sum,
     cfree_moment_sum,
     classify_blocks,
@@ -22,7 +23,9 @@ from shufflecalc import (
     enumerate_nc_irreducible,
     free_cumulants,
     free_from_boolean_sum,
+    free_from_monotone_sum,
     free_moment_sum,
+    monotone_cumulants,
     monotone_moment_sum,
     nesting_forest,
     tree_factorial,
@@ -190,10 +193,12 @@ class TestMomentSums:
 
 def test_free_boolean_sums_match_the_kernel():
     phi = MomentTable.random(["a", "b"], 5, random.Random(9))
-    kappa, beta = free_cumulants(phi), boolean_cumulants(phi)
+    kappa, beta, rho = free_cumulants(phi), boolean_cumulants(phi), monotone_cumulants(phi)
     for w in words_up_to(["a", "b"], 5):
         assert boolean_from_free_sum(kappa, w) == beta.lookup(w)
         assert free_from_boolean_sum(beta, w) == kappa.lookup(w)
+        assert boolean_from_monotone_sum(rho, w) == beta.lookup(w)
+        assert free_from_monotone_sum(rho, w) == kappa.lookup(w)
 
 
 class TestAdjointSums:
