@@ -4,6 +4,11 @@ factorials, and direct partition-sum evaluators for the closed
 moment-cumulant formulas and for the irreducible sums that link free,
 boolean and monotone cumulants.
 
+One generator, ``_nc_blocks`` on integer ranges, yields NC(n) and, by
+fixing the first block to hold n, NC_irr(n) directly.  One stack scan,
+``SetPartition._nesting``, decides crossing and reads off the nesting
+forest; block classes and tree factorials derive from that forest.
+
 These evaluators deliberately share no code with the shuffle engine in
 ``series``; cross-checking the two is the point.
 """
@@ -55,24 +60,29 @@ class SetPartition:
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {[list(b) for b in self.blocks]})"
 
-    def is_noncrossing(self) -> bool:
-        """No i < j < l < m with i,l in one block and j,m in another."""
-        block_of = {}
-        for idx, block in enumerate(self.blocks):
-            for x in block:
-                block_of[x] = idx
+    def _nesting(self) -> list[int | None] | None:
+        """Read 1..n once with a stack of open blocks.  Returns None as soon
+        as a block is re-entered while another is open above it (the
+        partition is crossing); otherwise the parent of each block, the
+        block on top of the stack when it opens (None for roots)."""
+        block_of = {x: i for i, block in enumerate(self.blocks) for x in block}
+        parents: list[int | None] = []
         stack: list[int] = []
         for x in range(1, self.n + 1):
             b = block_of[x]
-            if not stack or stack[-1] != b:
-                if b in stack:
-                    return False
+            block = self.blocks[b]
+            if x == block[0]:
+                parents.append(stack[-1] if stack else None)
                 stack.append(b)
-            if self.blocks[b][-1] == x:
-                if stack[-1] != b:
-                    return False
+            elif stack[-1] != b:
+                return None
+            if x == block[-1]:
                 stack.pop()
-        return True
+        return parents
+
+    def is_noncrossing(self) -> bool:
+        """No i < j < l < m with i,l in one block and j,m in another."""
+        return self._nesting() is not None
 
     def is_interval(self) -> bool:
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
@@ -87,30 +97,20 @@ def _check_order(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _nc_blocks(elems: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All non-crossing partitions of an ordered element tuple, generated by
-    choosing the block of the first element; the remaining elements fall into
-    the gaps between its members and are partitioned independently."""
-    if not elems:
+def _nc_blocks(lo: int, hi: int, closed: bool = False) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All non-crossing partitions of the range lo..hi, generated by choosing
+    the block of lo; every gap between its members (and after the last) is
+    again a range, partitioned independently.  With ``closed``, only the
+    partitions whose first block holds hi: the masks with the top bit set."""
+    if lo > hi:
         return ((),)
-    first, rest = elems[0], elems[1:]
+    size = hi - lo
     results: list[tuple[tuple[int, ...], ...]] = []
-    for mask in range(1 << len(rest)):
-        block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        gaps: list[tuple[int, ...]] = []
-        gap: list[int] = []
-        gi = 0
-        for x in rest:
-            if gi < len(block) - 1 and x == block[gi + 1]:
-                gaps.append(tuple(gap))
-                gap = []
-                gi += 1
-            else:
-                gap.append(x)
-        gaps.append(tuple(gap))
+    for mask in range((1 << size) >> 1 if closed else 0, 1 << size):
+        block = (lo,) + tuple(lo + 1 + i for i in range(size) if mask >> i & 1)
         combos: list[tuple[tuple[int, ...], ...]] = [(block,)]
-        for g in gaps:
-            sub = _nc_blocks(g)
+        for a, b in zip(block, block[1:] + (hi + 1,)):
+            sub = _nc_blocks(a + 1, b - 1)
             combos = [c + s for c in combos for s in sub]
         results.extend(combos)
     return tuple(results)
@@ -119,7 +119,7 @@ def _nc_blocks(elems: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [1..n] (Catalan many)."""
     _check_order(n)
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
+    return [SetPartition(n, blocks) for blocks in _nc_blocks(1, n)]
 
 
 def enumerate_boolean(n: int) -> list[SetPartition]:
@@ -140,55 +140,24 @@ def enumerate_boolean(n: int) -> list[SetPartition]:
 def enumerate_nc_irreducible(n: int) -> list[SetPartition]:
     """Non-crossing partitions with 1 and n in the same block."""
     _check_order(n)
-    out = []
-    for p in enumerate_nc(n):
-        for block in p.blocks:
-            if 1 in block:
-                if n in block:
-                    out.append(p)
-                break
-    return out
-
-
-def _require_noncrossing(p: SetPartition) -> None:
-    if not p.is_noncrossing():
-        raise DomainError(f"partition is crossing: {p!r}")
+    return [SetPartition(n, blocks) for blocks in _nc_blocks(1, n, closed=True)]
 
 
 def classify_blocks(p: SetPartition) -> list[str]:
     """Per-block flags, "inner" or "outer", in canonical block order.
 
     A block is inner iff some other block has elements a < c < b for all of
-    its elements c.
+    its elements c, that is iff it has a parent in the nesting forest.
     """
-    _require_noncrossing(p)
-    flags = []
-    for i, block in enumerate(p.blocks):
-        lo, hi = block[0], block[-1]
-        inner = any(
-            j != i and other[0] < lo and hi < other[-1]
-            for j, other in enumerate(p.blocks)
-        )
-        flags.append("inner" if inner else "outer")
-    return flags
+    return ["outer" if parent is None else "inner" for parent in nesting_forest(p)]
 
 
 def nesting_forest(p: SetPartition) -> list[int | None]:
     """Parent index per block (None for roots): the parent is the minimal
     block, by span containment, properly nesting the block."""
-    _require_noncrossing(p)
-    parents: list[int | None] = []
-    for i, block in enumerate(p.blocks):
-        lo, hi = block[0], block[-1]
-        best = None
-        for j, other in enumerate(p.blocks):
-            if j == i or not (other[0] < lo and hi < other[-1]):
-                continue
-            if best is None or (
-                other[0] >= p.blocks[best][0] and other[-1] <= p.blocks[best][-1]
-            ):
-                best = j
-        parents.append(best)
+    parents = p._nesting()
+    if parents is None:
+        raise DomainError(f"partition is crossing: {p!r}")
     return parents
 
 
@@ -196,13 +165,11 @@ def tree_factorial(p: SetPartition) -> int:
     """Rooted-forest factorial of the nesting forest: the product over all
     blocks of the size of the subtree rooted there (blocks counted)."""
     parents = nesting_forest(p)
-    k = len(p.blocks)
-    sizes = [1] * k
-    # children are always nested inside parents, so processing blocks by
-    # decreasing span length accumulates sizes bottom-up
-    order = sorted(range(k), key=lambda i: p.blocks[i][-1] - p.blocks[i][0])
+    sizes = [1] * len(parents)
     total = 1
-    for i in order:
+    # a child block opens after its parent, so it has the larger index and
+    # reverse index order accumulates sizes bottom-up
+    for i in reversed(range(len(parents))):
         total *= sizes[i]
         if parents[i] is not None:
             sizes[parents[i]] += sizes[i]

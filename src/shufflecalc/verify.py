@@ -75,7 +75,9 @@ def check_names() -> list[str]:
 
 def run_checks(config: VerifyConfig, only: list[str] | None = None) -> list[CheckResult]:
     names = check_names()
-    if only:
+    if only is not None:
+        if not only:
+            raise DomainError("no check names given")
         unknown = sorted(set(only) - set(names))
         if unknown:
             raise DomainError(f"unknown check names: {unknown}")

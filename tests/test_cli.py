@@ -143,6 +143,24 @@ def test_truncation_is_checked_before_any_compute(tmp_path, monkeypatch, capsys,
     assert "truncation degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--to", "free", "--input", "{src}"],
+    ["convolve", "--kind", "free", "--input", "{src}", "--input2", "{src}"],
+    ["enumerate", "--family", "nc", "--n", "3"],
+    ["verify", "--max-len", "2", "--only", "counit"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    src = tmp_path / "in.json"
+    write_json(src, moments_json(1, max_len=2))
+    output = tmp_path / "no-such-dir" / "out.json" if target == "missing-dir" else tmp_path
+    argv = [arg.format(src=src) for arg in argv] + ["--output", str(output)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 class TestConvolve:
     def test_free_matches_library(self, tmp_path):
         a, b, out = (tmp_path / n for n in ("a.json", "b.json", "out.json"))
@@ -214,6 +232,13 @@ class TestVerify:
 
     def test_unknown_check_exits_2(self):
         assert main(["verify", "--only", "no-such-check"]) == 2
+
+    @pytest.mark.parametrize("only", [",", ""])
+    def test_empty_only_exits_2(self, capsys, only):
+        assert main(["verify", "--max-len", "2", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_corrupt_oracle_exits_1(self, tmp_path):
         out = tmp_path / "report.txt"

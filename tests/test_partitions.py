@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -137,10 +138,62 @@ class TestNesting:
             tree_factorial(SetPartition(4, [[1, 3], [2, 4]]))
 
 
+def _set_partitions(n):
+    """Every set partition of [1..n], as lists of sorted blocks."""
+    if n == 0:
+        return [[]]
+    out = []
+    for p in _set_partitions(n - 1):
+        out.extend(p[:i] + [p[i] + [n]] + p[i + 1:] for i in range(len(p)))
+        out.append(p + [[n]])
+    return out
+
+
+def _nests(outer, block):
+    return outer is not block and outer[0] < block[0] and block[-1] < outer[-1]
+
+
+def test_nesting_matches_the_definitions_on_all_set_partitions():
+    seen = 0
+    for n in range(1, 8):
+        noncrossing = set()
+        for raw in _set_partitions(n):
+            p = SetPartition(n, raw)
+            blocks = p.blocks
+            crossing = any(i < j < l < m
+                           for a in blocks for b in blocks if a is not b
+                           for i in a for l in a for j in b for m in b)
+            assert p.is_noncrossing() is not crossing
+            seen += 1
+            if crossing:
+                for fn in (nesting_forest, classify_blocks, tree_factorial):
+                    with pytest.raises(DomainError):
+                        fn(p)
+                continue
+            noncrossing.add(p)
+            # the parent is the enclosing block of smallest span
+            parents = [min((j for j, o in enumerate(blocks) if _nests(o, b)),
+                           key=lambda j: blocks[j][-1] - blocks[j][0], default=None)
+                       for b in blocks]
+            assert nesting_forest(p) == parents
+            assert classify_blocks(p) == [
+                "inner" if any(_nests(o, b) for o in blocks) else "outer" for b in blocks]
+            # each block's subtree is itself plus every block it encloses
+            assert tree_factorial(p) == math.prod(
+                1 + sum(_nests(b, o) for o in blocks) for b in blocks)
+        assert set(enumerate_nc(n)) == noncrossing
+    assert seen == 1155
+
+
+def test_nc_irreducible_is_the_endpoint_filter_in_order():
+    for n in range(1, 11):
+        joined = [p for p in enumerate_nc(n)
+                  if any(1 in b and n in b for b in p.blocks)]
+        assert enumerate_nc_irreducible(n) == joined
+
+
 @given(st.integers(min_value=1, max_value=7))
 def test_tree_factorial_divides_factorial_of_block_count(n):
-    import math
-
     for p in enumerate_nc(n):
         k = len(p.blocks)
         assert math.factorial(k) % tree_factorial(p) == 0
