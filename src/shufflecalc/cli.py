@@ -160,26 +160,19 @@ def cmd_enumerate(args) -> int:
     lines = []
     for p in members:
         if args.details:
-            lines.append(json.dumps({
-                "blocks": p.to_json(),
-                "classes": partitions.classify_blocks(p),
-                "parents": nesting_parents_json(p),
-                "tree_factorial": partitions.tree_factorial(p),
-            }, sort_keys=True))
+            lines.append(json.dumps(partitions.details(p), sort_keys=True))
         else:
             lines.append(json.dumps(p.to_json()))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def nesting_parents_json(p) -> list:
-    return [-1 if parent is None else parent for parent in partitions.nesting_forest(p)]
-
-
 def cmd_verify(args) -> int:
     alphabet = tuple(x for x in args.alphabet.split(",") if x)
     if not alphabet:
         raise DomainError("alphabet must contain at least one letter")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError(f"alphabet letters must be distinct, got {args.alphabet!r}")
     _check_truncation(args.max_len)
     only = None
     if args.only:

@@ -5,9 +5,13 @@ moment-cumulant formulas and for the irreducible sums that link free,
 boolean and monotone cumulants.
 
 One generator, ``_nc_blocks`` on integer ranges, yields NC(n) and, by
-fixing the first block to hold n, NC_irr(n) directly.  One stack scan,
+fixing the first block to hold n, NC_irr(n) directly.  Generated blocks are
+already canonical, so the enumerators wrap them with
+``SetPartition._canonical`` without sorting or validating them again; only
+outside input goes through ``SetPartition(n, blocks)``.  One stack scan,
 ``SetPartition._nesting``, decides crossing and reads off the nesting
-forest; block classes and tree factorials derive from that forest.
+forest; block classes and tree factorials derive from that forest, and
+``details`` reads it once per partition.
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series``; cross-checking the two is the point.
@@ -47,6 +51,16 @@ class SetPartition:
         self.blocks = blocks
         self._hash = hash((n, blocks))
 
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
+        """Wrap blocks that already partition [1..n] in canonical order, as
+        the generators below yield them, without sorting or validating."""
+        p = cls.__new__(cls)
+        p.n = n
+        p.blocks = blocks
+        p._hash = hash((n, blocks))
+        return p
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetPartition)
@@ -65,7 +79,10 @@ class SetPartition:
         as a block is re-entered while another is open above it (the
         partition is crossing); otherwise the parent of each block, the
         block on top of the stack when it opens (None for roots)."""
-        block_of = {x: i for i, block in enumerate(self.blocks) for x in block}
+        block_of = [0] * (self.n + 1)
+        for i, block in enumerate(self.blocks):
+            for x in block:
+                block_of[x] = i
         parents: list[int | None] = []
         stack: list[int] = []
         for x in range(1, self.n + 1):
@@ -119,7 +136,7 @@ def _nc_blocks(lo: int, hi: int, closed: bool = False) -> tuple[tuple[tuple[int,
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [1..n] (Catalan many)."""
     _check_order(n)
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(1, n)]
+    return [SetPartition._canonical(n, blocks) for blocks in _nc_blocks(1, n)]
 
 
 def enumerate_boolean(n: int) -> list[SetPartition]:
@@ -127,20 +144,17 @@ def enumerate_boolean(n: int) -> list[SetPartition]:
     _check_order(n)
     out = []
     for mask in range(1 << (n - 1)):
-        blocks: list[list[int]] = [[1]]
-        for x in range(2, n + 1):
-            if mask >> (x - 2) & 1:
-                blocks.append([x])
-            else:
-                blocks[-1].append(x)
-        out.append(SetPartition(n, blocks))
+        # a block starts at 1 and at every x whose bit x - 2 is set
+        starts = [1] + [x for x in range(2, n + 1) if mask >> (x - 2) & 1] + [n + 1]
+        blocks = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+        out.append(SetPartition._canonical(n, blocks))
     return out
 
 
 def enumerate_nc_irreducible(n: int) -> list[SetPartition]:
     """Non-crossing partitions with 1 and n in the same block."""
     _check_order(n)
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(1, n, closed=True)]
+    return [SetPartition._canonical(n, blocks) for blocks in _nc_blocks(1, n, closed=True)]
 
 
 def classify_blocks(p: SetPartition) -> list[str]:
@@ -149,7 +163,7 @@ def classify_blocks(p: SetPartition) -> list[str]:
     A block is inner iff some other block has elements a < c < b for all of
     its elements c, that is iff it has a parent in the nesting forest.
     """
-    return ["outer" if parent is None else "inner" for parent in nesting_forest(p)]
+    return _classes(nesting_forest(p))
 
 
 def nesting_forest(p: SetPartition) -> list[int | None]:
@@ -164,7 +178,26 @@ def nesting_forest(p: SetPartition) -> list[int | None]:
 def tree_factorial(p: SetPartition) -> int:
     """Rooted-forest factorial of the nesting forest: the product over all
     blocks of the size of the subtree rooted there (blocks counted)."""
+    return _forest_factorial(nesting_forest(p))
+
+
+def details(p: SetPartition) -> dict:
+    """Blocks, block classes, nesting parents (-1 for roots) and tree
+    factorial of a non-crossing partition, from one read of its forest."""
     parents = nesting_forest(p)
+    return {
+        "blocks": p.to_json(),
+        "classes": _classes(parents),
+        "parents": [-1 if parent is None else parent for parent in parents],
+        "tree_factorial": _forest_factorial(parents),
+    }
+
+
+def _classes(parents: list[int | None]) -> list[str]:
+    return ["outer" if parent is None else "inner" for parent in parents]
+
+
+def _forest_factorial(parents: list[int | None]) -> int:
     sizes = [1] * len(parents)
     total = 1
     # a child block opens after its parent, so it has the larger index and
@@ -186,11 +219,12 @@ _RECENT_LENGTHS = 4
 def _nc_terms(n: int) -> tuple:
     """``(blocks, 1 / tree factorial, outer flags)`` per non-crossing
     partition of [1..n]."""
-    return tuple(
-        (p.blocks, Fraction(1, tree_factorial(p)),
-         tuple(flag == "outer" for flag in classify_blocks(p)))
-        for p in enumerate_nc(n)
-    )
+    terms = []
+    for p in enumerate_nc(n):
+        parents = nesting_forest(p)
+        terms.append((p.blocks, Fraction(1, _forest_factorial(parents)),
+                      tuple(parent is None for parent in parents)))
+    return tuple(terms)
 
 
 @lru_cache(maxsize=_RECENT_LENGTHS)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -218,6 +219,29 @@ class TestEnumerate:
         assert main(["enumerate", "--family", "nc", "--n", "0", "--counts"]) == 2
 
 
+# SHA-256 of the stdout of ``enumerate``, recorded before generated
+# partitions skipped re-validation and each --details line read its nesting
+# forest once; do not regenerate them from the code under test.
+ENUMERATE_DIGESTS = {
+    "nc-9-details": (["--family", "nc", "--n", "9", "--details"],
+                     "fb7592161079f27ef92d3b4c74b98e33c3b01059922d9495c8541e3bdded0110"),
+    "nc-irr-10-details": (["--family", "nc-irr", "--n", "10", "--details"],
+                          "3515d39db6d9fa8c816345678c5d382973dbca262a06d4df98594eed7c14e7d5"),
+    "boolean-12-details": (["--family", "boolean", "--n", "12", "--details"],
+                           "7ccf8c88cc7bba69313efb59cdd76ceec9ca9505b2fd16404554802f3157177a"),
+    "nc-9": (["--family", "nc", "--n", "9"],
+             "643a00f61835a02297b1e92a48623137fdd91ddb926abefe1de8f79270faecaf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_matches_recorded_digests(case, capsys):
+    argv, digest = ENUMERATE_DIGESTS[case]
+    assert main(["enumerate", *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 class TestVerify:
     def test_default_run_passes(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -254,6 +278,12 @@ class TestVerify:
 
     def test_empty_alphabet_exits_2(self):
         assert main(["verify", "--alphabet", ""]) == 2
+
+    def test_repeated_letter_exits_2(self, capsys):
+        assert main(["verify", "--alphabet", "a,b,a,b", "--max-len", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 # Expected stdout per case, stored as ``<case>.out`` next to the inputs in

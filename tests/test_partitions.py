@@ -32,8 +32,12 @@ from shufflecalc import (
     tree_factorial,
 )
 from shufflecalc.functionals import words_up_to
+from shufflecalc.partitions import details
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+FAMILIES = {"nc": enumerate_nc, "boolean": enumerate_boolean,
+            "nc-irr": enumerate_nc_irreducible}
 
 
 class TestSetPartition:
@@ -84,6 +88,15 @@ class TestEnumeration:
     def test_boolean_inside_noncrossing(self):
         for n in range(1, 8):
             assert set(enumerate_boolean(n)) <= set(enumerate_nc(n))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_partitions_equal_validated_ones(self, family):
+        # the enumerators skip the sorting and validating constructor
+        for n in range(1, 11):
+            for p in FAMILIES[family](n):
+                q = SetPartition(n, p.blocks)
+                assert (p.n, p.blocks) == (q.n, q.blocks)
+                assert p == q and hash(p) == hash(q)
 
     def test_order_guard(self):
         with pytest.raises(DomainError):
@@ -136,6 +149,19 @@ class TestNesting:
     def test_crossing_rejected(self):
         with pytest.raises(DomainError):
             tree_factorial(SetPartition(4, [[1, 3], [2, 4]]))
+        with pytest.raises(DomainError):
+            details(SetPartition(4, [[1, 3], [2, 4]]))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_details_agrees_with_the_single_readers(self, family):
+        for n in range(1, 9):
+            for p in FAMILIES[family](n):
+                assert details(p) == {
+                    "blocks": p.to_json(),
+                    "classes": classify_blocks(p),
+                    "parents": [-1 if q is None else q for q in nesting_forest(p)],
+                    "tree_factorial": tree_factorial(p),
+                }
 
 
 def _set_partitions(n):
