@@ -28,27 +28,34 @@ pair and the adjoint actions) is evaluated on the bar-word engine by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import DomainError
-from .functionals import CumulantTable, MomentTable, ValueTable
+from .tables import CumulantTable, MomentTable, ValueTable
 
 FREE = "free"
 BOOLEAN = "boolean"
 MONOTONE = "monotone"
 
 
-@dataclass(frozen=True)
 class StatePair:
     """A pair of states (phi, psi) on a shared alphabet and truncation."""
 
-    phi: MomentTable
-    psi: MomentTable
+    __slots__ = ("phi", "psi")
 
-    def __post_init__(self):
-        self.phi._check_compatible(self.psi)
+    def __init__(self, phi: MomentTable, psi: MomentTable):
+        phi._check_compatible(psi)
+        self.phi = phi
+        self.psi = psi
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.phi == other.phi and self.psi == other.psi
+
+    def __repr__(self) -> str:
+        return f"StatePair(phi={self.phi!r}, psi={self.psi!r})"
 
     @property
     def alphabet(self):

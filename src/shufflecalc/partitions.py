@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
-from .functionals import ONE, ZERO, ValueTable, MomentTable, CumulantTable
+from .tables import ONE, ZERO, ValueTable, MomentTable, CumulantTable
 from .words import Word
 
 MAX_ORDER = 14

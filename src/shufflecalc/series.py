@@ -27,8 +27,6 @@ from . import coalgebra
 from .errors import DomainError
 from .functionals import (
     Functional,
-    ONE,
-    ZERO,
     _FixedPoint,
     _known_first,
     _multipliers,
@@ -39,6 +37,7 @@ from .functionals import (
     inverse,
     unit,
 )
+from .tables import ONE, ZERO
 from .words import UNIT, BarWord
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]

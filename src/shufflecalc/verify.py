@@ -21,11 +21,7 @@ from . import coalgebra, cumulants, partitions, series
 from .coalgebra import TensorSum
 from .errors import DomainError
 from .functionals import (
-    CumulantTable,
     Functional,
-    MomentTable,
-    ONE,
-    ZERO,
     barwords_up_to,
     character,
     conv,
@@ -38,8 +34,8 @@ from .functionals import (
     materialize,
     prelie,
     unit,
-    words_up_to,
 )
+from .tables import ONE, ZERO, CumulantTable, MomentTable, words_up_to
 from .words import UNIT, BarWord
 
 
@@ -80,7 +76,9 @@ def run_checks(config: VerifyConfig, only: list[str] | None = None) -> list[Chec
             raise DomainError("no check names given")
         unknown = sorted(set(only) - set(names))
         if unknown:
-            raise DomainError(f"unknown check names: {unknown}")
+            raise DomainError(
+                f"unknown check names: {unknown}; available: {', '.join(names)}"
+            )
         names = [n for n in names if n in set(only)]
     return [_REGISTRY[n](config) for n in names]
 

@@ -254,8 +254,12 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["PASS counit", "PASS nc-counts"]
 
-    def test_unknown_check_exits_2(self):
-        assert main(["verify", "--only", "no-such-check"]) == 2
+    def test_unknown_check_exits_2(self, capsys):
+        assert main(["verify", "--only", "nope"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "free-oracle" in err
 
     @pytest.mark.parametrize("only", [",", ""])
     def test_empty_only_exits_2(self, capsys, only):

@@ -323,3 +323,7 @@ def test_cumulant_layer_and_oracles_stay_off_the_engine():
     assert names == {"DomainError", "CumulantTable", "MomentTable", "ValueTable"}
     modules = {module or name for module, name in _package_imports(partitions)}
     assert not modules & {"series", "coalgebra", "cumulants"}
+    for module in (cumulants, partitions):
+        imports = _package_imports(module)
+        assert "functionals" not in {source or name for source, name in imports}
+        assert {source for source, name in imports if name.endswith("Table")} == {"tables"}

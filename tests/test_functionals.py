@@ -23,13 +23,8 @@ from shufflecalc import (
     prelie,
     unit,
 )
-from shufflecalc.functionals import (
-    ValueTable,
-    barwords_up_to,
-    format_scalar,
-    parse_scalar,
-    words_up_to,
-)
+from shufflecalc.functionals import barwords_up_to
+from shufflecalc.tables import ValueTable, format_scalar, parse_scalar, words_up_to
 
 
 def B(*texts):

@@ -31,7 +31,7 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
-from shufflecalc.functionals import words_up_to
+from shufflecalc.tables import words_up_to
 from shufflecalc.partitions import details
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
