@@ -14,7 +14,7 @@ import sys
 
 from . import cumulants, partitions
 from .cumulants import StatePair
-from .errors import ShuffleCalcError, DomainError
+from .errors import ShuffleCalcError, DomainError, quoted
 from .tables import CumulantTable, MomentTable
 
 MAX_TRUNCATION = 12
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     if not alphabet:
         raise DomainError("alphabet must contain at least one letter")
     if len(set(alphabet)) != len(alphabet):
-        raise DomainError(f"alphabet letters must be distinct, got {args.alphabet!r}")
+        raise DomainError(f"alphabet letters must be distinct, got {quoted(args.alphabet)}")
     _check_truncation(args.max_len)
     only = None
     if args.only:

@@ -16,6 +16,11 @@ multipliers precomputed per degree.  ``__call__`` is the one place that
 builds a ``Fraction``.  The same table reused under different operations
 lives in different nodes and therefore different memos.
 
+A parent reads a child's memo dict directly: a hit is one ``dict.get``,
+and only a miss (``None``) calls the child's ``num``, which computes and
+stores the value.  Memos hold 0 for values that vanish, so a read tests
+``is None``, never truthiness.
+
 Unit rules for the half-shuffles follow the convention that both
 half-products vanish on the unit bar-word, so the splitting
 ``f*g = f<g + f>g`` is asserted on nonunit bar-words only.
@@ -70,25 +75,23 @@ class Functional:
         return Fraction(self.num(b), self.den(b.degree))
 
     def num(self, b: BarWord) -> int:
-        """The value on b times ``den(b.degree)``."""
-        memo = self._memo
-        try:
-            return memo[b]
-        except KeyError:
-            value = memo[b] = self._num(b)
-            return value
+        """The value on b times ``den(b.degree)``.  Parents that read the
+        memo inline call this on a miss only, so it looks up with ``get``
+        rather than paying for a ``KeyError``."""
+        value = self._memo.get(b)
+        if value is None:
+            value = self._memo[b] = self._num(b)
+        return value
 
     def den(self, d: int) -> int:
         """The denominator shared by the values on bar-words of degree d."""
         return self._scale(d)[0]
 
     def _scale(self, d: int) -> tuple:
-        scales = self._scales
-        try:
-            return scales[d]
-        except KeyError:
-            value = scales[d] = self._rescale(d)
-            return value
+        value = self._scales.get(d)
+        if value is None:
+            value = self._scales[d] = self._rescale(d)
+        return value
 
     def _num(self, b: BarWord) -> int:
         raise NotImplementedError
@@ -163,7 +166,8 @@ class InfinitesimalFunctional(_TableFunctional):
 
 class _Sum(Functional):
     """``sum c_i f_i``: ``den(d)`` is the lcm of ``c_i.denominator *
-    den_i(d)``, and each part has one integer weight per degree."""
+    den_i(d)``, and each part has one integer weight per degree, kept
+    beside the part's memo and ``num`` so ``_num`` reads the memo inline."""
 
     def __init__(self, parts: Iterable[tuple[Fraction, Functional]]):
         super().__init__()
@@ -178,10 +182,16 @@ class _Sum(Functional):
     def _rescale(self, d: int) -> tuple:
         scaled = [(c.numerator, c.denominator * f.den(d), f) for c, f in self.parts if c]
         den = lcm(*(x for _, x, _ in scaled))
-        return den, [(n * (den // x), f) for n, x, f in scaled]
+        return den, [(n * (den // x), f._memo, f.num) for n, x, f in scaled]
 
     def _num(self, b: BarWord) -> int:
-        return sum(w * f.num(b) for w, f in self._scale(b.degree)[1])
+        total = 0
+        for w, memo, num in self._scale(b.degree)[1]:
+            x = memo.get(b)
+            if x is None:
+                x = num(b)
+            total += w * x
+        return total
 
 
 class _Convolution(Functional):
@@ -207,7 +217,8 @@ class _Convolution(Functional):
         if self.half and not b.factors:
             return 0
         weights = self._scale(b.degree)[1][0]
-        return _known_first(self.split(b), self.f, self.g.num, weights, True)
+        g = self.g
+        return _known_first(self.split(b), self.f, g._memo, g.num, weights, True)
 
 
 class _FixedPoint(Functional):
@@ -238,7 +249,7 @@ class _FixedPoint(Functional):
         if not b.factors:
             return 1
         weights = self._scale(b.degree)[1][0]
-        return _known_first(self.split(b), self.g, self.num, weights, self.g_left)
+        return _known_first(self.split(b), self.g, self._memo, self.num, weights, self.g_left)
 
 
 def _multipliers(d: int, terms) -> tuple:
@@ -258,23 +269,46 @@ def _multipliers(d: int, terms) -> tuple:
     return den, weights
 
 
-def _known_first(terms, known: Functional, unknown, weights, known_left: bool) -> int:
+def _known_first(terms, known: Functional, memo: dict, miss, weights, known_left: bool) -> int:
     """``sum coeff * weights[deg left] * known(k) * unknown(u)`` over the
     ``(l, r, coeff)`` terms of a split, in numerators, where ``k`` is the left
-    leg if ``known_left`` and the right leg otherwise, and ``unknown`` gives
-    the numerators on the other leg.  A term whose weight is 0 is skipped,
-    and ``known`` is evaluated before ``unknown`` and zero terms are
-    skipped, so weights that vanish outside the degrees where both legs can
-    be nonzero keep ``unknown`` below the degree of the split bar-word."""
+    leg if ``known_left`` and the right leg otherwise.  The unknown leg's
+    numerators are read from ``memo``, and ``miss(u)`` computes (and
+    memoizes) one that is not there yet; ``known``'s memo is read the same
+    way, so a hit on either leg costs one ``dict.get`` and no call.
+
+    A term whose weight is 0 is skipped, and ``known`` is evaluated before
+    ``unknown`` and zero terms are skipped, so weights that vanish outside
+    the degrees where both legs can be nonzero keep ``unknown`` below the
+    degree of the split bar-word.  Each orientation has its own loop, so no
+    pair is rebuilt per term."""
+    kmemo = known._memo
     knum = known.num
     total = 0
-    for (l, r), coeff in terms.pairs():
-        weight = weights[l.degree]
-        if weight:
-            k, u = (l, r) if known_left else (r, l)
-            x = knum(k)
-            if x:
-                total += coeff * weight * x * unknown(u)
+    if known_left:
+        for (l, r), coeff in terms.pairs():
+            weight = weights[l.degree]
+            if weight:
+                x = kmemo.get(l)
+                if x is None:
+                    x = knum(l)
+                if x:
+                    y = memo.get(r)
+                    if y is None:
+                        y = miss(r)
+                    total += coeff * weight * x * y
+    else:
+        for (l, r), coeff in terms.pairs():
+            weight = weights[l.degree]
+            if weight:
+                x = kmemo.get(r)
+                if x is None:
+                    x = knum(r)
+                if x:
+                    y = memo.get(l)
+                    if y is None:
+                        y = miss(l)
+                    total += coeff * weight * x * y
     return total
 
 

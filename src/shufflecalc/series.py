@@ -8,8 +8,8 @@ convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
 ``exp*``, ``log*`` and the Magnus pair are power series
 ``sum_m c_m L^m(seed)`` in a linear map L (right convolution by a
 known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node
-that memoizes the integer numerators of the powers ``L^m(seed)`` per
-``(m, bar-word)``, over one denominator per ``(m, degree)``, and stops by
+that memoizes the integer numerators of the powers ``L^m(seed)`` in one dict
+per power m, over one denominator per ``(m, degree)``, and stops by
 grading at the degree of the bar-word.  Group-side arguments must
 take the value 1 on the unit, Lie-side arguments the value 0; only these
 cheap normalizations are checked at construction (full
@@ -77,14 +77,17 @@ class _Series(Functional):
     seed vanishes on the unit and 0 otherwise, and on a bar-word of degree d
     the series stops at ``m = d - low``.
 
-    The numerators of the powers are memoized here, keyed by
-    ``(m, bar-word)``, over the denominator ``den_P(m, d)``: the seed's for
-    ``m = 0``, else the lcm over the terms of L and over the known leg's
+    The numerators of P_m are memoized in ``_powers[m]``, a dict keyed by
+    bar-word, over the denominator ``den_P(m, d)``: ``_powers[0]`` is the
+    seed's own memo and ``den_P(0, d)`` the seed's ``den(d)``; for m >= 1,
+    ``den_P(m, d)`` is the lcm over the terms of L and over the known leg's
     degree k of ``den_known(k) * den_P(m - 1, d - k)``.  k runs over
     ``1..d - (m - 1 + low)`` only, where both legs can be nonzero; this also
     keeps a series that is its own known factor below its own ``den(d)``.
-    The series reads itself by calling ``self``, so no child node refers
-    back to it.
+    Computing P_m on b hands ``_powers[m - 1]`` to ``_known_first``, which
+    reads it inline and falls back to ``_power(m - 1, .)`` on a miss; the
+    series sums ``_powers[m]`` the same way.  The series reads itself by
+    calling ``self``, so no child node refers back to it.
     """
 
     def __init__(self, seed: Functional, coeff, step):
@@ -92,11 +95,16 @@ class _Series(Functional):
         self.seed = seed
         self.coeff = coeff
         self.step = step
-        self._powers: dict[tuple[int, BarWord], int] = {}
+        self._powers: list[dict[BarWord, int]] = [seed._memo]
         self._power_scales: dict[tuple[int, int], tuple] = {}
         self._low = 1 if seed(UNIT) == ZERO else 0
 
     def _rescale(self, d: int) -> tuple:
+        # Degree d reads P_0..P_{d - low}: give each its memo before
+        # ``_num`` or ``_power`` indexes ``_powers``.
+        powers = self._powers
+        while len(powers) < d + 1 - self._low:
+            powers.append({})
         terms = []
         for m in range(d + 1 - self._low):
             c = self.coeff(m)
@@ -106,7 +114,14 @@ class _Series(Functional):
         return den, [(m, n * (den // x)) for m, n, x in terms]
 
     def _num(self, b: BarWord) -> int:
-        return sum(w * self._power(m, b) for m, w in self._scale(b.degree)[1])
+        powers = self._powers
+        total = 0
+        for m, w in self._scale(b.degree)[1]:
+            x = powers[m].get(b)
+            if x is None:
+                x = self._power(m, b)
+            total += w * x
+        return total
 
     def _power_scale(self, m: int, d: int) -> tuple:
         """``(den_P(m, d), weights per term of L)``."""
@@ -130,15 +145,17 @@ class _Series(Functional):
             return self.seed.num(b)
         if m + self._low > b.degree:
             return 0
-        value = self._powers.get((m, b))
+        memo = self._powers[m]
+        value = memo.get(b)
         if value is None:
             weights = self._power_scale(m, b.degree)[1]
-            lower = lambda u: self._power(m - 1, u)
+            lower = self._powers[m - 1]
+            miss = lambda u: self._power(m - 1, u)
             value = 0
             for (_, split, known, known_left), row in zip(self.step, weights):
                 known = self if known is None else known
-                value += _known_first(split(b), known, lower, row, known_left)
-            self._powers[m, b] = value
+                value += _known_first(split(b), known, lower, miss, row, known_left)
+            memo[b] = value
         return value
 
 

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, quoted
 from .words import Word
 
 Scalar = Fraction
@@ -30,21 +30,30 @@ def parse_scalar(obj) -> Fraction:
     """Accept ints and strings of the form ``[+-]?digits(/digits)?``; no
     decimals, exponents, underscores or surrounding space."""
     if isinstance(obj, bool):
-        raise DomainError(f"not a scalar: {obj!r}")
+        raise DomainError(f"not a scalar: {quoted(obj)}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
         if _SCALAR.fullmatch(obj) is None:
-            raise DomainError(f"malformed scalar {obj!r}")
+            raise DomainError(f"malformed scalar {quoted(obj)}")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"malformed scalar {obj!r}") from exc
-    raise DomainError(f"not a scalar: {obj!r}")
+            raise DomainError(f"malformed scalar {quoted(obj)}") from exc
+    raise DomainError(f"not a scalar: {quoted(obj)}")
 
 
 def format_scalar(q: Fraction) -> str:
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:
+        # str(int) refuses more digits than sys.get_int_max_str_digits();
+        # count them from the bit length (log10(2) = 0.30103).
+        bits = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+        raise DomainError(
+            f"a result has about {int(bits * 0.30103)} digits, more than "
+            "this Python converts to a string"
+        ) from None
 
 
 def words_over(alphabet: Iterable[str], length: int) -> Iterator[Word]:
@@ -77,11 +86,11 @@ class ValueTable:
         self.values = dict(values)
         for w in words_up_to(self.alphabet, max_len):
             if w not in self.values:
-                raise DomainError(f"table is missing a value for {w.dotted()!r}")
+                raise DomainError(f"table is missing a value for {quoted(w.dotted())}")
         size = sum(len(self.alphabet) ** n for n in range(1, max_len + 1))
         if len(self.values) != size:
             extra = set(self.values) - set(words_up_to(self.alphabet, max_len))
-            raise DomainError(f"table has out-of-domain entries: {sorted(extra)[:3]}")
+            raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
 
     def lookup(self, w: Word) -> Fraction:
         try:
@@ -111,8 +120,8 @@ class ValueTable:
     def _check_compatible(self, other: "ValueTable") -> None:
         if self.alphabet != other.alphabet or self.max_len != other.max_len:
             raise DomainError(
-                f"incompatible tables: alphabet/max_len "
-                f"({self.alphabet}, {self.max_len}) vs ({other.alphabet}, {other.max_len})"
+                f"incompatible tables: alphabet/max_len ({quoted(self.alphabet)}, "
+                f"{self.max_len}) vs ({quoted(other.alphabet)}, {other.max_len})"
             )
 
     def to_json(self) -> dict:
@@ -133,10 +142,15 @@ class ValueTable:
         if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
             raise DomainError("malformed table JSON: alphabet must be a list of strings")
         if not isinstance(max_len, int) or isinstance(max_len, bool):
-            raise DomainError(f"malformed table JSON: max_len must be an integer, got {max_len!r}")
+            raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
         if not isinstance(raw, dict):
             raise DomainError("malformed table JSON: values must be an object")
-        values = {Word.parse(k): parse_scalar(v) for k, v in raw.items()}
+        values = {}
+        for k, v in raw.items():
+            try:
+                values[Word.parse(k)] = parse_scalar(v)
+            except DomainError as exc:
+                raise DomainError(f"table entry {quoted(k)}: {exc}") from None
         return cls(alphabet, max_len, values)
 
     @classmethod

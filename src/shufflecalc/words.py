@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, quoted
 
 
 _WORDS: dict[tuple[str, ...], "Word"] = {}
@@ -43,7 +43,7 @@ class Word:
                 raise DomainError("a Word must contain at least one letter")
             for name in letters:
                 if not isinstance(name, str) or not name or "." in name:
-                    raise DomainError(f"invalid letter name: {name!r}")
+                    raise DomainError(f"invalid letter name: {quoted(name)}")
             word = _WORDS[letters] = object.__new__(cls)
             word.letters = letters
         return word

@@ -127,6 +127,49 @@ class TestTransform:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on int-string conversion digits, set for the
+    test and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--to", "free", "--input", "{src}"],
+    ["convolve", "--kind", "free", "--input", "{src}", "--input2", "{src}"],
+], ids=lambda argv: argv[0])
+def test_results_beyond_the_int_string_limit_exit_2(tmp_path, capsys, int_str_limit, argv):
+    # Each input value has 4,000 digits, within the limit; products of
+    # them in the results do not fit it.
+    src = tmp_path / "in.json"
+    big = "1" + "0" * 3999
+    write_json(src, {"alphabet": ["a"], "max_len": 3,
+                     "values": {"a": big, "a.a": big, "a.a.a": big}})
+    assert main([arg.format(src=src) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "digits" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("a", "1" * 5000 + "x", "malformed scalar '1111"),
+    ("." + "b" * 5000, "1", "table entry '.bbbb"),
+    ("b" * 5000, "1", "out-of-domain entries: [Word(bbbb"),
+], ids=["value", "key-letter", "key-domain"])
+def test_long_bad_input_is_echoed_short(tmp_path, capsys, key, value, named):
+    src = tmp_path / "in.json"
+    write_json(src, {"alphabet": ["a"], "max_len": 1, "values": {"a": "1", key: value}})
+    assert main(["transform", "--to", "free", "--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err and "chars)" in err and len(err) < 200
+
+
 @pytest.mark.parametrize("argv, op", [
     (["transform", "--to", "free"], "free_cumulants"),
     (["convolve", "--kind", "free", "--input2", "{src}"], "convolve_free"),

@@ -309,15 +309,28 @@ def _guarded_nodes(alphabet, degree):
     }
 
 
-def value_digests() -> dict[str, str]:
-    """SHA-256 of each guarded node's ``repr(bar-word) value`` lines, over
-    the unit and every bar-word of degree <= 5 over {a, b} and <= 4 over
-    {a, b, c}."""
-    lines: dict[str, list[str]] = {}
+def _evaluated_nodes(highest_first: bool = False):
+    """Yield ``(name, node, domain)`` for fresh guarded nodes over the unit
+    and every bar-word of degree <= 5 over {a, b} and <= 4 over {a, b, c},
+    each node evaluated cold on its whole domain: lowest degree first, or
+    highest degree first so that nearly every value is reached through the
+    miss path of a parent's inline memo read."""
     for alphabet, degree in ((["a", "b"], 5), (["a", "b", "c"], 4)):
         domain = [BarWord(), *barwords_up_to(alphabet, degree)]
+        order = domain[::-1] if highest_first else domain
         for name, node in _guarded_nodes(alphabet, degree).items():
-            lines.setdefault(name, []).extend(f"{b!r} {node(b)}" for b in domain)
+            for b in order:
+                node(b)
+            yield name, node, domain
+
+
+def value_digests(evaluated=None) -> dict[str, str]:
+    """SHA-256 of each guarded node's ``repr(bar-word) value`` lines, in
+    domain order, over what ``evaluated`` yields (by default
+    ``_evaluated_nodes()``)."""
+    lines: dict[str, list[str]] = {}
+    for name, node, domain in evaluated or _evaluated_nodes():
+        lines.setdefault(name, []).extend(f"{b!r} {node(b)}" for b in domain)
     return {name: hashlib.sha256("\n".join(text).encode()).hexdigest()
             for name, text in lines.items()}
 
@@ -357,21 +370,59 @@ def test_values_match_recorded_digests():
     assert value_digests() == VALUE_DIGESTS
 
 
+# Infinitesimal (Lie-side) nodes: 0 on every bar-word of two or more factors.
+LIE_SIDE = ("magnus", "magnus_inverse", "bch", "sharp", "ad_lower", "ad_upper")
+
+
+def test_cold_evaluation_order_keeps_values(monkeypatch):
+    """Evaluating the guarded nodes cold, highest degree first or lowest
+    first, gives the recorded values either way.  Memos legitimately hold
+    0 (the Lie-side nodes on multi-factor bar-words), and no memo read
+    takes a stored 0 for a miss: ``num`` is never entered for a value its
+    memo already holds, except from ``__call__``."""
+    num = Functional.num
+    recomputed = []
+
+    def checked_num(self, b):
+        if b in self._memo:
+            recomputed.append((type(self).__name__, b))
+        return num(self, b)
+
+    monkeypatch.setattr(Functional, "num", checked_num)
+    monkeypatch.setattr(Functional, "__call__",
+                        lambda self, b: Fraction(num(self, b), self.den(b.degree)))
+    zeros = set()
+
+    def highest_first():
+        for name, node, domain in _evaluated_nodes(highest_first=True):
+            if name in LIE_SIDE and any(
+                    v == 0 for b, v in node._memo.items() if len(b.factors) > 1):
+                zeros.add(name)
+            yield name, node, domain
+
+    assert value_digests(highest_first()) == value_digests() == VALUE_DIGESTS
+    assert zeros == set(LIE_SIDE)
+    assert recomputed == []
+
+
 def test_memos_hold_integer_numerators():
     """Below ``__call__`` the engine runs in integers: every memo of every
-    node under the guarded ones holds ``int``s."""
+    node under the guarded ones holds ``int``s, and so does every per-power
+    memo of every series node."""
     nodes = list(_guarded_nodes(["a", "b"], 3).values())
     for node in nodes:
         for b in barwords_up_to(["a", "b"], 3):
             node(b)
     seen = set()
+    power_values = 0
     while nodes:
         node = nodes.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        memos = [node._memo, getattr(node, "_powers", {})]
+        memos = [node._memo, *getattr(node, "_powers", ())]
         assert all(type(v) is int for memo in memos for v in memo.values()), node
+        power_values += sum(len(memo) for memo in memos[1:])
         fields = list(vars(node).values())
         while fields:
             value = fields.pop()
@@ -380,3 +431,4 @@ def test_memos_hold_integer_numerators():
             elif isinstance(value, Functional):
                 nodes.append(value)
     assert len(seen) > 30
+    assert power_values > 0
