@@ -18,6 +18,9 @@ from .errors import ShuffleCalcError, DomainError, quoted
 from .tables import CumulantTable, MomentTable
 
 MAX_TRUNCATION = 12
+# The cumulant kinds of transform and convolve; each names the functions
+# cumulants.<kind>_cumulants, moments_from_<kind> and convolve_<kind>.
+_KINDS = ["free", "boolean", "monotone", "cfree"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,14 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input table JSON path ('-' for stdin)")
     p.add_argument("--output", default="-", help="output path (default stdout)")
     direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--to", choices=["free", "boolean", "monotone", "cfree"],
-                           help="moments -> cumulants of this kind")
-    direction.add_argument("--from", dest="from_", metavar="FROM",
-                           choices=["free", "boolean", "monotone", "cfree"],
+    direction.add_argument("--to", choices=_KINDS, help="moments -> cumulants of this kind")
+    direction.add_argument("--from", dest="from_", metavar="FROM", choices=_KINDS,
                            help="cumulants of this kind -> moments")
 
     p = sub.add_parser("convolve", help="convolve two states or state pairs")
-    p.add_argument("--kind", required=True, choices=["free", "boolean", "monotone", "cfree"])
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--input", required=True)
     p.add_argument("--input2", required=True)
     p.add_argument("--output", default="-")
@@ -91,15 +92,13 @@ def _dump_json(obj) -> str:
 
 
 def cmd_transform(args) -> int:
+    # Each op is read off the module when the command runs, so that a
+    # rebinding of cumulants.<name> (as by a tracer) sees the call.
+    op = getattr(cumulants, f"{args.to}_cumulants" if args.to else f"moments_from_{args.from_}")
     obj = _read_json(args.input)
     if args.to == "cfree":
-        op, inputs = cumulants.cfree_cumulants, (StatePair.from_json(obj),)
+        inputs = (StatePair.from_json(obj),)
     elif args.to:
-        op = {
-            "free": cumulants.free_cumulants,
-            "boolean": cumulants.boolean_cumulants,
-            "monotone": cumulants.monotone_cumulants,
-        }[args.to]
         inputs = (MomentTable.from_json(obj),)
     elif args.from_ == "cfree":
         try:
@@ -108,30 +107,17 @@ def cmd_transform(args) -> int:
             raise DomainError(
                 "--from cfree expects JSON {\"cumulants\": <table>, \"psi\": <table>}"
             ) from None
-        op = cumulants.moments_from_cfree
         inputs = (CumulantTable.from_json(r_obj), MomentTable.from_json(psi_obj))
     else:
-        op = {
-            "free": cumulants.moments_from_free,
-            "boolean": cumulants.moments_from_boolean,
-            "monotone": cumulants.moments_from_monotone,
-        }[args.from_]
         inputs = (CumulantTable.from_json(obj),)
     return _run(op, inputs, args.output)
 
 
 def cmd_convolve(args) -> int:
+    op = getattr(cumulants, f"convolve_{args.kind}")
     a = _read_json(args.input)
     b = _read_json(args.input2)
-    if args.kind == "cfree":
-        op, parse = cumulants.convolve_cfree, StatePair.from_json
-    else:
-        op = {
-            "free": cumulants.convolve_free,
-            "boolean": cumulants.convolve_boolean,
-            "monotone": cumulants.convolve_monotone,
-        }[args.kind]
-        parse = MomentTable.from_json
+    parse = StatePair.from_json if args.kind == "cfree" else MomentTable.from_json
     return _run(op, (parse(a), parse(b)), args.output)
 
 

@@ -2,28 +2,30 @@
 cumulants of a pair of states, and the four convolutions.
 
 Moments and cumulants are characters and infinitesimal characters, so each
-is fixed by its values on single words.  Every transform here is therefore
-a short recursion on words (letter tuples), run in increasing word length:
+is fixed by its values on single words.  Each family is one relation
+``phi(w) = x(w) + lower(w)`` on words (letter tuples), where ``lower(w)``
+reads the cumulants x and the moments phi on shorter words only.  Cumulants
+solve it, ``x(w) = phi(w) - lower(w)``; moments evaluate it,
+``phi(w) = x(w) + lower(w)``; both run in increasing word length:
 
 - free and c-free: the first-block sum
   ``phi(w) = sum_{S ∋ 1} x(w_S) prod gap(run) tail(run)`` over the position
   sets S that contain 1, where the gaps are the runs of the complement
-  before ``max S`` and the tail is the run after it.  c-free has ``x = R``,
-  ``gap = psi`` and ``tail = phi``; free has ``x = kappa`` and
-  ``gap = tail = phi``.  Moments evaluate the sum; cumulants solve it for
-  its ``S = [n]`` term.
+  before ``max S`` and the tail is the run after it; ``lower`` is the sum
+  over ``S != [n]``.  c-free has ``x = R``, ``gap = psi`` and
+  ``tail = phi``; free has ``x = kappa`` and ``gap = tail = phi``.
 - boolean: ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``.
 - monotone: ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)`` over the
-  intervals I, and ``phi = sum_m P_m / m!``; cumulants solve for ``P_1``.
+  intervals I, and ``phi = sum_m P_m / m!`` with ``P_1 = rho``.
 - monotone convolution: ``sum_S phi1(w_S) prod phi2(run)`` over all S.
 
 All of them are homogeneous in word length and run in ``int``: the input
-values are scaled by ``D^|w|`` (D the lcm of the input denominators), and
-by a further ``|w|!`` for the monotone pair, and each output word gets one
-``Fraction``.  ``convert`` composes two of these transforms through the
-moments.  The paper's Lie-side form of the conversions (the pre-Lie Magnus
-pair and the adjoint actions) is evaluated on the bar-word engine by the
-``cumulant-conversions`` verify suite, which holds ``convert`` to it.
+values are scaled by ``D^|w|`` (D the lcm of the input denominators), by
+``|w|! D^|w|`` for the monotone relation in both directions, and each
+output word gets one ``Fraction``.  ``convert`` evaluates one relation and
+solves another.  The paper's Lie-side form of the conversions (the pre-Lie
+Magnus pair and the adjoint actions) is evaluated on the bar-word engine by
+the ``cumulant-conversions`` verify suite, which holds ``convert`` to it.
 """
 
 from __future__ import annotations
@@ -87,79 +89,71 @@ def free_cumulants(phi: MomentTable) -> CumulantTable:
     """Left half-shuffle logarithm of the state: the first-block sum with
     ``gap = tail = phi``, solved for its ``S = [n]`` term: the c-free
     cumulants of (phi, phi)."""
-    return _first_block_cumulants(phi, phi)
+    return _solve(_first_block, phi)
 
 
 def boolean_cumulants(phi: MomentTable) -> CumulantTable:
     """Right half-shuffle logarithm of the state:
     ``beta(w) = phi(w) - sum_{k<n} beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
-    scale, (moments,) = _scaled(phi)
-    moments[()] = 1
-    beta = {}
-    for w in _by_length(phi):
-        beta[w] = moments[w] - sum(beta[w[:k]] * moments[w[k:]] for k in range(1, len(w)))
-    return _table(CumulantTable, phi, scale, beta)
+    return _solve(_boolean, phi)
 
 
 def monotone_cumulants(phi: MomentTable) -> CumulantTable:
     """Convolution logarithm of the state: ``phi = sum_m P_m / m!`` solved
     for ``P_1 = rho``."""
-    scale, moments = _monotone_scaled(phi)
-    rho: dict[tuple, int] = {}
-    powers: dict[tuple, int] = {}
-    for w in _by_length(phi):
-        # The division is exact: rho = log*(phi) has the coefficients 1/l,
-        # l <= n, on the scaled moments, so n! D^n rho(w) is an integer.
-        rho[w] = powers[1, w] = moments[w] - _higher_powers(rho, powers, w) // factorial(len(w))
-    return _table(CumulantTable, phi, scale, rho)
+    return _solve(_monotone, phi)
 
 
 def moments_from_free(kappa: CumulantTable) -> MomentTable:
     """Left half-shuffle exponential: the first-block sum with
     ``gap = tail = phi``."""
-    return _first_block_moments(kappa, None)
+    return _evaluate(_first_block, kappa)
 
 
 def moments_from_boolean(beta: CumulantTable) -> MomentTable:
     """Right half-shuffle exponential:
     ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
-    scale, (cumulants,) = _scaled(beta)
-    phi = {(): 1}
-    for w in _by_length(beta):
-        phi[w] = sum(cumulants[w[:k]] * phi[w[k:]] for k in range(1, len(w) + 1))
-    return _table(MomentTable, beta, scale, phi)
+    return _evaluate(_boolean, beta)
 
 
 def moments_from_monotone(rho: CumulantTable) -> MomentTable:
     """Convolution exponential: ``phi = sum_m P_m / m!`` with ``P_1 = rho``."""
-    scale, cumulants = _monotone_scaled(rho)
-    powers: dict[tuple, int] = {}
-    phi = {}
-    for w in _by_length(rho):
-        powers[1, w] = cumulants[w]
-        phi[w] = factorial(len(w)) * cumulants[w] + _higher_powers(cumulants, powers, w)
-    # phi(w) = sum_m P_m(w) / m!, and phi[w] holds n! times that sum.
-    return _table(MomentTable, rho, [factorial(n) * s for n, s in enumerate(scale)], phi)
+    return _evaluate(_monotone, rho)
 
 
-def _scaled(*tables: ValueTable):
-    """The tables' values times ``D^|w|``, as ints keyed by letter tuple,
-    with D the lcm of all their denominators; also the scales ``D^n`` by
-    word length n."""
+def _solve(relation, phi: MomentTable, *given: MomentTable) -> CumulantTable:
+    """The cumulants ``x(w) = phi(w) - lower(w)`` of phi under a relation,
+    shortest words first; ``given`` are the relation's further states."""
+    scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
+    moments[()] = 1
+    lower = relation(phi.max_len, *given)
+    x: dict[tuple, int] = {}
+    for w in _by_length(phi):
+        x[w] = moments[w] - lower(x, moments, w)
+    return _table(CumulantTable, phi, scale, x)
+
+
+def _evaluate(relation, x: CumulantTable, *given: MomentTable) -> MomentTable:
+    """The moments ``phi(w) = x(w) + lower(w)`` of the cumulants x under a
+    relation, shortest words first."""
+    scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
+    lower = relation(x.max_len, *given)
+    phi = {(): 1}
+    for w in _by_length(x):
+        phi[w] = cumulants[w] + lower(cumulants, phi, w)
+    return _table(MomentTable, x, scale, phi)
+
+
+def _scaled(*tables: ValueTable, factorials: bool = False):
+    """The tables' values times ``D^|w|``, or ``|w|! D^|w|`` with
+    ``factorials``, as ints keyed by letter tuple, with D the lcm of all
+    their denominators; also those scales by word length."""
     d = lcm(*(v.denominator for t in tables for v in t.values.values()))
-    scale = [d**n for n in range(tables[0].max_len + 1)]
+    scale = [(factorial(n) if factorials else 1) * d**n for n in range(tables[0].max_len + 1)]
     return scale, [
         {w.letters: v.numerator * (scale[len(w)] // v.denominator) for w, v in t.values.items()}
         for t in tables
     ]
-
-
-def _monotone_scaled(table: ValueTable):
-    """Like ``_scaled`` for one table, with the scales ``n! D^n``, under
-    which every ``P_m`` is an integer (see ``_higher_powers``)."""
-    scale, (values,) = _scaled(table)
-    return ([factorial(n) * s for n, s in enumerate(scale)],
-            {w: factorial(len(w)) * v for w, v in values.items()})
 
 
 def _table(cls, like: ValueTable, scale: list[int], scaled: dict):
@@ -198,70 +192,81 @@ def _subset_sum(x: dict, gap: dict, tail: dict, w: tuple, subsets) -> int:
     return total
 
 
-def _first_block_moments(x: CumulantTable, psi: MomentTable | None) -> MomentTable:
-    """Evaluate the first-block sum with ``gap = psi``, or ``gap = phi``
-    (free) if psi is None."""
-    scale, (cumulants, *second) = _scaled(*((x,) if psi is None else (x, psi)))
-    phi = {(): 1}
-    gap = second[0] if second else phi
-    subsets = [_subsets(n, first=True) for n in range(x.max_len + 1)]
-    for w in _by_length(x):
-        phi[w] = _subset_sum(cumulants, gap, phi, w, subsets[len(w)])
-    return _table(MomentTable, x, scale, phi)
+# A relation maps the truncation, and the relation's further states as
+# scaled dicts, to its ``lower(x, phi, w)``.  ``_solve`` and ``_evaluate``
+# call it once per word, shortest first, so ``lower`` may read x and phi on
+# every shorter word and may keep what it computed for them.
+
+def _first_block(max_len: int, gap: dict | None = None):
+    """The first-block sum over ``S != [n]``, with ``gap = psi`` (c-free) or
+    ``gap = phi`` (free) if no psi is given."""
+    proper = [_subsets(n, first=True)[1:] for n in range(max_len + 1)]
+
+    def lower(x: dict, phi: dict, w: tuple) -> int:
+        return _subset_sum(x, phi if gap is None else gap, phi, w, proper[len(w)])
+    return lower
 
 
-def _first_block_cumulants(phi: MomentTable, psi: MomentTable) -> CumulantTable:
-    """Solve the first-block sum with ``gap = psi`` for its ``S = [n]``
-    term, shortest words first."""
-    scale, (moments, gap) = _scaled(phi, psi)
-    moments[()] = 1
-    proper = [_subsets(n, first=True)[1:] for n in range(phi.max_len + 1)]
-    x: dict[tuple, int] = {}
-    for w in _by_length(phi):
-        x[w] = moments[w] - _subset_sum(x, gap, moments, w, proper[len(w)])
-    return _table(CumulantTable, phi, scale, x)
+def _boolean(max_len: int):
+    """``sum_{k<n} beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
+    def lower(x: dict, phi: dict, w: tuple) -> int:
+        return sum(x[w[:k]] * phi[w[k:]] for k in range(1, len(w)))
+    return lower
 
 
-def _higher_powers(rho: dict, powers: dict, w: tuple) -> int:
-    """``n! sum_{m>=2} P_m(w) / m!``, storing each ``P_m(w)`` in ``powers``
-    under ``(m, w)``.  Values carry the scale ``n! D^n`` of their word
+def _monotone(max_len: int):
+    """``sum_{m>=2} P_m(w) / m!``, keeping each ``P_m(w)`` in ``powers[m]``;
+    ``P_1`` is x itself.  Values carry the scale ``n! D^n`` of their word
     length n, under which ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)``
     over the intervals I becomes ``sum_I C(n, |I|) P_{m-1}(w minus I)
     rho(w_I)`` in integers.  For m >= 2 only proper intervals contribute, so
-    this reads rho and P only on shorter words."""
-    n = len(w)
-    total = 0
-    for m in range(2, n + 1):
-        value = 0
-        for i in range(n):
-            for j in range(i + 1, min(n, i + n - m + 1) + 1):
-                p = powers.get((m - 1, w[:i] + w[j:]))
-                if p:
-                    value += comb(n, j - i) * p * rho[w[i:j]]
-        powers[m, w] = value
-        total += value * (factorial(n) // factorial(m))
-    return total
+    this reads x and P only on shorter words."""
+    powers: dict[int, dict] = {}
+
+    def lower(x: dict, phi: dict, w: tuple) -> int:
+        n = len(w)
+        total = 0
+        previous = x
+        for m in range(2, n + 1):
+            value = 0
+            for i in range(n):
+                for j in range(i + 1, min(n, i + n - m + 1) + 1):
+                    p = previous[w[:i] + w[j:]]
+                    if p:
+                        value += comb(n, j - i) * p * x[w[i:j]]
+            previous = powers.setdefault(m, {})
+            previous[w] = value
+            total += value * (factorial(n) // factorial(m))
+        # total is n! times the scaled sum, and the division is exact.
+        # Solving, the quotient is the scaled phi(w) - rho(w): rho =
+        # log*(phi) has the coefficients 1/l, l <= n, on the scaled moments,
+        # so n! D^n rho(w) is an integer.  Evaluating, n! D^n phi(w) is the
+        # sum over noncrossing partitions of n! / (tree factorial of the
+        # nesting forest) times the integers D^|B| rho(w_B) over the blocks
+        # B; a forest of k <= n blocks has a tree factorial that divides k!,
+        # hence n!.
+        return total // factorial(n)
+    return lower
 
 
-_CUMULANTS = {FREE: free_cumulants, BOOLEAN: boolean_cumulants, MONOTONE: monotone_cumulants}
-_MOMENTS = {FREE: moments_from_free, BOOLEAN: moments_from_boolean, MONOTONE: moments_from_monotone}
+_RELATIONS = {FREE: _first_block, BOOLEAN: _boolean, MONOTONE: _monotone}
 
 
 def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
     """Convert between free, boolean and monotone cumulant tables: the
     ``dst`` cumulants of the state whose ``src`` cumulants are ``table``."""
-    if src not in _CUMULANTS or dst not in _CUMULANTS:
+    if src not in _RELATIONS or dst not in _RELATIONS:
         raise DomainError(f"unknown cumulant kind: {src!r} -> {dst!r}")
     if src == dst:
         return table
-    return _CUMULANTS[dst](_MOMENTS[src](table))
+    return _solve(_RELATIONS[dst], _evaluate(_RELATIONS[src], table))
 
 
 def cfree_cumulants(pair: StatePair) -> CumulantTable:
     """c-free cumulants of (phi, psi), ``R = Psi > (Phi^{*-1} > (Phi - e)) <
     Psi^{*-1}``: the first-block sum with ``gap = psi`` and ``tail = phi``,
     solved for its ``S = [n]`` term."""
-    return _first_block_cumulants(pair.phi, pair.psi)
+    return _solve(_first_block, pair.phi, pair.psi)
 
 
 def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
@@ -269,7 +274,7 @@ def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
     ``Phi = E>(Psi^{*-1} > R < Psi)``: the first-block sum with
     ``gap = psi`` and ``tail = phi``."""
     R._check_compatible(psi)
-    return _first_block_moments(R, psi)
+    return _evaluate(_first_block, R, psi)
 
 
 def convolve_free(phi1: MomentTable, phi2: MomentTable) -> MomentTable:

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 from . import coalgebra
 from .errors import DomainError
 from .tables import ONE, ZERO, CumulantTable, MomentTable, ValueTable, words_over, words_up_to
-from .words import UNIT, BarWord
+from .words import UNIT, BarWord, Word
 
 
 def barwords_up_to(alphabet: Iterable[str], max_degree: int) -> Iterator[BarWord]:

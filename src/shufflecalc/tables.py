@@ -141,6 +141,9 @@ class ValueTable:
             raise DomainError(f"malformed table JSON: {exc}") from exc
         if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
             raise DomainError("malformed table JSON: alphabet must be a list of strings")
+        if len(set(alphabet)) != len(alphabet):
+            raise DomainError("malformed table JSON: alphabet letters must be distinct, "
+                              f"got {quoted(alphabet)}")
         if not isinstance(max_len, int) or isinstance(max_len, bool):
             raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
         if not isinstance(raw, dict):

@@ -95,7 +95,9 @@ class TestTransform:
         {"values": []},
         {"alphabet": "ab"},
         {"max_len": True},
-    ], ids=["max_len-string", "values-list", "alphabet-string", "max_len-bool"])
+        {"alphabet": ["a", "a", "b"]},
+    ], ids=["max_len-string", "values-list", "alphabet-string", "max_len-bool",
+            "alphabet-repeated-letter"])
     def test_mistyped_table_fields_exit_2(self, tmp_path, capsys, override):
         src = tmp_path / "in.json"
         write_json(src, {**moments_json(15, max_len=1), **override})

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflecalc import (
     CumulantTable,
@@ -40,8 +41,10 @@ from shufflecalc import (
     unit_state,
 )
 from shufflecalc import cumulants, partitions
+from shufflecalc.tables import words_up_to
 from shufflecalc.verify import VerifyConfig, run_checks
 from fractions import Fraction
+from math import factorial
 
 
 def rand_moments(seed, alphabet=("a", "b"), max_len=4):
@@ -97,6 +100,54 @@ class TestRoundTrips:
         assert free_cumulants(e) == zeros
         assert boolean_cumulants(e) == zeros
         assert monotone_cumulants(e) == zeros
+
+
+# Any positive denominator, weighted towards multiples of small factorials,
+# which the monotone kernel's n! D^n scale divides out exactly.
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.builds(lambda k, n: k * factorial(n),
+              st.integers(min_value=1, max_value=40), st.integers(min_value=2, max_value=6)),
+)
+scalars = st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6), denominators)
+domains = st.tuples(st.sampled_from([("a",), ("a", "b")]), st.integers(min_value=1, max_value=4))
+
+
+def _table(draw, cls, alphabet, max_len):
+    words = list(words_up_to(alphabet, max_len))
+    return cls(alphabet, max_len,
+               dict(zip(words, draw(st.lists(scalars, min_size=len(words), max_size=len(words))))))
+
+
+RELATIONS = {
+    "free": (free_cumulants, moments_from_free, partitions.free_moment_sum),
+    "boolean": (boolean_cumulants, moments_from_boolean, partitions.boolean_moment_sum),
+    "monotone": (monotone_cumulants, moments_from_monotone, partitions.monotone_moment_sum),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(domains, st.data())
+def test_round_trips_on_arbitrary_denominators(domain, data):
+    """Solving and evaluating each relation invert each other on tables with
+    arbitrary denominators, both ways round, and so do the c-free pair with
+    a fixed second state.  Solving and evaluating one relation are inverse
+    whatever its lower terms compute, so the moments are also held to the
+    partition sums: that is what checks the exact integer divisions."""
+    phi, kappa, psi = (_table(data.draw, cls, *domain)
+                       for cls in (MomentTable, CumulantTable, MomentTable))
+    for kind, (solve, evaluate, moment_sum) in RELATIONS.items():
+        assert evaluate(solve(phi)) == phi, kind
+        moments = evaluate(kappa)
+        assert solve(moments) == kappa, kind
+        for w, value in moments.values.items():
+            assert value == moment_sum(kappa, w), (kind, w)
+    assert moments_from_cfree(cfree_cumulants(StatePair(phi, psi)), psi) == phi
+    moments = moments_from_cfree(kappa, psi)
+    assert cfree_cumulants(StatePair(moments, psi)) == kappa
+    kappa_psi = free_cumulants(psi)
+    for w, value in moments.values.items():
+        assert value == partitions.cfree_moment_sum(kappa, kappa_psi, w), ("cfree", w)
 
 
 class TestConversions:

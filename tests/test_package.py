@@ -8,11 +8,14 @@ or the verify suites.
 
 import ast
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -131,3 +134,36 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv):
     assert baseline.returncode == 0, baseline.stderr
     if "dataclasses" not in json.loads(baseline.stdout):
         assert "dataclasses" not in modules
+
+
+def _defined_functions(module):
+    """``(qualified name, function)`` for every function and method that a
+    module defines, properties and class- and static methods included."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", ["shufflecalc"] + sorted(
+    f"shufflecalc.{info.name}" for info in pkgutil.iter_modules(shufflecalc.__path__)))
+def test_every_annotation_resolves(module):
+    """``typing.get_type_hints`` resolves each function's annotations, so
+    every name they use is bound in the module."""
+    module = importlib.import_module(module)
+    functions = dict(_defined_functions(module))
+    assert functions
+    for name, fn in functions.items():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            pytest.fail(f"{module.__name__}.{name}: {exc}")
