@@ -12,10 +12,7 @@ import argparse
 import json
 import sys
 
-from . import cumulants, partitions
-from .cumulants import StatePair
 from .errors import ShuffleCalcError, DomainError, quoted
-from .tables import CumulantTable, MomentTable
 
 MAX_TRUNCATION = 12
 # The cumulant kinds of transform and convolve; each names the functions
@@ -92,6 +89,10 @@ def _dump_json(obj) -> str:
 
 
 def cmd_transform(args) -> int:
+    from . import cumulants
+    from .cumulants import StatePair
+    from .tables import CumulantTable, MomentTable
+
     # Each op is read off the module when the command runs, so that a
     # rebinding of cumulants.<name> (as by a tracer) sees the call.
     op = getattr(cumulants, f"{args.to}_cumulants" if args.to else f"moments_from_{args.from_}")
@@ -114,6 +115,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    from . import cumulants
+    from .cumulants import StatePair
+    from .tables import MomentTable
+
     op = getattr(cumulants, f"convolve_{args.kind}")
     a = _read_json(args.input)
     b = _read_json(args.input2)
@@ -131,22 +136,14 @@ def _run(op, inputs, output: str) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    family = {
-        "nc": partitions.enumerate_nc,
-        "boolean": partitions.enumerate_boolean,
-        "nc-irr": partitions.enumerate_nc_irreducible,
-    }[args.family]
-    members = family(args.n)
+    from . import partitions
+
     if args.counts:
+        count = len(partitions.family_blocks(args.family, args.n))
         _write_text(args.output, _dump_json({"family": args.family, "n": args.n,
-                                             "count": len(members)}))
+                                             "count": count}))
         return 0
-    lines = []
-    for p in members:
-        if args.details:
-            lines.append(json.dumps(partitions.details(p), sort_keys=True))
-        else:
-            lines.append(json.dumps(p.to_json()))
+    lines = partitions.json_lines(args.family, args.n, args.details)
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

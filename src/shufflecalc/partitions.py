@@ -10,8 +10,15 @@ already canonical, so the enumerators wrap them with
 ``SetPartition._canonical`` without sorting or validating them again; only
 outside input goes through ``SetPartition(n, blocks)``.  One stack scan,
 ``SetPartition._nesting``, decides crossing and reads off the nesting
-forest; block classes and tree factorials derive from that forest, and
-``details`` reads it once per partition.
+forest; block classes and tree factorials derive from that forest.
+
+``json_lines`` writes the lines of ``enumerate`` straight from the block
+tuples of ``family_blocks``, without building a ``SetPartition``: each
+distinct block's text is made once per call, and for details one stack
+scan over the blocks (valid because generated partitions are canonical and
+non-crossing) gives the forest, whose classes, parents and tree factorial
+are also written once per distinct forest.  The lines are the text that
+``json.dumps`` with sorted keys gives; there is no per-partition dict.
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series``; cross-checking the two is the point.
@@ -21,9 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, quoted
 from .tables import ONE, ZERO, ValueTable, MomentTable, CumulantTable
 from .words import Word
 
@@ -133,28 +140,79 @@ def _nc_blocks(lo: int, hi: int, closed: bool = False) -> tuple[tuple[tuple[int,
     return tuple(results)
 
 
-def enumerate_nc(n: int) -> list[SetPartition]:
-    """All non-crossing partitions of [1..n] (Catalan many)."""
-    _check_order(n)
-    return [SetPartition._canonical(n, blocks) for blocks in _nc_blocks(1, n)]
-
-
-def enumerate_boolean(n: int) -> list[SetPartition]:
-    """All interval partitions of [1..n] (2^(n-1) many)."""
-    _check_order(n)
+def _interval_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The blocks of every interval partition of [1..n]."""
     out = []
     for mask in range(1 << (n - 1)):
         # a block starts at 1 and at every x whose bit x - 2 is set
         starts = [1] + [x for x in range(2, n + 1) if mask >> (x - 2) & 1] + [n + 1]
-        blocks = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-        out.append(SetPartition._canonical(n, blocks))
+        out.append(tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:])))
     return out
+
+
+def family_blocks(family: str, n: int) -> Sequence[tuple[tuple[int, ...], ...]]:
+    """The canonical blocks of every partition of [1..n] in the family
+    "nc", "nc-irr" or "boolean", in the order of its enumerator below."""
+    _check_order(n)
+    if family == "nc":
+        return _nc_blocks(1, n)
+    if family == "nc-irr":
+        return _nc_blocks(1, n, closed=True)
+    if family == "boolean":
+        return _interval_blocks(n)
+    raise DomainError(f"unknown partition family {quoted(family)}")
+
+
+def enumerate_nc(n: int) -> list[SetPartition]:
+    """All non-crossing partitions of [1..n] (Catalan many)."""
+    return [SetPartition._canonical(n, blocks) for blocks in family_blocks("nc", n)]
+
+
+def enumerate_boolean(n: int) -> list[SetPartition]:
+    """All interval partitions of [1..n] (2^(n-1) many)."""
+    return [SetPartition._canonical(n, blocks) for blocks in family_blocks("boolean", n)]
 
 
 def enumerate_nc_irreducible(n: int) -> list[SetPartition]:
     """Non-crossing partitions with 1 and n in the same block."""
-    _check_order(n)
-    return [SetPartition._canonical(n, blocks) for blocks in _nc_blocks(1, n, closed=True)]
+    return [SetPartition._canonical(n, blocks) for blocks in family_blocks("nc-irr", n)]
+
+
+def _forest_json(parents: Sequence[int | None]) -> str:
+    """The "classes", "parents" and "tree_factorial" members of a
+    ``json_lines`` details object, for one nesting forest."""
+    classes = '", "'.join(_classes(parents))
+    numbers = ", ".join(["-1" if p is None else str(p) for p in parents])
+    return (f'"classes": ["{classes}"], "parents": [{numbers}], '
+            f'"tree_factorial": {_forest_factorial(parents)}')
+
+
+def json_lines(family: str, n: int, details: bool = False) -> list[str]:
+    """One JSON line per partition of ``family_blocks(family, n)``: the
+    blocks, or with ``details`` the object ``{"blocks", "classes",
+    "parents", "tree_factorial"}`` (parent -1 for roots), each as
+    ``json.dumps(..., sort_keys=True)`` writes it.
+
+    The blocks are canonical and non-crossing, so a block's parent is the
+    nearest earlier block whose span still covers the block's minimum: one
+    stack of open blocks per partition gives the nesting forest.  The text
+    of each distinct block and forest is made once per call."""
+    block_text = lru_cache(maxsize=None)(lambda block: str(list(block)))
+    forest_text = lru_cache(maxsize=None)(_forest_json)
+    lines = []
+    for blocks in family_blocks(family, n):
+        text = f"[{', '.join(map(block_text, blocks))}]"
+        if details:
+            parents: list[int | None] = []
+            stack: list[int] = []
+            for i, block in enumerate(blocks):
+                while stack and blocks[stack[-1]][-1] < block[0]:
+                    stack.pop()
+                parents.append(stack[-1] if stack else None)
+                stack.append(i)
+            text = f'{{"blocks": {text}, {forest_text(tuple(parents))}}}'
+        lines.append(text)
+    return lines
 
 
 def classify_blocks(p: SetPartition) -> list[str]:
@@ -181,23 +239,11 @@ def tree_factorial(p: SetPartition) -> int:
     return _forest_factorial(nesting_forest(p))
 
 
-def details(p: SetPartition) -> dict:
-    """Blocks, block classes, nesting parents (-1 for roots) and tree
-    factorial of a non-crossing partition, from one read of its forest."""
-    parents = nesting_forest(p)
-    return {
-        "blocks": p.to_json(),
-        "classes": _classes(parents),
-        "parents": [-1 if parent is None else parent for parent in parents],
-        "tree_factorial": _forest_factorial(parents),
-    }
-
-
-def _classes(parents: list[int | None]) -> list[str]:
+def _classes(parents: Sequence[int | None]) -> list[str]:
     return ["outer" if parent is None else "inner" for parent in parents]
 
 
-def _forest_factorial(parents: list[int | None]) -> int:
+def _forest_factorial(parents: Sequence[int | None]) -> int:
     sizes = [1] * len(parents)
     total = 1
     # a child block opens after its parent, so it has the larger index and

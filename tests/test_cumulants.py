@@ -88,6 +88,12 @@ class TestRoundTrips:
         assert moments_from_free(free_cumulants(phi)) == phi
         assert moments_from_boolean(boolean_cumulants(phi)) == phi
         assert moments_from_monotone(monotone_cumulants(phi)) == phi
+        # a round trip inverts whatever the relation computes, so the
+        # moments are also held to the partition sums of the cumulants
+        for kind, (solve, _, moment_sum) in RELATIONS.items():
+            x = solve(phi)
+            for w in words_up_to(phi.alphabet, phi.max_len):
+                assert phi.lookup(w) == moment_sum(x, w), (kind, w)
 
     def test_tables_have_the_expected_types(self):
         phi = rand_moments(3)
@@ -160,6 +166,13 @@ class TestConversions:
         for src in table:
             for dst in table:
                 assert convert(table[src], src, dst) == table[dst]
+        # convert runs the transforms it is compared with, so the tables are
+        # also held to the irreducible partition sums between the families
+        for w in words_up_to(phi.alphabet, phi.max_len):
+            assert beta.lookup(w) == partitions.boolean_from_free_sum(kappa, w), w
+            assert kappa.lookup(w) == partitions.free_from_boolean_sum(beta, w), w
+            assert beta.lookup(w) == partitions.boolean_from_monotone_sum(rho, w), w
+            assert kappa.lookup(w) == partitions.free_from_monotone_sum(rho, w), w
 
     def test_identity_conversion(self):
         kappa = free_cumulants(rand_moments(5))

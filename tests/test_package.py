@@ -3,7 +3,8 @@
 ``import shufflecalc`` loads no submodule; each exported name is imported
 from its home module on first use.  The kernel subcommands (``transform``,
 ``convolve``, ``enumerate``) must run without loading the bar-word engine
-or the verify suites.
+or the verify suites, and each loads only its own layer: ``cumulants`` for
+``transform`` and ``convolve``, ``partitions`` for ``enumerate``.
 """
 
 import ast
@@ -106,12 +107,13 @@ def test_package_import_is_lazy_and_submodules_still_import():
     assert json.loads(proc.stdout) == [["shufflecalc"], "shufflecalc.coalgebra"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["transform", "--to", "free", "--input", "{a}"],
-    ["convolve", "--kind", "free", "--input", "{a}", "--input2", "{b}"],
-    ["enumerate", "--family", "nc", "--n", "4"],
+@pytest.mark.parametrize("argv, other_layer", [
+    (["transform", "--to", "free", "--input", "{a}"], "shufflecalc.partitions"),
+    (["convolve", "--kind", "free", "--input", "{a}", "--input2", "{b}"],
+     "shufflecalc.partitions"),
+    (["enumerate", "--family", "nc", "--n", "4"], "shufflecalc.cumulants"),
 ], ids=["transform", "convolve", "enumerate"])
-def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv):
+def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, other_layer):
     for name, seed in (("a", 1), ("b", 2)):
         table = MomentTable.random(["a", "b"], 3, random.Random(seed))
         (tmp_path / f"{name}.json").write_text(json.dumps(table.to_json()))
@@ -129,6 +131,8 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv):
     exit_code, modules = json.loads(report.read_text())
     assert exit_code == 0
     assert sorted(ENGINE & set(modules)) == []
+    # each kernel subcommand loads its own layer and not the other one
+    assert other_layer not in modules
 
     baseline = _run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
     assert baseline.returncode == 0, baseline.stderr

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from shufflecalc import (
     tree_factorial,
 )
 from shufflecalc.tables import words_up_to
-from shufflecalc.partitions import details
+from shufflecalc.partitions import family_blocks, json_lines
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -150,18 +151,28 @@ class TestNesting:
         with pytest.raises(DomainError):
             tree_factorial(SetPartition(4, [[1, 3], [2, 4]]))
         with pytest.raises(DomainError):
-            details(SetPartition(4, [[1, 3], [2, 4]]))
+            classify_blocks(SetPartition(4, [[1, 3], [2, 4]]))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_details_agrees_with_the_single_readers(self, family):
-        for n in range(1, 9):
-            for p in FAMILIES[family](n):
-                assert details(p) == {
-                    "blocks": p.to_json(),
-                    "classes": classify_blocks(p),
-                    "parents": [-1 if q is None else q for q in nesting_forest(p)],
-                    "tree_factorial": tree_factorial(p),
-                }
+    def test_json_lines_match_json_dumps_of_the_single_readers(self, family):
+        # the block-stack scan and the cached block and forest text against
+        # the element scan of each reader and json.dumps
+        for n in range(1, 11):
+            members = FAMILIES[family](n)
+            assert json_lines(family, n) == [json.dumps(p.to_json()) for p in members]
+            assert json_lines(family, n, details=True) == [json.dumps({
+                "blocks": p.to_json(),
+                "classes": classify_blocks(p),
+                "parents": [-1 if q is None else q for q in nesting_forest(p)],
+                "tree_factorial": tree_factorial(p),
+            }, sort_keys=True) for p in members]
+
+    def test_family_blocks_rejects_bad_input(self):
+        with pytest.raises(DomainError, match="unknown partition family"):
+            family_blocks("crossing", 3)
+        for n in (0, 15):
+            with pytest.raises(DomainError, match="order must be"):
+                json_lines("nc", n)
 
 
 def _set_partitions(n):
