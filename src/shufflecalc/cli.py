@@ -98,9 +98,8 @@ def cmd_transform(args) -> int:
     op = getattr(cumulants, f"{args.to}_cumulants" if args.to else f"moments_from_{args.from_}")
     obj = _read_json(args.input)
     if args.to == "cfree":
+        _check_headers(obj, "phi", "psi")
         inputs = (StatePair.from_json(obj),)
-    elif args.to:
-        inputs = (MomentTable.from_json(obj),)
     elif args.from_ == "cfree":
         try:
             r_obj, psi_obj = obj["cumulants"], obj["psi"]
@@ -108,9 +107,11 @@ def cmd_transform(args) -> int:
             raise DomainError(
                 "--from cfree expects JSON {\"cumulants\": <table>, \"psi\": <table>}"
             ) from None
+        _check_headers(obj, "cumulants", "psi")
         inputs = (CumulantTable.from_json(r_obj), MomentTable.from_json(psi_obj))
     else:
-        inputs = (CumulantTable.from_json(obj),)
+        _check_headers(obj)
+        inputs = ((MomentTable if args.to else CumulantTable).from_json(obj),)
     return _run(op, inputs, args.output)
 
 
@@ -122,15 +123,31 @@ def cmd_convolve(args) -> int:
     op = getattr(cumulants, f"convolve_{args.kind}")
     a = _read_json(args.input)
     b = _read_json(args.input2)
+    parts = ("phi", "psi") if args.kind == "cfree" else ()
+    _check_headers(a, *parts)
+    _check_headers(b, *parts)
     parse = StatePair.from_json if args.kind == "cfree" else MomentTable.from_json
     return _run(op, (parse(a), parse(b)), args.output)
 
 
+def _check_headers(obj, *parts: str) -> None:
+    """Refuse an out-of-range ``max_len`` in the header of each table of a
+    read input, ``obj`` itself or its ``parts``, before any of their values
+    are parsed.  A missing or malformed header is left for ``from_json`` to
+    report."""
+    if parts:
+        tables = [obj.get(part) for part in parts] if isinstance(obj, dict) else []
+    else:
+        tables = [obj]
+    for table in tables:
+        n = table.get("max_len") if isinstance(table, dict) else None
+        if isinstance(n, int) and not isinstance(n, bool):
+            _check_truncation(n)
+
+
 def _run(op, inputs, output: str) -> int:
-    """Check every parsed input's truncation before any compute, then apply
-    the op and write its result."""
-    for table in inputs:
-        _check_truncation(table.max_len)
+    """Apply the op to the parsed inputs, whose truncation
+    ``_check_headers`` has checked, and write its result."""
     _write_text(output, _dump_json(op(*inputs).to_json()))
     return 0
 

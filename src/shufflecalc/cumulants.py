@@ -3,10 +3,10 @@ cumulants of a pair of states, and the four convolutions.
 
 Moments and cumulants are characters and infinitesimal characters, so each
 is fixed by its values on single words.  Each family is one relation
-``phi(w) = x(w) + lower(w)`` on words (letter tuples), where ``lower(w)``
-reads the cumulants x and the moments phi on shorter words only.  Cumulants
-solve it, ``x(w) = phi(w) - lower(w)``; moments evaluate it,
-``phi(w) = x(w) + lower(w)``; both run in increasing word length:
+``phi(w) = x(w) + lower(w)``, where ``lower(w)`` reads the cumulants x and
+the moments phi on shorter words only.  Cumulants solve it,
+``x(w) = phi(w) - lower(w)``; moments evaluate it,
+``phi(w) = x(w) + lower(w)``:
 
 - free and c-free: the first-block sum
   ``phi(w) = sum_{S ∋ 1} x(w_S) prod gap(run) tail(run)`` over the position
@@ -17,21 +17,42 @@ solve it, ``x(w) = phi(w) - lower(w)``; moments evaluate it,
 - boolean: ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``.
 - monotone: ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)`` over the
   intervals I, and ``phi = sum_m P_m / m!`` with ``P_1 = rho``.
-- monotone convolution: ``sum_S phi1(w_S) prod phi2(run)`` over all S.
+- monotone convolution: ``sum_S phi1(w_S) prod phi2(run)`` over all S,
+  evaluated with ``x = phi1``.
+
+The kernel works on coded per-length lists.  A word of length n over K
+letters has the code whose base-K digits are its letters' places in the
+sorted alphabet, first letter most significant, so the codes of a length
+run in ``itertools.product`` order; a table is one list of values per
+length, indexed by code.  Each relation's ``lower(x, phi, n)`` returns the
+list for all K^n words of length n at once, and ``_solve`` and
+``_evaluate`` loop over lengths.  A subword at fixed positions is a fixed
+map of codes: ``w[a:b]`` repeats each value ``K^(n-b)`` times and tiles the
+result ``K^a`` times (``_spread``), and the code of ``w_S`` grows one
+position at a time, ``code * K + digit``.  So each position set or
+interval costs a few C-level ``map`` passes over one length, not a Python
+loop over its words.  The first-block sum is regrouped by ``max S`` into a
+boolean-like split sum and the sum over the sets that hold both ends of
+the word, which are walked depth-first; the monotone convolution is
+regrouped by ``min S`` onto the first-block sum.
 
 All of them are homogeneous in word length and run in ``int``: the input
 values are scaled by ``D^|w|`` (D the lcm of the input denominators), by
 ``|w|! D^|w|`` for the monotone relation in both directions, and each
-output word gets one ``Fraction``.  ``convert`` evaluates one relation and
-solves another.  The paper's Lie-side form of the conversions (the pre-Lie
-Magnus pair and the adjoint actions) is evaluated on the bar-word engine by
-the ``cumulant-conversions`` verify suite, which holds ``convert`` to it.
+output word gets one ``Fraction``; ``_scaled`` and ``_table`` are the only
+conversions between tables and coded lists.  ``convert`` evaluates one
+relation and solves another.  The paper's Lie-side form of the conversions
+(the pre-Lie Magnus pair and the adjoint actions) is evaluated on the
+bar-word engine by the ``cumulant-conversions`` verify suite, which holds
+``convert`` to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, lcm
+from operator import add, attrgetter, floordiv, mul, sub
 
 from .errors import DomainError
 from .tables import CumulantTable, MomentTable, ValueTable
@@ -122,121 +143,173 @@ def moments_from_monotone(rho: CumulantTable) -> MomentTable:
 
 
 def _solve(relation, phi: MomentTable, *given: MomentTable) -> CumulantTable:
-    """The cumulants ``x(w) = phi(w) - lower(w)`` of phi under a relation,
-    shortest words first; ``given`` are the relation's further states."""
-    scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
-    moments[()] = 1
-    lower = relation(phi.max_len, *given)
-    x: dict[tuple, int] = {}
-    for w in _by_length(phi):
-        x[w] = moments[w] - lower(x, moments, w)
-    return _table(CumulantTable, phi, scale, x)
+    """The cumulants ``x = phi - lower`` of phi under a relation, one word
+    length at a time, shortest first; ``given`` are the relation's further
+    states."""
+    words, scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
+    lower = relation(len(phi.alphabet), *given)
+    x: list[list[int]] = [[]]
+    for n in range(1, phi.max_len + 1):
+        x.append(list(map(sub, moments[n], lower(x, moments, n))))
+    return _table(CumulantTable, phi, words, scale, x)
 
 
-def _evaluate(relation, x: CumulantTable, *given: MomentTable) -> MomentTable:
-    """The moments ``phi(w) = x(w) + lower(w)`` of the cumulants x under a
-    relation, shortest words first."""
-    scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
-    lower = relation(x.max_len, *given)
-    phi = {(): 1}
-    for w in _by_length(x):
-        phi[w] = cumulants[w] + lower(cumulants, phi, w)
-    return _table(MomentTable, x, scale, phi)
+def _evaluate(relation, x: ValueTable, *given: MomentTable) -> MomentTable:
+    """The moments ``phi = x + lower`` of the cumulants x under a relation,
+    one word length at a time, shortest first."""
+    words, scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
+    lower = relation(len(x.alphabet), *given)
+    phi = [[1]]
+    for n in range(1, x.max_len + 1):
+        phi.append(list(map(add, cumulants[n], lower(cumulants, phi, n))))
+    return _table(MomentTable, x, words, scale, phi)
 
 
 def _scaled(*tables: ValueTable, factorials: bool = False):
-    """The tables' values times ``D^|w|``, or ``|w|! D^|w|`` with
-    ``factorials``, as ints keyed by letter tuple, with D the lcm of all
-    their denominators; also those scales by word length."""
+    """The tables' values times ``D^n``, or ``n! D^n`` with
+    ``factorials``, as ints in one list per word length n, with D the lcm
+    of all their denominators and the empty word's value 1 at length 0;
+    also the words by length and the scales by length.  Each length is in
+    code order: a word's code is its index there, the base-K number (K
+    letters) whose digits are the places of its letters in the sorted
+    alphabet, first letter most significant, which is
+    ``itertools.product`` order."""
     d = lcm(*(v.denominator for t in tables for v in t.values.values()))
     scale = [(factorial(n) if factorials else 1) * d**n for n in range(tables[0].max_len + 1)]
-    return scale, [
-        {w.letters: v.numerator * (scale[len(w)] // v.denominator) for w, v in t.values.items()}
-        for t in tables
-    ]
+    words: list[list] = [[] for _ in scale]
+    for w in sorted(tables[0].values, key=attrgetter("letters")):
+        words[len(w.letters)].append(w)
+
+    def coded(table: ValueTable) -> list[list[int]]:
+        return [[1]] + [[v.numerator * (scale[n] // v.denominator)
+                         for v in map(table.values.__getitem__, words[n])]
+                        for n in range(1, len(words))]
+    return words, scale, [coded(t) for t in tables]
 
 
-def _table(cls, like: ValueTable, scale: list[int], scaled: dict):
+def _table(cls, like: ValueTable, words: list[list], scale: list[int], coded: list[list[int]]):
     """Undo the scaling: one ``Fraction`` per word of ``like``."""
     return cls(like.alphabet, like.max_len,
-               {w: Fraction(scaled[w.letters], scale[len(w)]) for w in like.values})
+               {w: Fraction(v, scale[n]) for n in range(1, len(words))
+                for w, v in zip(words[n], coded[n])})
 
 
-def _by_length(table: ValueTable) -> list[tuple]:
-    """The table's words as letter tuples, shortest first."""
-    return sorted((w.letters for w in table.values), key=len)
+def _spread(values, inner: int, outer: int) -> list:
+    """``values[code of w[a:b]]`` for every word w of length n, in code
+    order, given ``inner = K^(n-b)`` and ``outer = K^a``: each value
+    repeated ``inner`` times, the whole tiled ``outer`` times."""
+    values = list(values)
+    if inner > len(values):
+        spread = []
+        for v in values:
+            spread += [v] * inner
+    else:
+        spread = [0] * (len(values) * inner)
+        for r in range(inner):
+            spread[r::inner] = values
+    return spread * outer
 
 
-def _subsets(n: int, first: bool) -> list[tuple]:
-    """``(S, gaps, tail)`` for the position sets S of a word of length n,
-    only those containing position 0 if ``first``, the full set first: S as
-    0-based positions, the ``(start, stop)`` slices of the complement's runs
-    before ``max S``, and the start of the run after it."""
-    out = []
-    for mask in range((1 << n) - 1, -1, -2 if first else -1):
-        S = tuple(i for i in range(n) if mask >> i & 1)
-        gaps = tuple((a + 1, b) for a, b in zip((-1,) + S, S) if b > a + 1)
-        out.append((S, gaps, S[-1] + 1 if S else 0))
-    return out
-
-
-def _subset_sum(x: dict, gap: dict, tail: dict, w: tuple, subsets) -> int:
-    """``sum x(w_S) prod gap(run) tail(run)`` over the given subsets."""
-    total = 0
-    for S, gaps, t in subsets:
-        v = x[tuple([w[i] for i in S])]
-        if v:
-            for a, b in gaps:
-                v *= gap[w[a:b]]
-            total += v * tail[w[t:]]
+def _split_sum(left: list, right: list, K: int, n: int) -> list[int]:
+    """``sum_{0<k<n} left(w[:k]) right(w[k:])`` for the words of length n."""
+    total = [0] * K**n
+    for k in range(1, n):
+        terms = map(mul, _spread(left[k], K ** (n - k), 1), right[n - k] * K**k)
+        total = list(map(add, total, terms))
     return total
 
 
-# A relation maps the truncation, and the relation's further states as
-# scaled dicts, to its ``lower(x, phi, w)``.  ``_solve`` and ``_evaluate``
-# call it once per word, shortest first, so ``lower`` may read x and phi on
-# every shorter word and may keep what it computed for them.
+def _spanning_sum(x: list, gap: list, K: int, n: int) -> list[int]:
+    """``sum x(w_S) prod gap(run)`` for the words of length n, over the
+    position sets S that hold both ends of the word, other than all of
+    it; the runs are those of the complement, each between two elements of
+    S.  The sets are walked depth-first, each extending its parent's list
+    of ``w_S`` codes and of gap products."""
+    total = [0] * K**n
+    digits = [_spread(range(K), K ** (n - 1 - i), K**i) for i in range(n)]
+    runs: dict[tuple[int, int], list] = {}
 
-def _first_block(max_len: int, gap: dict | None = None):
-    """The first-block sum over ``S != [n]``, with ``gap = psi`` (c-free) or
-    ``gap = phi`` (free) if no psi is given."""
-    proper = [_subsets(n, first=True)[1:] for n in range(max_len + 1)]
+    def walk(last: int, size: int, codes: list, product: list | None) -> None:
+        nonlocal total
+        shifted = list(map(mul, codes, repeat(K)))
+        for i in range(last + 1, n):
+            extended = product
+            if i > last + 1:
+                run = runs.get((last, i))
+                if run is None:
+                    run = runs[last, i] = _spread(gap[i - last - 1], K ** (n - i), K ** (last + 1))
+                extended = run if product is None else list(map(mul, product, run))
+            codes_i = map(add, shifted, digits[i])
+            if i < n - 1:
+                walk(i, size + 1, list(codes_i), extended)
+            elif extended is not None:  # S has a gap, so it is not all of [n]
+                values = map(x[size + 1].__getitem__, codes_i)
+                total = list(map(add, total, map(mul, values, extended)))
 
-    def lower(x: dict, phi: dict, w: tuple) -> int:
-        return _subset_sum(x, phi if gap is None else gap, phi, w, proper[len(w)])
+    walk(0, 1, digits[0], None)
+    return total
+
+
+# A relation maps the alphabet size K, and the relation's further states as
+# scaled lists, to its ``lower(x, phi, n)``: the list of ``lower(w)`` over
+# the words w of length n.  ``_solve`` and ``_evaluate`` call it once per
+# length, shortest first, so ``lower`` may read x and phi on every shorter
+# length and may keep what it computed for them.
+
+def _first_block(K: int, gap: list | None = None):
+    """The first-block sum over ``S != [n]``, with ``gap = psi`` (c-free)
+    or ``gap = phi`` (free) if no psi is given.  Grouped by ``j = max S``
+    it is ``sum_{k<n} A(w[:k]) phi(w[k:]) + spanning(w)``, where
+    ``A = x + spanning`` and ``spanning`` sums over the sets that hold both
+    ends of the word, other than all of it."""
+    heads: list[list[int]] = [[]]
+    spanning: list[list[int]] = [[]]
+
+    def lower(x: list, phi: list, n: int) -> list[int]:
+        if n > 1:
+            heads.append(list(map(add, x[n - 1], spanning[n - 1])))
+        spanning.append(_spanning_sum(x, phi if gap is None else gap, K, n))
+        return list(map(add, _split_sum(heads, phi, K, n), spanning[n]))
     return lower
 
 
-def _boolean(max_len: int):
+def _boolean(K: int):
     """``sum_{k<n} beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
-    def lower(x: dict, phi: dict, w: tuple) -> int:
-        return sum(x[w[:k]] * phi[w[k:]] for k in range(1, len(w)))
+    def lower(x: list, phi: list, n: int) -> list[int]:
+        return _split_sum(x, phi, K, n)
     return lower
 
 
-def _monotone(max_len: int):
-    """``sum_{m>=2} P_m(w) / m!``, keeping each ``P_m(w)`` in ``powers[m]``;
-    ``P_1`` is x itself.  Values carry the scale ``n! D^n`` of their word
-    length n, under which ``P_m(w) = sum_I P_{m-1}(w minus I) rho(w_I)``
-    over the intervals I becomes ``sum_I C(n, |I|) P_{m-1}(w minus I)
-    rho(w_I)`` in integers.  For m >= 2 only proper intervals contribute, so
-    this reads x and P only on shorter words."""
-    powers: dict[int, dict] = {}
+def _monotone(K: int):
+    """``sum_{m>=2} P_m(w) / m!``, keeping each ``P_m`` by length in
+    ``powers[m]``; ``P_1`` is x itself.  Values carry the scale ``n! D^n``
+    of their word length n, under which ``P_m(w) = sum_I P_{m-1}(w minus I)
+    rho(w_I)`` over the intervals I becomes ``sum_I C(n, |I|) P_{m-1}(w
+    minus I) rho(w_I)`` in integers.  For m >= 2 only proper intervals
+    contribute, so this reads x and P only on shorter words."""
+    powers: dict[int, dict[int, list[int]]] = {}
 
-    def lower(x: dict, phi: dict, w: tuple) -> int:
-        n = len(w)
-        total = 0
+    def lower(x: list, phi: list, n: int) -> list[int]:
+        # Per proper interval I = [i, j): its length, the code of
+        # w minus I and C(n, |I|) rho(w_I), for every word w.
+        intervals = []
+        for i in range(n):
+            for j in range(i + 1, min(n, i + n - 1) + 1):
+                head = _spread(range(0, K ** (n - j + i), K ** (n - j)), K ** (n - i), 1)
+                rest = list(map(add, head, _spread(range(K ** (n - j)), 1, K**j)))
+                weighted = map(mul, _spread(x[j - i], K ** (n - j), K**i), repeat(comb(n, j - i)))
+                intervals.append((j - i, rest, list(weighted)))
+        total = [0] * K**n
         previous = x
         for m in range(2, n + 1):
-            value = 0
-            for i in range(n):
-                for j in range(i + 1, min(n, i + n - m + 1) + 1):
-                    p = previous[w[:i] + w[j:]]
-                    if p:
-                        value += comb(n, j - i) * p * x[w[i:j]]
+            value = [0] * K**n
+            for length, rest, weighted in intervals:
+                if length <= n - m + 1:
+                    terms = map(mul, map(previous[n - length].__getitem__, rest), weighted)
+                    value = list(map(add, value, terms))
             previous = powers.setdefault(m, {})
-            previous[w] = value
-            total += value * (factorial(n) // factorial(m))
+            previous[n] = value
+            total = list(map(add, total, map(mul, value, repeat(factorial(n) // factorial(m)))))
         # total is n! times the scaled sum, and the division is exact.
         # Solving, the quotient is the scaled phi(w) - rho(w): rho =
         # log*(phi) has the coefficients 1/l, l <= n, on the scaled moments,
@@ -245,7 +318,25 @@ def _monotone(max_len: int):
         # nesting forest) times the integers D^|B| rho(w_B) over the blocks
         # B; a forest of k <= n blocks has a tree factorial that divides k!,
         # hence n!.
-        return total // factorial(n)
+        return list(map(floordiv, total, repeat(factorial(n))))
+    return lower
+
+
+def _convolution(K: int, second: list):
+    """The convolution product of the characters phi1 = x and phi2 =
+    ``second``, ``sum_S phi1(w_S) prod phi2(run)`` over all position sets
+    S, less its ``S = [n]`` term.  Grouped by ``i = min S`` it is
+    ``phi2(w) + sum_{0<i<n} phi2(w[:i]) B(w[i:]) + B(w)``, where B is
+    the first-block sum with ``gap = tail = phi2``."""
+    first_block = _first_block(K, second)
+    blocks: list[list[int]] = [[]]
+    rest: list[list[int]] = [[]]
+
+    def lower(x: list, phi: list, n: int) -> list[int]:
+        if n > 1:
+            blocks.append(list(map(add, x[n - 1], rest[n - 1])))
+        rest.append(first_block(x, second, n))
+        return list(map(add, map(add, second[n], rest[n]), _split_sum(second, blocks, K, n)))
     return lower
 
 
@@ -291,12 +382,7 @@ def convolve_monotone(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
     """Monotone convolution is the convolution product of the characters:
     ``sum_S phi1(w_S) prod phi2(run)`` over all position sets S."""
     phi1._check_compatible(phi2)
-    scale, (first, second) = _scaled(phi1, phi2)
-    first[()] = second[()] = 1
-    subsets = [_subsets(n, first=False) for n in range(phi1.max_len + 1)]
-    product = {w: _subset_sum(first, second, second, w, subsets[len(w)])
-               for w in _by_length(phi1)}
-    return _table(MomentTable, phi1, scale, product)
+    return _evaluate(_convolution, phi1, phi2)
 
 
 def convolve_cfree(p1: StatePair, p2: StatePair) -> StatePair:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import shufflecalc
-from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants
+from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants, tables
 from shufflecalc.cli import main
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus"
@@ -189,6 +189,38 @@ def test_truncation_is_checked_before_any_compute(tmp_path, monkeypatch, capsys,
     assert "truncation degree" in capsys.readouterr().err
 
 
+HUGE_HEADER = {"alphabet": ["a"], "max_len": 100000000, "values": {"a": "1"}}
+SMALL_TABLE = {"alphabet": ["a"], "max_len": 1, "values": {"a": "1"}}
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["transform", "--to", "free"], HUGE_HEADER),
+    (["transform", "--to", "cfree"], {"phi": SMALL_TABLE, "psi": HUGE_HEADER}),
+    (["transform", "--from", "cfree"], {"cumulants": SMALL_TABLE, "psi": HUGE_HEADER}),
+    (["convolve", "--kind", "monotone", "--input2", "{small}"], HUGE_HEADER),
+    (["convolve", "--kind", "cfree", "--input2", "{small}"],
+     {"phi": HUGE_HEADER, "psi": SMALL_TABLE}),
+], ids=["to", "to-cfree", "from-cfree", "convolve", "convolve-cfree"])
+def test_truncation_is_checked_before_any_value_is_parsed(tmp_path, monkeypatch, capsys,
+                                                          argv, table):
+    """A table header's degree is refused before its values are read: the
+    error names the truncation, not a missing value."""
+    src, small = tmp_path / "huge.json", tmp_path / "small.json"
+    write_json(src, table)
+    write_json(small, {"phi": SMALL_TABLE, "psi": SMALL_TABLE} if "cfree" in argv
+               else SMALL_TABLE)
+
+    def forbidden(obj):
+        pytest.fail(f"the scalar {obj!r} was parsed before the truncation check")
+
+    monkeypatch.setattr(tables, "parse_scalar", forbidden)
+    argv = [arg.format(small=small) for arg in argv] + ["--input", str(src)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: truncation degree must be in [1, 12], got 100000000\n"
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 @pytest.mark.parametrize("argv", [
     ["transform", "--to", "free", "--input", "{src}"],
@@ -363,3 +395,102 @@ def test_stdout_matches_recorded_corpus(case):
                           cwd=CORPUS, env=env, capture_output=True, check=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (CORPUS / f"{case}.out").read_bytes()
+
+
+# SHA-256 of the stdout of every ``transform`` and ``convolve`` op at the
+# benchmark's kernel sizes, on inputs seeded per domain.  Recorded with the
+# word-by-word kernel, before it moved to coded per-length lists; do not
+# regenerate them from the code under test.
+KERNEL_OPS = {
+    **{f"transform-to-{k}": ["transform", "--to", k, "--input", "{m1}"]
+       for k in ("free", "boolean", "monotone")},
+    "transform-to-cfree": ["transform", "--to", "cfree", "--input", "{p1}"],
+    **{f"transform-from-{k}": ["transform", "--from", k, "--input", "{k}"]
+       for k in ("free", "boolean", "monotone")},
+    "transform-from-cfree": ["transform", "--from", "cfree", "--input", "{r}"],
+    **{f"convolve-{k}": ["convolve", "--kind", k, "--input", "{m1}", "--input2", "{m2}"]
+       for k in ("free", "boolean", "monotone")},
+    "convolve-cfree": ["convolve", "--kind", "cfree", "--input", "{p1}", "--input2", "{p2}"],
+}
+
+KERNEL_DIGESTS = {
+    (("a", "b"), 7): {
+        "transform-to-free":
+            "0887e3303e55fdecb8900672d740f803a697b11cba6c275057bf7fd415707f64",
+        "transform-to-boolean":
+            "86ed3d79fa2e85001f26c263f1a7cd45f52a9f34838577dfa71c9702c1ba5a68",
+        "transform-to-monotone":
+            "a0d489a4dd1533bd737ebb81046f911df18a84ce4a751eeb2313344538815904",
+        "transform-to-cfree":
+            "7672b88eb7bdb5cfedfb05d3b68b001b2fe60913549a89897b8d3f57dd984fed",
+        "transform-from-free":
+            "43f9eca9953fd7cc35bd3095c8bac8c8ef86e38dbe6b849b7a0fdb1bf2f0fb1d",
+        "transform-from-boolean":
+            "1abdeaaf42be6fe84705dfba6b8d64571588a574714122f37508aba274539e74",
+        "transform-from-monotone":
+            "846de2dbf58ba7b2c4842028d1caf14c30f2715e697a44b0a6bbc7ea3d67ab4f",
+        "transform-from-cfree":
+            "4e84e0e212aac3ff54cad206bc11eb27866e4fb9c306a270dd7e449a2ed640d5",
+        "convolve-free":
+            "5073a873085dbe3aa1f55306ef0844a88411417c10f38d5bc498f2407e2e9e47",
+        "convolve-boolean":
+            "d2054c63db5854ff370053166ea3fa32662acb563704d99f55876753520ab7b2",
+        "convolve-monotone":
+            "d8fdf772ad966d43b965cfc0affbd2fd04267bc2f21458b0e3398890a163c961",
+        "convolve-cfree":
+            "418fe2e489a3743399302b1d2fb5595e084115ef767fbf4c541ef80bc04b4beb",
+    },
+    (("a", "b", "c"), 5): {
+        "transform-to-free":
+            "e58e61368b547cd0ffafa99cd587da2b7e9311088220ab8552a912b0a51b14f8",
+        "transform-to-boolean":
+            "a5b3904c0a7f3d894430190e68a86a590c35184793ea4d836e4aae1e24030dfb",
+        "transform-to-monotone":
+            "d74587f34c3a0be48584eaad0dcb409182ea2b833d41dce282f513f115eaa10a",
+        "transform-to-cfree":
+            "bf56d2052662abb89a80fa4fbbdf46cff149228a8272f44592956608632c0360",
+        "transform-from-free":
+            "fdca8f24b9411c00ff3c1672a30e9c245631666f4fab85d75bc675dc6a97c71d",
+        "transform-from-boolean":
+            "06475c848dd3c9f6233e650527d01dbab2fec5894a19fb8378a23c4d47e0403f",
+        "transform-from-monotone":
+            "2da85826e53de10eafb47d35309844958dc4fa7beba2bdd1b4e9287d588c7a13",
+        "transform-from-cfree":
+            "7372d2830b99033fefbcdd755da454c9a93664d1fc130790e48d72e948dec203",
+        "convolve-free":
+            "752d2309dc42395eec2b6de07ce5e02631e9bda943ecb91f2888cc7c774447fa",
+        "convolve-boolean":
+            "edfd6a3dd1971962cf3d348087c286f82e40e15e15af3d4485f64d3ad356a352",
+        "convolve-monotone":
+            "5fc2b9162e65ba74c21cc339b62fa766605c59df32b0458eb794e7f29fea8445",
+        "convolve-cfree":
+            "47e506c0e9699543b59cb82f20e8951a7292eb9027b5306722e5741305b71d1d",
+    },
+}
+
+
+def _kernel_op_inputs(directory, alphabet, max_len):
+    """Seeded input files for ``KERNEL_OPS``: two states, a cumulant table,
+    two state pairs and a c-free cumulant table with its second state."""
+    rng = random.Random(f"kernel-digests:{''.join(alphabet)}:{max_len}")
+    m1, m2, psi1, psi2 = (MomentTable.random(alphabet, max_len, rng).to_json()
+                          for _ in range(4))
+    k = CumulantTable.random(alphabet, max_len, rng).to_json()
+    inputs = {"m1": m1, "m2": m2, "k": k, "p1": {"phi": m1, "psi": psi1},
+              "p2": {"phi": m2, "psi": psi2}, "r": {"cumulants": k, "psi": psi1}}
+    paths = {}
+    for name, obj in inputs.items():
+        paths[name] = directory / f"{name}.json"
+        write_json(paths[name], obj)
+    return paths
+
+
+@pytest.mark.parametrize("alphabet, max_len", sorted(KERNEL_DIGESTS),
+                         ids=[f"{''.join(a)}-{n}" for a, n in sorted(KERNEL_DIGESTS)])
+def test_kernel_ops_match_recorded_digests(tmp_path, capsys, alphabet, max_len):
+    paths = _kernel_op_inputs(tmp_path, alphabet, max_len)
+    got = {}
+    for name, argv in KERNEL_OPS.items():
+        assert main([arg.format(**paths) for arg in argv]) == 0, name
+        got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == KERNEL_DIGESTS[alphabet, max_len]

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -154,6 +155,28 @@ def test_round_trips_on_arbitrary_denominators(domain, data):
     kappa_psi = free_cumulants(psi)
     for w, value in moments.values.items():
         assert value == partitions.cfree_moment_sum(kappa, kappa_psi, w), ("cfree", w)
+
+
+@pytest.mark.parametrize("alphabet", [("x",), ("b", "a"), ("c", "a", "b")], ids=len)
+def test_coded_lists_follow_product_order(alphabet):
+    """The kernel indexes the words of each length 1-4 in
+    ``itertools.product`` order over the sorted alphabet: ``_scaled`` lists
+    the values in it, ``_spread`` places the subword ``w[a:b]`` of every
+    word by it, and ``_table`` reads it back."""
+    letters = sorted(alphabet)
+    K = len(letters)
+    rank = {w: i for n in range(1, 5) for i, w in enumerate(itertools.product(letters, repeat=n))}
+    table = MomentTable(alphabet, 4, {Word(w): Fraction(i + 1) for w, i in rank.items()})
+    words, scale, (coded,) = cumulants._scaled(table)
+    for n in range(1, 5):
+        product = list(itertools.product(letters, repeat=n))
+        assert [w.letters for w in words[n]] == product
+        assert coded[n] == list(range(1, K**n + 1))
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                spread = cumulants._spread(range(K ** (b - a)), K ** (n - b), K**a)
+                assert spread == [rank[w[a:b]] for w in product], (n, a, b)
+    assert cumulants._table(MomentTable, table, words, scale, coded) == table
 
 
 class TestConversions:
