@@ -12,9 +12,11 @@ children (``D^d`` for a table whose values have the common denominator D).
 Below the public boundary everything is integer arithmetic: ``num(b)`` is
 the numerator of the value on b over ``den(b.degree)``, memoized per node,
 and a parent reads its children's numerators, rescaled by integer
-multipliers precomputed per degree.  ``__call__`` is the one place that
-builds a ``Fraction``.  The same table reused under different operations
-lives in different nodes and therefore different memos.
+multipliers precomputed per degree.  ``__call__`` builds a ``Fraction``;
+the exhaustive checks at the end of this module compare cross-multiplied
+numerators and build ``Fraction``s only for a counterexample they report.
+The same table reused under different operations lives in different nodes
+and therefore different memos.
 
 A parent reads a child's memo dict directly: a hit is one ``dict.get``,
 and only a miss (``None``) calls the child's ``num``, which computes and
@@ -30,12 +32,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import coalgebra
 from .errors import DomainError
-from .tables import ONE, ZERO, CumulantTable, MomentTable, ValueTable, words_over, words_up_to
+from .tables import ONE, CumulantTable, MomentTable, ValueTable, words_over, words_up_to
 from .words import UNIT, BarWord, Word
 
 
@@ -47,6 +51,18 @@ def barwords_up_to(alphabet: Iterable[str], max_degree: int) -> Iterator[BarWord
             factor_choices = [list(words_over(alphabet, k)) for k in comp]
             for factors in itertools.product(*factor_choices):
                 yield BarWord(factors)
+
+
+@lru_cache(maxsize=8)
+def _domain(alphabet: tuple[str, ...], max_degree: int) -> tuple:
+    """``(d, bar-words of degree d)`` for d = 0 (the unit alone) up to
+    max_degree, in ``barwords_up_to`` order: the domain of the exhaustive
+    checks below, built once for the few domains a run checks."""
+    groups = [(0, (UNIT,))]
+    for d, bars in itertools.groupby(barwords_up_to(alphabet, max_degree),
+                                     key=attrgetter("degree")):
+        groups.append((d, tuple(bars)))
+    return tuple(groups)
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -357,26 +373,29 @@ def inverse(f: Functional) -> Functional:
 
 def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
     """Exhaustively check unitality and multiplicativity on all bar-words of
-    degree <= max_degree over the alphabet."""
-    if f(UNIT) != ONE:
-        return False
-    for b in barwords_up_to(alphabet, max_degree):
-        product = ONE
-        for factor in b.factors:
-            product *= f(BarWord.of(factor))
-        if f(b) != product:
-            return False
+    degree <= max_degree over the alphabet: ``f(b)`` times the denominators
+    of its factors against the product of their numerators times
+    ``den(b.degree)``, which on the unit reads ``num(1) == den(0)``."""
+    for d, bars in _domain(tuple(sorted(alphabet)), max_degree):
+        den = f.den(d)
+        for b in bars:
+            product = scale = 1
+            for factor in b.factors:
+                one = BarWord.of(factor)
+                product *= f.num(one)
+                scale *= f.den(one.degree)
+            if f.num(b) * scale != product * den:
+                return False
     return True
 
 
 def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
     """Exhaustively check vanishing on the unit and on proper bar-products,
     on all bar-words of degree <= max_degree over the alphabet."""
-    if f(UNIT) != ZERO:
-        return False
-    for b in barwords_up_to(alphabet, max_degree):
-        if len(b.factors) >= 2 and f(b) != ZERO:
-            return False
+    for _, bars in _domain(tuple(sorted(alphabet)), max_degree):
+        for b in bars:
+            if len(b.factors) != 1 and f.num(b):
+                return False
     return True
 
 
@@ -395,11 +414,13 @@ def functionals_agree(
     include_unit: bool = True,
 ):
     """Return None if f and g agree on all bar-words of degree <= max_degree,
-    else the first counterexample as (bar-word, f-value, g-value)."""
-    if include_unit and f(UNIT) != g(UNIT):
-        return (UNIT, f(UNIT), g(UNIT))
-    for b in barwords_up_to(alphabet, max_degree):
-        fv, gv = f(b), g(b)
-        if fv != gv:
-            return (b, fv, gv)
+    else the first counterexample as (bar-word, f-value, g-value).  Values
+    are compared as cross-multiplied numerators, ``f.num(b) * g.den(d)``
+    against ``g.num(b) * f.den(d)``."""
+    groups = _domain(tuple(sorted(alphabet)), max_degree)
+    for d, bars in groups if include_unit else groups[1:]:
+        fden, gden = f.den(d), g.den(d)
+        for b in bars:
+            if f.num(b) * gden != g.num(b) * fden:
+                return (b, f(b), g(b))
     return None

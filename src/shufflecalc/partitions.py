@@ -20,18 +20,26 @@ non-crossing) gives the forest, whose classes, parents and tree factorial
 are also written once per distinct forest.  The lines are the text that
 ``json.dumps`` with sorted keys gives; there is no per-partition dict.
 
+The sum oracles run in integers.  For the words of one length, each sum
+keeps its distinct blocks and, per partition, the block indices and an
+integer weight over one common denominator (signs and inverse tree
+factorials).  A word's distinct block values are looked up once and scaled
+to integers over ``D^|B|``, D the lcm of their denominators, so every
+partition's product lies over ``D^n``; one ``Fraction`` is built per word.
+
 These evaluators deliberately share no code with the shuffle engine in
-``series``; cross-checking the two is the point.
+``series`` or the kernel in ``cumulants``; cross-checking them is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DomainError, quoted
-from .tables import ONE, ZERO, ValueTable, MomentTable, CumulantTable
+from .tables import CumulantTable, MomentTable, ValueTable
 from .words import Word
 
 MAX_ORDER = 14
@@ -255,144 +263,125 @@ def _forest_factorial(parents: Sequence[int | None]) -> int:
     return total
 
 
+def _adjoint_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The blocks of each partition of [1..n] into one block S holding 1 and
+    n and the runs of positions between consecutive members of S."""
+    if n == 1:
+        return [((1,),)]
+    out = []
+    for mask in range(1 << (n - 2)):
+        members = (1, *(x for x in range(2, n) if mask >> (x - 2) & 1), n)
+        runs = tuple(tuple(range(a + 1, b)) for a, b in zip(members, members[1:]) if b > a + 1)
+        out.append((members,) + runs)
+    return out
+
+
 # The oracles below go through the words of one length at a time, so the
-# partitions of that length, with their weights and block flags, are kept
-# for the last few lengths.  ``enumerate_nc`` itself stays uncached.
-_RECENT_LENGTHS = 4
+# terms of each of the ten sums are kept for the last few lengths.
+# ``enumerate_nc`` itself stays uncached.
+_RECENT_TERMS = 10 * 4
 
 
-@lru_cache(maxsize=_RECENT_LENGTHS)
-def _nc_terms(n: int) -> tuple:
-    """``(blocks, 1 / tree factorial, outer flags)`` per non-crossing
-    partition of [1..n]."""
-    terms = []
-    for p in enumerate_nc(n):
-        parents = nesting_forest(p)
-        terms.append((p.blocks, Fraction(1, _forest_factorial(parents)),
-                      tuple(parent is None for parent in parents)))
-    return tuple(terms)
+@lru_cache(maxsize=_RECENT_TERMS)
+def _terms(family: str, n: int, split: bool, signed: bool, tree: bool) -> tuple:
+    """``(blocks, rows, den)`` for a partition sum over the words of length
+    n.  ``blocks`` lists each distinct ``(table, 0-based positions)`` once,
+    in the order the partitions first reach it; with ``split``, outer blocks
+    read table 0 and inner blocks table 1.  Each row is one partition:
+    ``(weight, block indices)``, where ``weight / den`` is the sign
+    (-1)^(#blocks - 1) if ``signed`` times the inverse tree factorial of the
+    nesting forest if ``tree``."""
+    index: dict = {}
+    rows = []
+    for blocks in _adjoint_blocks(n) if family == "adjoint" else family_blocks(family, n):
+        parents = SetPartition._canonical(n, blocks)._nesting()
+        parts = tuple(index.setdefault((int(split and parent is not None), block), len(index))
+                      for block, parent in zip(blocks, parents))
+        sign = (-1) ** (len(blocks) - 1) if signed else 1
+        rows.append((sign, _forest_factorial(parents) if tree else 1, parts))
+    den = lcm(*(t for _, t, _ in rows))
+    return (tuple((table, tuple(x - 1 for x in block)) for table, block in index),
+            tuple((sign * (den // t), parts) for sign, t, parts in rows), den)
 
 
-@lru_cache(maxsize=_RECENT_LENGTHS)
-def _boolean_terms(n: int) -> tuple:
-    """The blocks of every interval partition of [1..n]."""
-    return tuple(p.blocks for p in enumerate_boolean(n))
-
-
-@lru_cache(maxsize=_RECENT_LENGTHS)
-def _irreducible_terms(n: int) -> tuple:
-    """``(blocks, sign (-1)^(#blocks - 1), 1 / tree factorial)`` per
-    irreducible non-crossing partition of [1..n]."""
-    return tuple((p.blocks, (-1) ** (len(p.blocks) - 1), Fraction(1, tree_factorial(p)))
-                 for p in enumerate_nc_irreducible(n))
-
-
-def _block_word(w: Word, block: tuple[int, ...]) -> Word:
-    return Word(w.letters[x - 1] for x in block)
-
-
-def _block_product(table: ValueTable, w: Word, blocks) -> Fraction:
-    value = ONE
-    for block in blocks:
-        value *= table.lookup(_block_word(w, block))
-    return value
+def _partition_sum(family: str, w: Word, *tables: ValueTable,
+                   signed: bool = False, tree: bool = False) -> Fraction:
+    """The weighted sum over the partitions of ``family`` on the positions
+    of w of the product of the block values, the one-table sums reading
+    ``tables[0]`` and the two-table sums ``tables[0]`` on outer blocks and
+    ``tables[1]`` on inner ones.  Each distinct block value is looked up
+    once and scaled to an integer over ``D^|B|``, D the lcm of their
+    denominators, so every product lies over ``D^n`` and the sum runs in
+    integers; one ``Fraction`` is built per word."""
+    n = len(w)
+    blocks, rows, den = _terms(family, n, len(tables) > 1, signed, tree)
+    letters = w.letters
+    values = [tables[table].lookup(Word(map(letters.__getitem__, block)))
+              for table, block in blocks]
+    base = lcm(*[v.denominator for v in values])
+    powers = [base ** k for k in range(n + 1)]
+    nums = [v.numerator * (powers[len(block)] // v.denominator)
+            for v, (_, block) in zip(values, blocks)]
+    total = sum(weight * prod(map(nums.__getitem__, parts)) for weight, parts in rows)
+    return Fraction(total, den * powers[n])
 
 
 def free_moment_sum(kappa: CumulantTable, w: Word) -> Fraction:
     """sum over non-crossing partitions of the product of block cumulants."""
-    return sum((_block_product(kappa, w, blocks) for blocks, _, _ in _nc_terms(len(w))), ZERO)
+    return _partition_sum("nc", w, kappa)
 
 
 def boolean_moment_sum(beta: CumulantTable, w: Word) -> Fraction:
     """sum over interval partitions of the product of block cumulants."""
-    return sum((_block_product(beta, w, blocks) for blocks in _boolean_terms(len(w))), ZERO)
+    return _partition_sum("boolean", w, beta)
 
 
 def monotone_moment_sum(rho: CumulantTable, w: Word) -> Fraction:
     """sum over non-crossing partitions, weighted by the inverse tree
     factorial of the nesting forest."""
-    total = ZERO
-    for blocks, weight, _ in _nc_terms(len(w)):
-        total += weight * _block_product(rho, w, blocks)
-    return total
+    return _partition_sum("nc", w, rho, tree=True)
 
 
 def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Fraction:
     """sum over non-crossing partitions: outer blocks weighted by the c-free
     cumulants, inner blocks by the free cumulants of the second state."""
-    total = ZERO
-    for blocks, _, outer in _nc_terms(len(w)):
-        value = ONE
-        for block, is_outer in zip(blocks, outer):
-            table = R if is_outer else kappa_psi
-            value *= table.lookup(_block_word(w, block))
-        total += value
-    return total
+    return _partition_sum("nc", w, R, kappa_psi)
 
 
 def boolean_from_free_sum(kappa: CumulantTable, w: Word) -> Fraction:
     """Boolean cumulant from free cumulants: sum over irreducible
     non-crossing partitions of the product of block cumulants."""
-    return sum((_block_product(kappa, w, blocks) for blocks, _, _ in _irreducible_terms(len(w))),
-               ZERO)
+    return _partition_sum("nc-irr", w, kappa)
 
 
 def free_from_boolean_sum(beta: CumulantTable, w: Word) -> Fraction:
     """Free cumulant from boolean cumulants: the same sum with sign
     (-1)^(#blocks - 1)."""
-    return sum((sign * _block_product(beta, w, blocks)
-                for blocks, sign, _ in _irreducible_terms(len(w))), ZERO)
+    return _partition_sum("nc-irr", w, beta, signed=True)
 
 
 def boolean_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
     """Boolean cumulant from monotone cumulants: sum over irreducible
     non-crossing partitions of the product of block cumulants, weighted by
     the inverse tree factorial of the nesting forest."""
-    return sum((weight * _block_product(rho, w, blocks)
-                for blocks, _, weight in _irreducible_terms(len(w))), ZERO)
+    return _partition_sum("nc-irr", w, rho, tree=True)
 
 
 def free_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
     """Free cumulant from monotone cumulants: the same sum with sign
     (-1)^(#blocks - 1)."""
-    return sum((sign * weight * _block_product(rho, w, blocks)
-                for blocks, sign, weight in _irreducible_terms(len(w))), ZERO)
+    return _partition_sum("nc-irr", w, rho, signed=True, tree=True)
 
 
 def adjoint_sum_lower(mu: CumulantTable, psi: MomentTable, w: Word) -> Fraction:
     """Subset-sum form of the lower adjoint action: sum over position sets S
     containing 1 and n of mu(a_S) times the product of psi over the connected
     components of the complement."""
-    n = len(w)
-    if n == 1:
-        return mu.lookup(w)
-    total = ZERO
-    inner = range(2, n)
-    for mask in range(1 << (n - 2)):
-        positions = [1] + [x for i, x in enumerate(inner) if mask >> i & 1] + [n]
-        value = mu.lookup(Word(w.letters[p - 1] for p in positions))
-        sset = set(positions)
-        run: list[str] = []
-        for x in range(1, n + 1):
-            if x in sset:
-                if run:
-                    value *= psi.lookup(Word(run))
-                    run = []
-            else:
-                run.append(w.letters[x - 1])
-        total += value
-    return total
+    return _partition_sum("adjoint", w, mu, psi)
 
 
 def adjoint_sum_upper(mu: CumulantTable, tau: CumulantTable, w: Word) -> Fraction:
     """Signed irreducible non-crossing sum for the upper adjoint action: the
     unique outer block takes mu, inner blocks take the boolean cumulants tau,
     with sign (-1)^(#blocks - 1)."""
-    total = ZERO
-    for blocks, sign, _ in _irreducible_terms(len(w)):
-        value = ONE
-        for block in blocks:
-            table = mu if block[0] == 1 else tau
-            value *= table.lookup(_block_word(w, block))
-        total += sign * value
-    return total
+    return _partition_sum("nc-irr", w, mu, tau, signed=True)

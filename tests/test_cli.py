@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shufflecalc
 from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants, tables
@@ -237,6 +240,79 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+# Arbitrary input files for transform and convolve.  ``HUGE`` stands for a
+# 5,000-digit integer literal, beyond what ``json`` parses by default, which
+# ``json.dumps`` cannot write itself.  The strategies are built once, at
+# import: building them per example costs more than running the CLI.
+HUGE = "@huge-integer@"
+SCALARS = st.one_of(
+    st.integers(-10**40, 10**40),
+    st.sampled_from(["1/2", "-3/7", "0", "+5", "1/0", "1.5", "9" * 5000, HUGE]),
+    st.text(max_size=6), st.floats(), st.booleans(), st.none(),
+)
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+VALUES = st.integers(-10**40, 10**40) | st.sampled_from(["1/2", "-3/7"])
+ENTRY_KEYS = st.sampled_from(["a", "b.a", "a.a.a", "c", "a.a.a.a"]) | st.text(max_size=4)
+FIELDS = st.sampled_from(["alphabet", "max_len", "values"])
+CHANGES = st.lists(st.sampled_from(["field", "entry", "drop", "all"]), max_size=2)
+# (argv, the members of each input that hold a table, number of inputs)
+PROPERTY_COMMANDS = st.sampled_from(
+    [(["transform", "--to", k], (), 1) for k in ("free", "boolean", "monotone")]
+    + [(["transform", "--from", k], (), 1) for k in ("free", "boolean", "monotone")]
+    + [(["transform", "--to", "cfree"], ("phi", "psi"), 1),
+       (["transform", "--from", "cfree"], ("cumulants", "psi"), 1)]
+    + [(["convolve", "--kind", k], (), 2) for k in ("free", "boolean", "monotone")]
+    + [(["convolve", "--kind", "cfree"], ("phi", "psi"), 2)]
+)
+
+
+def arbitrary_table(draw, alphabet, max_len):
+    """A complete table on the shared header, with up to two of its fields
+    or entries replaced by arbitrary JSON, a field dropped, or the whole
+    object arbitrary JSON."""
+    values = {w.dotted(): draw(VALUES) for w in tables.words_up_to(alphabet, max_len)}
+    table = {"alphabet": alphabet, "max_len": max_len, "values": values}
+    for change in draw(CHANGES):
+        if change == "field":
+            table[draw(FIELDS)] = draw(JSON | st.integers(-10**30, 10**30))
+        elif change == "entry":
+            values[draw(ENTRY_KEYS)] = draw(SCALARS)
+        elif change == "drop":
+            table.pop(draw(FIELDS), None)
+        else:
+            return draw(JSON)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_input_exits_0_or_2_without_traceback(tmp_path_factory, data):
+    draw = data.draw
+    argv, parts, count = draw(PROPERTY_COMMANDS)
+    alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True))
+    max_len = draw(st.integers(1, 3))
+    directory = tmp_path_factory.mktemp("arbitrary-json")
+    for i, flag in enumerate(["--input", "--input2"][:count]):
+        if parts:
+            obj = {part: arbitrary_table(draw, alphabet, max_len) for part in parts}
+        else:
+            obj = arbitrary_table(draw, alphabet, max_len)
+        path = directory / f"in{i}.json"
+        path.write_text(json.dumps(obj).replace(json.dumps(HUGE), "9" * 5000))
+        argv = argv + [flag, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main would be a traceback from the console script
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestConvolve:

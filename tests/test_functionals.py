@@ -23,7 +23,7 @@ from shufflecalc import (
     prelie,
     unit,
 )
-from shufflecalc.functionals import barwords_up_to
+from shufflecalc.functionals import barwords_up_to, functionals_agree
 from shufflecalc.tables import ValueTable, format_scalar, parse_scalar, words_up_to
 
 
@@ -203,6 +203,50 @@ class TestInverse:
         inv = inverse(unit())
         assert inv(UNIT) == 1
         assert inv(B("a")) == 0
+
+
+class TestIntegerComparison:
+    """The checks compare numerators cross-multiplied by the denominators of
+    each degree; a counterexample carries the two values as Fractions."""
+
+    def test_equal_values_over_different_denominators_agree(self, moments):
+        f = character(moments)
+        g = Fraction(1, 2) * f + Fraction(1, 2) * f
+        assert all(g.den(d) == 2 * f.den(d) for d in range(5))
+        assert functionals_agree(f, g, ["a", "b"], 4) is None
+        assert functionals_agree(g, f, ["a", "b"], 4) is None
+        assert is_character(g, ["a", "b"], 4)
+
+    @pytest.mark.parametrize("changed", [Fraction(4, 11), Fraction(0)])
+    def test_first_counterexample_in_enumeration_order(self, moments, changed):
+        values = dict(moments.values)
+        values[Word("ab")] = changed
+        f, g = character(moments), character(MomentTable(["a", "b"], 4, values))
+        expected = next(b for b in barwords_up_to(["a", "b"], 4) if f(b) != g(b))
+        bad = functionals_agree(f, g, ["a", "b"], 4)
+        assert bad == (expected, f(expected), g(expected))
+        assert all(type(v) is Fraction for v in bad[1:])
+        assert expected == B("ab")
+
+    def test_first_counterexample_on_a_bar_product(self, cumulants_table):
+        # k + e and character(k + 1) - (1 on every word) agree on the unit and
+        # on single words, and first differ on a|a
+        shifted = {w: v + 1 for w, v in cumulants_table.values.items()}
+        ones = CumulantTable(["a", "b"], 4, dict.fromkeys(shifted, Fraction(1)))
+        f = infinitesimal(cumulants_table) + unit()
+        g = character(MomentTable(["a", "b"], 4, shifted)) - infinitesimal(ones)
+        b = B("a", "a")
+        assert g(b) != 0
+        assert functionals_agree(f, g, ["a", "b"], 4) == (b, 0, g(b))
+
+    def test_unit_is_checked_when_included(self, moments):
+        f = character(moments)
+        g = f + Fraction(1, 3) * unit()
+        assert functionals_agree(f, g, ["a", "b"], 3) == (UNIT, 1, Fraction(4, 3))
+        assert functionals_agree(f, g, ["a", "b"], 3, include_unit=False) is None
+        assert functionals_agree(f, g, ["a", "b"], 0) == (UNIT, 1, Fraction(4, 3))
+        assert not is_character(g, ["a", "b"], 3)
+        assert not is_infinitesimal(infinitesimal(moments) + unit(), ["a", "b"], 3)
 
 
 def test_materialize_freezes_word_values(moments):

@@ -32,7 +32,7 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
-from shufflecalc.tables import words_up_to
+from shufflecalc.tables import words_over, words_up_to
 from shufflecalc.partitions import family_blocks, json_lines
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -316,3 +316,83 @@ class TestAdjointSums:
             Word("b")
         )
         assert adjoint_sum_upper(self.mu, self.tau, w) == expected
+
+
+def _mixed_table(cls, alphabet, max_len, seed):
+    """Values over mixed denominators, with zeros and a 40-digit numerator
+    on one of the shortest words."""
+    rng = random.Random(seed)
+    words = list(words_up_to(alphabet, max_len))
+    values = {w: Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.choice([1, 2, 3, 4, 7, 9, 12]))
+              for w in words}
+    values[rng.choice(words[:6])] = Fraction(10**39 + 7, 3)
+    return cls(alphabet, max_len, values)
+
+
+def _direct_sum(terms, w):
+    """The Fraction partition sum block by block over ``(weight, [(block,
+    table)])`` terms: each partition's weight times the product of its block
+    values."""
+    total = Fraction(0)
+    for weight, blocks in terms:
+        value = weight
+        for block, table in blocks:
+            value *= table.lookup(Word(w.letters[x - 1] for x in block))
+        total += value
+    return total
+
+
+def _direct_adjoint_lower(mu, psi, w):
+    """mu on each position set S holding 1 and n, times psi on each run of
+    the complement."""
+    n = len(w)
+    total = Fraction(0)
+    for mask in range(1 << n):
+        members = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+        if not members or members[0] != 1 or members[-1] != n:
+            continue
+        value = mu.lookup(Word(w.letters[x - 1] for x in members))
+        for a, b in zip(members, members[1:]):
+            if b > a + 1:
+                value *= psi.lookup(Word(w.letters[a:b - 1]))
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("alphabet,max_len", [(("a", "b"), 6), (("a",), 7)])
+def test_integer_oracles_match_direct_fraction_sums(alphabet, max_len):
+    t1 = _mixed_table(CumulantTable, alphabet, max_len, 1)
+    t2 = _mixed_table(CumulantTable, alphabet, max_len, 2)
+    psi = _mixed_table(MomentTable, alphabet, max_len, 3)
+
+    def terms(partitions, signed=False, tree=False, inner=None):
+        """(weight, [(block, table)]) per partition: t1 on every block, or
+        t1 on outer and ``inner`` on inner blocks."""
+        out = []
+        for p in partitions:
+            weight = Fraction((-1) ** (len(p.blocks) - 1) if signed else 1)
+            if tree:
+                weight /= tree_factorial(p)
+            tables = [t1 if inner is None or c == "outer" else inner for c in classify_blocks(p)]
+            out.append((weight, list(zip(p.blocks, tables))))
+        return out
+
+    for n in range(1, max_len + 1):
+        nc, irr = enumerate_nc(n), enumerate_nc_irreducible(n)
+        cases = [
+            (lambda w: free_moment_sum(t1, w), terms(nc)),
+            (lambda w: boolean_moment_sum(t1, w), terms(enumerate_boolean(n))),
+            (lambda w: monotone_moment_sum(t1, w), terms(nc, tree=True)),
+            (lambda w: cfree_moment_sum(t1, t2, w), terms(nc, inner=t2)),
+            (lambda w: boolean_from_free_sum(t1, w), terms(irr)),
+            (lambda w: free_from_boolean_sum(t1, w), terms(irr, signed=True)),
+            (lambda w: boolean_from_monotone_sum(t1, w), terms(irr, tree=True)),
+            (lambda w: free_from_monotone_sum(t1, w), terms(irr, signed=True, tree=True)),
+            (lambda w: adjoint_sum_upper(t1, t2, w), terms(irr, signed=True, inner=t2)),
+        ]
+        for w in words_over(alphabet, n):
+            for oracle, expected in cases:
+                got = oracle(w)
+                assert type(got) is Fraction
+                assert got == _direct_sum(expected, w)
+            assert adjoint_sum_lower(t1, psi, w) == _direct_adjoint_lower(t1, psi, w)
