@@ -373,9 +373,9 @@ def inverse(f: Functional) -> Functional:
 
 def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
     """Exhaustively check unitality and multiplicativity on all bar-words of
-    degree <= max_degree over the alphabet: ``f(b)`` times the denominators
-    of its factors against the product of their numerators times
-    ``den(b.degree)``, which on the unit reads ``num(1) == den(0)``."""
+    degree <= max_degree over the alphabet, in numerators: ``num(b)`` times
+    the denominators of b's factors against the product of their numerators
+    times ``den(b.degree)``, which on the unit reads ``num(1) == den(0)``."""
     for d, bars in _domain(tuple(sorted(alphabet)), max_degree):
         den = f.den(d)
         for b in bars:
