@@ -6,19 +6,20 @@ positions, the extracted subword tensored with the connected components of
 the complement.  The left half keeps the subsets containing position 1, the
 right half the subsets avoiding it.  On a bar-word the first factor uses the
 half-coproduct and the remaining factors the full coproduct; the product in
-the tensor square is componentwise bar-concatenation.
+the tensor square is componentwise bar-concatenation.  A word is split as
+the one-factor bar-word ``BarWord.of(w)``.
 
-Results are memoized, since the same subwords recur heavily across
-computations: the full coproduct and both half-coproducts per word
-(``_word_cache``, ``_word_left_cache``, ``_word_right_cache``), and per
-multi-factor bar-word (``_bar_cache``, ``_bar_left_cache``,
-``_bar_right_cache``).  Bar-words are interned (see ``words``), so the keys
-of these caches and the legs of their terms are shared, not copied.  The
-caches are never cleared.
+``_split`` computes every split, memoized since the same subwords recur
+heavily: one cache per kind, keyed by bar-word (``_full_cache``,
+``_left_cache``, ``_right_cache``).  The unit is left uncached, as its
+coproduct is the constant ``_UNIT_SUM`` and its halves are undefined.
+Bar-words are interned (see ``words``), so the keys of these caches and the
+legs of their terms are shared, not copied.  The caches are never cleared.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .errors import DomainError
@@ -68,16 +69,7 @@ class TensorSum:
         return isinstance(other, TensorSum) and self._terms == other._terms
 
     def __add__(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum()
-        out._terms = dict(self._terms)
-        for (l, r), c in other._terms.items():
-            key = (l, r)
-            c2 = out._terms.get(key, 0) + c
-            if c2:
-                out._terms[key] = c2
-            elif key in out._terms:
-                del out._terms[key]
-        return out
+        return TensorSum(chain(self.items(), other.items()))
 
     def __sub__(self, other: "TensorSum") -> "TensorSum":
         return self + (-1) * other
@@ -111,12 +103,9 @@ class TensorSum:
 
 _UNIT_SUM = TensorSum([(UNIT, UNIT, 1)])
 
-_word_cache: dict[Word, TensorSum] = {}
-_word_left_cache: dict[Word, TensorSum] = {}
-_word_right_cache: dict[Word, TensorSum] = {}
-_bar_cache: dict[BarWord, TensorSum] = {}
-_bar_left_cache: dict[BarWord, TensorSum] = {}
-_bar_right_cache: dict[BarWord, TensorSum] = {}
+_full_cache: dict[BarWord, TensorSum] = {}
+_left_cache: dict[BarWord, TensorSum] = {}
+_right_cache: dict[BarWord, TensorSum] = {}
 
 
 def _split_term(w: Word, mask: int, n: int) -> tuple[BarWord, BarWord]:
@@ -129,74 +118,56 @@ def _split_term(w: Word, mask: int, n: int) -> tuple[BarWord, BarWord]:
     return left, right
 
 
+def _split(b: BarWord, keep_first: bool | None, cache: dict) -> TensorSum:
+    """The full coproduct of ``b`` (``keep_first`` None) or its left (True)
+    or right (False) half, stored in ``cache``: the first factor's position
+    sets hold position 1, avoid it, or either, and each further factor
+    multiplies in its full coproduct."""
+    factors = b.factors
+    if not factors:
+        if keep_first is None:
+            return _UNIT_SUM
+        raise DomainError("the half-coproducts are not defined on the unit")
+    first = factors[0]
+    if len(factors) == 1:
+        n = len(first)
+        result = TensorSum(
+            (*_split_term(first, mask, n), 1) for mask in range(1 << n)
+            if keep_first is None or bool(mask & 1) == keep_first
+        )
+    else:
+        head = BarWord.of(first)
+        result = cache.get(head)
+        if result is None:
+            result = _split(head, keep_first, cache)
+        for factor in factors[1:]:
+            result = result.product(coproduct(BarWord.of(factor)))
+    cache[b] = result
+    return result
+
+
 def coproduct_word(w: Word) -> TensorSum:
     """Coproduct of a single word: sum over all position subsets S of
     ``subword(w, S) (x) complement_components(w, S)``."""
-    cached = _word_cache.get(w)
-    if cached is not None:
-        return cached
-    n = len(w)
-    terms = [(*_split_term(w, mask, n), 1) for mask in range(1 << n)]
-    result = TensorSum(terms)
-    _word_cache[w] = result
-    return result
-
-
-def _half_word(w: Word, keep_first: bool) -> TensorSum:
-    cache = _word_left_cache if keep_first else _word_right_cache
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    n = len(w)
-    terms = []
-    for mask in range(1 << n):
-        if bool(mask & 1) != keep_first:
-            continue
-        terms.append((*_split_term(w, mask, n), 1))
-    result = TensorSum(terms)
-    cache[w] = result
-    return result
+    return coproduct(BarWord.of(w))
 
 
 def coproduct(b: BarWord) -> TensorSum:
     """Multiplicative extension of the coproduct to bar-words."""
-    if len(b.factors) == 1:
-        return coproduct_word(b.factors[0])
-    cached = _bar_cache.get(b)
-    if cached is not None:
-        return cached
-    result = _UNIT_SUM
-    for factor in b.factors:
-        result = result.product(coproduct_word(factor))
-    _bar_cache[b] = result
-    return result
+    cached = _full_cache.get(b)
+    return _split(b, None, _full_cache) if cached is None else cached
 
 
 def half_coproduct_left(b: BarWord) -> TensorSum:
     """Left half-coproduct: position 1 of the first factor is extracted."""
-    return _half_coproduct(b, keep_first=True)
+    cached = _left_cache.get(b)
+    return _split(b, True, _left_cache) if cached is None else cached
 
 
 def half_coproduct_right(b: BarWord) -> TensorSum:
     """Right half-coproduct: position 1 of the first factor stays behind."""
-    return _half_coproduct(b, keep_first=False)
-
-
-def _half_coproduct(b: BarWord, keep_first: bool) -> TensorSum:
-    if b.is_unit:
-        raise DomainError("the half-coproducts are not defined on the unit")
-    factors = b.factors
-    if len(factors) == 1:
-        return _half_word(factors[0], keep_first)
-    cache = _bar_left_cache if keep_first else _bar_right_cache
-    cached = cache.get(b)
-    if cached is not None:
-        return cached
-    result = _half_word(factors[0], keep_first)
-    for factor in factors[1:]:
-        result = result.product(coproduct_word(factor))
-    cache[b] = result
-    return result
+    cached = _right_cache.get(b)
+    return _split(b, False, _right_cache) if cached is None else cached
 
 
 def reduced_coproduct(b: BarWord) -> TensorSum:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -8,6 +9,7 @@ from shufflecalc import (
     TensorSum,
     UNIT,
     Word,
+    complement_components,
     coproduct,
     coproduct_word,
     half_coproduct_left,
@@ -15,7 +17,9 @@ from shufflecalc import (
     reduced_coproduct,
     reduced_half_left,
     reduced_half_right,
+    subword,
 )
+from shufflecalc import coalgebra
 
 
 def W(text):
@@ -177,3 +181,61 @@ class TestTensorSum:
         s = coproduct_word(W("ab"))
         listed = s.terms()
         assert listed == sorted(listed, key=lambda t: (t[0]._key(), t[1]._key()))
+
+
+def cache_entries():
+    """Entries over every module-level dict of ``coalgebra`` holding splits."""
+    return sum(len(v) for v in vars(coalgebra).values()
+               if isinstance(v, dict) and v
+               and all(isinstance(x, TensorSum) for x in v.values()))
+
+
+class TestSharedCache:
+    def test_word_coproduct_is_the_one_factor_barword_coproduct(self):
+        w = W("abca")
+        assert coproduct_word(w) is coproduct(BarWord.of(w))
+
+    def test_repeated_calls_return_the_cached_object(self):
+        for split in (coproduct, half_coproduct_left, half_coproduct_right):
+            for b in (B("cab"), B("cab", "ab"), B("ca", "cab", "b")):
+                first = split(b)
+                size = cache_entries()
+                assert split(b) is first
+                assert cache_entries() == size
+
+    def test_unit(self):
+        coproduct(UNIT)
+        size = cache_entries()
+        assert terms(coproduct(UNIT)) == Counter({(UNIT, UNIT): 1})
+        assert cache_entries() == size
+
+
+def direct_split(b, keep_first):
+    """The split of ``b`` as a direct sum over one position set per factor:
+    the first factor's set holds position 1 (``keep_first`` True), avoids it
+    (False) or either (None)."""
+    choices = []
+    for i, factor in enumerate(b.factors):
+        n = len(factor)
+        sets = [S for k in range(n + 1) for S in combinations(range(1, n + 1), k)]
+        if i == 0 and keep_first is not None:
+            sets = [S for S in sets if (1 in S) == keep_first]
+        choices.append(sets)
+    out = Counter()
+    for picked in product(*choices):
+        left = right = UNIT
+        for factor, S in zip(b.factors, picked):
+            sub = subword(factor, S)
+            left = left.concat(sub if sub is UNIT else BarWord.of(sub))
+            right = right.concat(complement_components(factor, S))
+        out[(left, right)] += 1
+    return out
+
+
+@pytest.mark.parametrize("b", [
+    B("aba", "a", "ba"), B("aa", "aa"), B("a", "aba"), B("abab", "b", "a"),
+])
+def test_multi_factor_splits_with_repeated_letters(b):
+    assert terms(half_coproduct_left(b)) == direct_split(b, True)
+    assert terms(half_coproduct_right(b)) == direct_split(b, False)
+    assert terms(coproduct(b)) == direct_split(b, None)
