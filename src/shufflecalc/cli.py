@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
+from typing import Iterable
 
 from .errors import ShuffleCalcError, DomainError, quoted
 
@@ -18,6 +21,8 @@ MAX_TRUNCATION = 12
 # The cumulant kinds of transform and convolve; each names the functions
 # cumulants.<kind>_cumulants, moments_from_<kind> and convolve_<kind>.
 _KINDS = ["free", "boolean", "monotone", "cfree"]
+# Lines joined into one write by ``enumerate``.
+_LINES_PER_WRITE = 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,9 +165,21 @@ def cmd_enumerate(args) -> int:
         _write_text(args.output, _dump_json({"family": args.family, "n": args.n,
                                              "count": count}))
         return 0
-    lines = partitions.json_lines(args.family, args.n, args.details)
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_lines(args.output, partitions.json_lines(args.family, args.n, args.details))
     return 0
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a newline, ``_LINES_PER_WRITE`` lines per write,
+    so that a long iterator is neither held whole nor written line by line
+    (stdout may be unbuffered)."""
+    lines = iter(lines)
+    try:
+        with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
+            while chunk := list(islice(lines, _LINES_PER_WRITE)):
+                fh.write("\n".join(chunk) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:

@@ -12,12 +12,14 @@ outside input goes through ``SetPartition(n, blocks)``.  One stack scan,
 ``SetPartition._nesting``, decides crossing and reads off the nesting
 forest; block classes and tree factorials derive from that forest.
 
-``json_lines`` writes the lines of ``enumerate`` straight from the block
-tuples of ``family_blocks``, without building a ``SetPartition``: each
-distinct block's text is made once per call, and for details one stack
-scan over the blocks (valid because generated partitions are canonical and
-non-crossing) gives the forest, whose classes, parents and tree factorial
-are also written once per distinct forest.  The lines are the text that
+``json_lines`` streams the lines of ``enumerate`` without building a block
+tuple or a ``SetPartition``.  It runs the recursion of ``_nc_blocks`` on
+text: a record of a sub-range holds the text of its blocks and of their
+parents and its block count, and is made once per call for each range,
+index of its first block and parent of its top-level blocks, the values
+that fix the parents text.  A partition's record costs two string joins
+per gap of its first block; the classes, parents and tree factorial text
+is made once per distinct forest.  The lines are the text that
 ``json.dumps`` with sorted keys gives; there is no per-partition dict.
 
 The sum oracles run in integers.  For the words of one length, each sum
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, quoted
 from .tables import CumulantTable, MomentTable, ValueTable
@@ -128,24 +130,33 @@ def _check_order(n: int) -> None:
         raise DomainError(f"order must be in [1, {MAX_ORDER}], got {n}")
 
 
-@lru_cache(maxsize=None)
-def _nc_blocks(lo: int, hi: int, closed: bool = False) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All non-crossing partitions of the range lo..hi, generated by choosing
-    the block of lo; every gap between its members (and after the last) is
-    again a range, partitioned independently.  With ``closed``, only the
-    partitions whose first block holds hi: the masks with the top bit set."""
-    if lo > hi:
-        return ((),)
+def _first_blocks(lo: int, hi: int, closed: bool) -> Iterator[tuple[int, ...]]:
+    """Each block of lo in a non-crossing partition of lo..hi, by the mask
+    of its other members; with ``closed``, only the blocks holding hi: the
+    masks with the top bit set."""
     size = hi - lo
-    results: list[tuple[tuple[int, ...], ...]] = []
     for mask in range((1 << size) >> 1 if closed else 0, 1 << size):
-        block = (lo,) + tuple(lo + 1 + i for i in range(size) if mask >> i & 1)
-        combos: list[tuple[tuple[int, ...], ...]] = [(block,)]
-        for a, b in zip(block, block[1:] + (hi + 1,)):
-            sub = _nc_blocks(a + 1, b - 1)
-            combos = [c + s for c in combos for s in sub]
-        results.extend(combos)
-    return tuple(results)
+        yield (lo,) + tuple(lo + 1 + i for i in range(size) if mask >> i & 1)
+
+
+def _nc_blocks(lo: int, hi: int, memo: dict, closed: bool = False) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All non-crossing partitions of the range lo..hi, generated by choosing
+    the block of lo; every nonempty gap between its members (and after the
+    last) is again a range, partitioned independently.  With ``closed``, only the
+    partitions whose first block holds hi.  ``memo`` holds the ranges
+    already done in this enumeration."""
+    key = (lo, hi, closed)
+    if key not in memo:
+        results: list[tuple[tuple[int, ...], ...]] = []
+        for block in _first_blocks(lo, hi, closed):
+            combos: list[tuple[tuple[int, ...], ...]] = [(block,)]
+            for a, b in zip(block, block[1:] + (hi + 1,)):
+                if b > a + 1:
+                    sub = _nc_blocks(a + 1, b - 1, memo)
+                    combos = [c + s for c in combos for s in sub]
+            results.extend(combos)
+        memo[key] = tuple(results)
+    return memo[key]
 
 
 def _interval_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -158,17 +169,19 @@ def _interval_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def _check_family(family: str, n: int) -> None:
+    _check_order(n)
+    if family not in ("nc", "nc-irr", "boolean"):
+        raise DomainError(f"unknown partition family {quoted(family)}")
+
+
 def family_blocks(family: str, n: int) -> Sequence[tuple[tuple[int, ...], ...]]:
     """The canonical blocks of every partition of [1..n] in the family
     "nc", "nc-irr" or "boolean", in the order of its enumerator below."""
-    _check_order(n)
-    if family == "nc":
-        return _nc_blocks(1, n)
-    if family == "nc-irr":
-        return _nc_blocks(1, n, closed=True)
+    _check_family(family, n)
     if family == "boolean":
         return _interval_blocks(n)
-    raise DomainError(f"unknown partition family {quoted(family)}")
+    return _nc_blocks(1, n, {}, closed=family == "nc-irr")
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
@@ -195,32 +208,84 @@ def _forest_json(parents: Sequence[int | None]) -> str:
             f'"tree_factorial": {_forest_factorial(parents)}')
 
 
-def json_lines(family: str, n: int, details: bool = False) -> list[str]:
+# A text record of the partitions of a range: the text of their blocks and
+# of their parents, each entry led by ", ", and their block count.
+_Record = tuple[str, str, int]
+
+
+def _nc_records(lo: int, hi: int, first: int, parent: str, memo: dict,
+                closed: bool = False) -> Iterator[list[_Record]]:
+    """The records of the non-crossing partitions of lo..hi, one list per
+    first block, in the order of ``_nc_blocks``.  Blocks are numbered from
+    ``first`` and ``parent`` is the parent of the top-level blocks; each
+    nonempty gap of the first block is a sub-range whose records come from
+    ``_nc_range``."""
+    for block in _first_blocks(lo, hi, closed):
+        combos = [(f", {list(block)}", f", {parent}", 1)]
+        for a, b in zip(block, block[1:] + (hi + 1,)):
+            if b > a + 1:
+                # inside the first block its gaps nest under it; after its
+                # last member the blocks share its parent
+                top = str(first) if b <= hi else parent
+                combos = [(t + u, p + q, k + j) for t, p, k in combos
+                          for u, q, j in _nc_range(a + 1, b - 1, first + k, top, memo)]
+        yield combos
+
+
+def _nc_range(lo: int, hi: int, first: int, parent: str, memo: dict) -> list[_Record]:
+    """All records of ``_nc_records(lo, hi, first, parent)``, made once per
+    call of ``json_lines``: the four values fix the parents text."""
+    key = (lo, hi, first, parent)
+    if key not in memo:
+        memo[key] = [r for combos in _nc_records(lo, hi, first, parent, memo) for r in combos]
+    return memo[key]
+
+
+def _interval_records(n: int) -> list[_Record]:
+    """The records of the interval partitions of [1..n], in the order of
+    ``_interval_blocks``: the last block [s..n] varies slowest, after the
+    partitions of [1..s-1]."""
+    prefixes: list[list[_Record]] = [[("", "", 0)]]
+    for m in range(1, n + 1):
+        records: list[_Record] = []
+        for s in range(1, m + 1):
+            block = f", {list(range(s, m + 1))}"
+            records += [(t + block, p + ", -1", k + 1) for t, p, k in prefixes[s - 1]]
+        prefixes.append(records)
+    return prefixes[n]
+
+
+def json_lines(family: str, n: int, details: bool = False) -> Iterator[str]:
     """One JSON line per partition of ``family_blocks(family, n)``: the
     blocks, or with ``details`` the object ``{"blocks", "classes",
     "parents", "tree_factorial"}`` (parent -1 for roots), each as
     ``json.dumps(..., sort_keys=True)`` writes it.
 
-    The blocks are canonical and non-crossing, so a block's parent is the
-    nearest earlier block whose span still covers the block's minimum: one
-    stack of open blocks per partition gives the nesting forest.  The text
-    of each distinct block and forest is made once per call."""
-    block_text = lru_cache(maxsize=None)(lambda block: str(list(block)))
-    forest_text = lru_cache(maxsize=None)(_forest_json)
-    lines = []
-    for blocks in family_blocks(family, n):
-        text = f"[{', '.join(map(block_text, blocks))}]"
-        if details:
-            parents: list[int | None] = []
-            stack: list[int] = []
-            for i, block in enumerate(blocks):
-                while stack and blocks[stack[-1]][-1] < block[0]:
-                    stack.pop()
-                parents.append(stack[-1] if stack else None)
-                stack.append(i)
-            text = f'{{"blocks": {text}, {forest_text(tuple(parents))}}}'
-        lines.append(text)
-    return lines
+    The family and order are checked here; the lines come from the
+    returned iterator.  They are joined from text records built by the
+    recursion of ``_nc_blocks`` (for "boolean", from interval prefixes),
+    each sub-range's records once per call; the classes, parents and tree
+    factorial text is made once per distinct forest."""
+    _check_family(family, n)
+    if family == "boolean":
+        groups: Iterable[list[_Record]] = [_interval_records(n)]
+    else:
+        groups = _nc_records(1, n, 0, "-1", {}, closed=family == "nc-irr")
+    return _lines(groups, details)
+
+
+def _lines(groups: Iterable[list[_Record]], details: bool) -> Iterator[str]:
+    forests: dict[str, str] = {}
+    for records in groups:
+        for blocks, parents, _ in records:
+            if not details:
+                yield f"[{blocks[2:]}]"
+                continue
+            forest = forests.get(parents)
+            if forest is None:
+                forest = forests[parents] = _forest_json(
+                    [None if p == "-1" else int(p) for p in parents[2:].split(", ")])
+            yield f'{{"blocks": [{blocks[2:]}], {forest}}}'
 
 
 def classify_blocks(p: SetPartition) -> list[str]:

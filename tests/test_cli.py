@@ -371,6 +371,13 @@ class TestEnumerate:
     def test_out_of_range_exits_2(self):
         assert main(["enumerate", "--family", "nc", "--n", "0", "--counts"]) == 2
 
+    def test_out_of_range_lines_write_nothing(self, capsys):
+        # the order is checked before the first line is written
+        assert main(["enumerate", "--family", "nc", "--n", "15", "--details"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 # SHA-256 of the stdout of ``enumerate``, recorded before generated
 # partitions skipped re-validation and each --details line read its nesting
@@ -393,6 +400,26 @@ def test_enumerate_matches_recorded_digests(case, capsys):
     assert main(["enumerate", *argv]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_enumerate_writes_stdout_in_chunks(monkeypatch):
+    # 4,862 lines in a handful of writes: stdout may be unbuffered
+    argv, digest = ENUMERATE_DIGESTS["nc-9-details"]
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", *argv]) == 0
+    assert 2 <= stdout.writes <= 10
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == digest
 
 
 class TestVerify:

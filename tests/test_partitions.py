@@ -155,12 +155,12 @@ class TestNesting:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_json_lines_match_json_dumps_of_the_single_readers(self, family):
-        # the block-stack scan and the cached block and forest text against
-        # the element scan of each reader and json.dumps
+        # the memoized text records and the per-forest text against the
+        # element scan of each reader and json.dumps
         for n in range(1, 11):
             members = FAMILIES[family](n)
-            assert json_lines(family, n) == [json.dumps(p.to_json()) for p in members]
-            assert json_lines(family, n, details=True) == [json.dumps({
+            assert list(json_lines(family, n)) == [json.dumps(p.to_json()) for p in members]
+            assert list(json_lines(family, n, details=True)) == [json.dumps({
                 "blocks": p.to_json(),
                 "classes": classify_blocks(p),
                 "parents": [-1 if q is None else q for q in nesting_forest(p)],
@@ -170,6 +170,9 @@ class TestNesting:
     def test_family_blocks_rejects_bad_input(self):
         with pytest.raises(DomainError, match="unknown partition family"):
             family_blocks("crossing", 3)
+        # json_lines raises when called, before any line is taken from it
+        with pytest.raises(DomainError, match="unknown partition family"):
+            json_lines("crossing", 3)
         for n in (0, 15):
             with pytest.raises(DomainError, match="order must be"):
                 json_lines("nc", n)
