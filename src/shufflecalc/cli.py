@@ -161,7 +161,7 @@ def cmd_enumerate(args) -> int:
     from . import partitions
 
     if args.counts:
-        count = len(partitions.family_blocks(args.family, args.n))
+        count = partitions.family_count(args.family, args.n)
         _write_text(args.output, _dump_json({"family": args.family, "n": args.n,
                                              "count": count}))
         return 0

@@ -18,10 +18,27 @@ numerators and build ``Fraction``s only for a counterexample they report.
 The same table reused under different operations lives in different nodes
 and therefore different memos.
 
-A parent reads a child's memo dict directly: a hit is one ``dict.get``,
-and only a miss (``None``) calls the child's ``num``, which computes and
-stores the value.  Memos hold 0 for values that vanish, so a read tests
-``is None``, never truthiness.
+Every node has two evaluation paths over the same ``den(d)`` and the same
+integer weights, so both give the same numerators.
+
+- Point queries (``__call__``, ``num``, ``materialize`` and the word
+  oracles) read only the bar-words they need.  A parent reads a child's
+  memo dict directly: a hit is one ``dict.get``, and only a miss
+  (``None``) calls the child's ``num``, which computes and stores the
+  value.  Memos hold 0 for values that vanish, so a read tests ``is None``,
+  never truthiness.  A split term whose known leg is 0 is skipped, so a
+  query that reads few bar-words stays cheap.
+- The exhaustive checks (``functionals_agree``, ``is_character``,
+  ``is_infinitesimal``) read every bar-word of each degree, so each node
+  gives them all its numerators on one degree d of a ``_Domain`` at once
+  (``_degree``), kept as one list per degree beside the memo.  A parent
+  builds its list from its children's with a few ``map``/``accumulate``
+  passes per left-leg degree over flat split indexes (``_split_sum``).  A
+  degree holds thousands of split terms, where one bar-word holds about
+  ten, too few for C-level passes to pay.  Lists, not memo entries, keep
+  the extra memory small.
+
+The caller picks the path by what it asks for; there is no switch.
 
 Unit rules for the half-shuffles follow the convention that both
 half-products vanish on the unit bar-word, so the splitting
@@ -33,8 +50,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import lcm
-from operator import attrgetter
+from operator import add, mul, ne, sub
 from typing import Iterable, Iterator
 
 from . import coalgebra
@@ -47,22 +65,16 @@ def barwords_up_to(alphabet: Iterable[str], max_degree: int) -> Iterator[BarWord
     """All bar-words of degree 1..max_degree, unit excluded."""
     alphabet = sorted(alphabet)
     for n in range(1, max_degree + 1):
-        for comp in _compositions(n):
-            factor_choices = [list(words_over(alphabet, k)) for k in comp]
-            for factors in itertools.product(*factor_choices):
-                yield BarWord(factors)
+        yield from _barwords_of_degree(alphabet, n)
 
 
-@lru_cache(maxsize=8)
-def _domain(alphabet: tuple[str, ...], max_degree: int) -> tuple:
-    """``(d, bar-words of degree d)`` for d = 0 (the unit alone) up to
-    max_degree, in ``barwords_up_to`` order: the domain of the exhaustive
-    checks below, built once for the few domains a run checks."""
-    groups = [(0, (UNIT,))]
-    for d, bars in itertools.groupby(barwords_up_to(alphabet, max_degree),
-                                     key=attrgetter("degree")):
-        groups.append((d, tuple(bars)))
-    return tuple(groups)
+def _barwords_of_degree(alphabet: list[str], n: int) -> Iterator[BarWord]:
+    """The bar-words of degree n, by composition of n and then by word:
+    the unit alone for n = 0."""
+    for comp in _compositions(n):
+        factor_choices = [list(words_over(alphabet, k)) for k in comp]
+        for factors in itertools.product(*factor_choices):
+            yield BarWord(factors)
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -74,18 +86,79 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+class _Domain:
+    """The domain of the exhaustive checks over one alphabet, one degree at
+    a time: the bar-words of degree d in ``barwords_up_to`` order (the unit
+    alone at d = 0), the position of each in its degree, and for each split
+    kind the index ``_split_sum`` reads.  Each part is built on first use
+    and kept; ``_domain`` keeps the domains of the last few alphabets."""
+
+    def __init__(self, alphabet: tuple[str, ...]):
+        self.alphabet = alphabet
+        self._bars: dict[int, tuple[BarWord, ...]] = {}
+        self._positions: dict[int, dict[BarWord, int]] = {}
+        self._indexes: dict[tuple, list] = {}
+
+    def bars(self, d: int) -> tuple[BarWord, ...]:
+        bars = self._bars.get(d)
+        if bars is None:
+            bars = self._bars[d] = tuple(_barwords_of_degree(list(self.alphabet), d))
+        return bars
+
+    def positions(self, d: int) -> dict[BarWord, int]:
+        positions = self._positions.get(d)
+        if positions is None:
+            positions = self._positions[d] = {b: i for i, b in enumerate(self.bars(d))}
+        return positions
+
+    def split_index(self, split, d: int) -> list:
+        """The terms of ``split`` on the bar-words of degree d, one entry per
+        left-leg degree k: None if no term has a left leg of degree k, else
+        flat lists of the left leg's position in degree k, the right leg's
+        position in degree d - k and the coefficient (None if every one is
+        1), one item per term, and ``bounds``, where the terms of the i-th
+        bar-word are items ``bounds[i]`` to ``bounds[i + 1]``."""
+        key = (split, d)
+        index = self._indexes.get(key)
+        if index is None:
+            positions = [self.positions(k) for k in range(d + 1)]
+            legs = [([], [], [], [0]) for _ in range(d + 1)]
+            for b in self.bars(d):
+                for (l, r), c in split(b).pairs():
+                    k = l.degree
+                    left, right, coeffs, _ = legs[k]
+                    left.append(positions[k][l])
+                    right.append(positions[d - k][r])
+                    coeffs.append(c)
+                for left, _, _, bounds in legs:
+                    bounds.append(len(left))
+            index = self._indexes[key] = [
+                (left, right, coeffs if any(c != 1 for c in coeffs) else None, bounds)
+                if left else None
+                for left, right, coeffs, bounds in legs]
+        return index
+
+
+@lru_cache(maxsize=8)
+def _domain(alphabet: tuple[str, ...]) -> _Domain:
+    return _Domain(alphabet)
+
+
 class Functional:
     """Base class: a lazily evaluated linear form on bar-words.
 
     Subclasses give ``_num(b)``, the integer numerator of the value on b,
     and ``_rescale(d)``, the pair ``(den(d), weights)`` where ``weights``
     holds whatever integer multipliers ``_num`` needs at degree d.  Both
-    are memoized here.
+    are memoized here.  For the exhaustive checks, ``_batch(domain, d)``
+    gives the numerators on every bar-word of degree d of a domain at once,
+    from the same weights; ``_degree`` keeps them, apart from the memo.
     """
 
     def __init__(self):
         self._memo: dict[BarWord, int] = {}
         self._scales: dict[int, tuple] = {}
+        self._lists: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
     def __call__(self, b: BarWord) -> Fraction:
         return Fraction(self.num(b), self.den(b.degree))
@@ -109,8 +182,21 @@ class Functional:
             value = self._scales[d] = self._rescale(d)
         return value
 
+    def _degree(self, domain: _Domain, d: int) -> list[int]:
+        """``num(b)`` for every bar-word b of degree d of the domain, in
+        domain order."""
+        key = (domain.alphabet, d)
+        values = self._lists.get(key)
+        if values is None:
+            values = self._lists[key] = self._batch(domain, d)
+        return values
+
     def _num(self, b: BarWord) -> int:
         raise NotImplementedError
+
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        """The leaves compute their few values one by one."""
+        return list(map(self._num, domain.bars(d)))
 
     def _rescale(self, d: int) -> tuple:
         return 1, None
@@ -141,19 +227,27 @@ class _Unit(Functional):
     def _num(self, b: BarWord) -> int:
         return 0 if b.factors else 1
 
+    def _degree(self, domain: _Domain, d: int) -> list[int]:
+        """Not kept: the unit node is shared by the whole process."""
+        return self._batch(domain, d)
+
 
 class _TableFunctional(Functional):
     """A node read from a table: ``den(d) = D^d`` with D the lcm of the
-    table's denominators, so a word's value scales to an integer once."""
+    table's denominators, so each word's value scales to an integer once,
+    when the node is built."""
 
     def __init__(self, table: ValueTable):
         super().__init__()
         self.table = table
-        self._base = lcm(*(v.denominator for v in table.values.values()))
+        self._base = base = lcm(*(v.denominator for v in table.values.values()))
+        self._words = {w: v.numerator * (base ** len(w.letters) // v.denominator)
+                       for w, v in table.values.items()}
 
     def _word_num(self, w: Word) -> int:
-        v = self.table.lookup(w)
-        return v.numerator * (self._base ** len(w.letters) // v.denominator)
+        value = self._words.get(w)
+        # a word outside the table: its lookup raises TruncationError
+        return self.table.lookup(w) if value is None else value
 
     def _rescale(self, d: int) -> tuple:
         return self._base ** d, None
@@ -198,15 +292,21 @@ class _Sum(Functional):
     def _rescale(self, d: int) -> tuple:
         scaled = [(c.numerator, c.denominator * f.den(d), f) for c, f in self.parts if c]
         den = lcm(*(x for _, x, _ in scaled))
-        return den, [(n * (den // x), f._memo, f.num) for n, x, f in scaled]
+        return den, [(n * (den // x), f._memo, f) for n, x, f in scaled]
 
     def _num(self, b: BarWord) -> int:
         total = 0
-        for w, memo, num in self._scale(b.degree)[1]:
+        for w, memo, f in self._scale(b.degree)[1]:
             x = memo.get(b)
             if x is None:
-                x = num(b)
+                x = f.num(b)
             total += w * x
+        return total
+
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        total = [0] * len(domain.bars(d))
+        for w, _, f in self._scale(d)[1]:
+            total = list(map(add, total, map(w.__mul__, f._degree(domain, d))))
         return total
 
 
@@ -235,6 +335,12 @@ class _Convolution(Functional):
         weights = self._scale(b.degree)[1][0]
         g = self.g
         return _known_first(self.split(b), self.f, g._memo, g.num, weights, True)
+
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        if self.half and not d:
+            return [0]
+        return _split_sum(domain, self.split, d, self._scale(d)[1][0],
+                          self.f._degree, self.g._degree)
 
 
 class _FixedPoint(Functional):
@@ -267,6 +373,13 @@ class _FixedPoint(Functional):
         weights = self._scale(b.degree)[1][0]
         return _known_first(self.split(b), self.g, self._memo, self.num, weights, self.g_left)
 
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        if not d:
+            return [1]
+        known, unknown = self.g._degree, self._degree
+        left, right = (known, unknown) if self.g_left else (unknown, known)
+        return _split_sum(domain, self.split, d, self._scale(d)[1][0], left, right)
+
 
 def _multipliers(d: int, terms) -> tuple:
     """``(den, weights)`` for a sum of ``(sign, known_left, dens)`` split
@@ -285,10 +398,38 @@ def _multipliers(d: int, terms) -> tuple:
     return den, weights
 
 
+def _split_sum(domain: _Domain, split, d: int, weights, left, right) -> list[int]:
+    """The batched ``_known_first``: for every bar-word b of degree d of the
+    domain, ``sum coeff * weights[k] * left(domain, k)[l] * right(domain,
+    d - k)[r]`` over the ``(l, r, coeff)`` terms of ``split(b)``, where k is
+    the degree of l and ``left``, ``right`` give the numerators of the two
+    legs on one degree, as ``Functional._degree`` does.  The terms of one left-leg degree k are summed in a few C-level
+    passes over ``domain.split_index``: gather both legs, multiply, take
+    running sums and subtract them at each bar-word's bounds.  A k whose
+    weight is 0 is skipped and its legs are never read, which keeps a fixed
+    point or a series off its own values on degree d."""
+    total = [0] * len(domain.bars(d))
+    for k, terms in enumerate(domain.split_index(split, d)):
+        weight = weights[k]
+        if not weight or terms is None:
+            continue
+        lpos, rpos, coeffs, bounds = terms
+        products = map(mul, map(left(domain, k).__getitem__, lpos),
+                       map(right(domain, d - k).__getitem__, rpos))
+        if coeffs is not None:
+            products = map(mul, coeffs, products)
+        sums = list(accumulate(products, initial=0))
+        per_bar = map(sub, map(sums.__getitem__, islice(bounds, 1, None)),
+                      map(sums.__getitem__, bounds))
+        total = list(map(add, total, map(weight.__mul__, per_bar)))
+    return total
+
+
 def _known_first(terms, known: Functional, memo: dict, miss, weights, known_left: bool) -> int:
-    """``sum coeff * weights[deg left] * known(k) * unknown(u)`` over the
-    ``(l, r, coeff)`` terms of a split, in numerators, where ``k`` is the left
-    leg if ``known_left`` and the right leg otherwise.  The unknown leg's
+    """The point-query path: ``sum coeff * weights[deg left] * known(k) *
+    unknown(u)`` over the ``(l, r, coeff)`` terms of a split, in numerators,
+    where ``k`` is the left leg if ``known_left`` and the right leg
+    otherwise.  The unknown leg's
     numerators are read from ``memo``, and ``miss(u)`` computes (and
     memoizes) one that is not there yet; ``known``'s memo is read the same
     way, so a hit on either leg costs one ``dict.get`` and no call.
@@ -376,15 +517,16 @@ def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> boo
     degree <= max_degree over the alphabet, in numerators: ``num(b)`` times
     the denominators of b's factors against the product of their numerators
     times ``den(b.degree)``, which on the unit reads ``num(1) == den(0)``."""
-    for d, bars in _domain(tuple(sorted(alphabet)), max_degree):
+    domain = _domain(tuple(sorted(alphabet)))
+    for d in range(max_degree + 1):
         den = f.den(d)
-        for b in bars:
+        for b, x in zip(domain.bars(d), f._degree(domain, d)):
             product = scale = 1
             for factor in b.factors:
-                one = BarWord.of(factor)
-                product *= f.num(one)
-                scale *= f.den(one.degree)
-            if f.num(b) * scale != product * den:
+                n = len(factor.letters)
+                product *= f._degree(domain, n)[domain.positions(n)[BarWord.of(factor)]]
+                scale *= f.den(n)
+            if x * scale != product * den:
                 return False
     return True
 
@@ -392,9 +534,10 @@ def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> boo
 def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
     """Exhaustively check vanishing on the unit and on proper bar-products,
     on all bar-words of degree <= max_degree over the alphabet."""
-    for _, bars in _domain(tuple(sorted(alphabet)), max_degree):
-        for b in bars:
-            if len(b.factors) != 1 and f.num(b):
+    domain = _domain(tuple(sorted(alphabet)))
+    for d in range(max_degree + 1):
+        for b, x in zip(domain.bars(d), f._degree(domain, d)):
+            if x and len(b.factors) != 1:
                 return False
     return True
 
@@ -415,12 +558,14 @@ def functionals_agree(
 ):
     """Return None if f and g agree on all bar-words of degree <= max_degree,
     else the first counterexample as (bar-word, f-value, g-value).  Values
-    are compared as cross-multiplied numerators, ``f.num(b) * g.den(d)``
-    against ``g.num(b) * f.den(d)``."""
-    groups = _domain(tuple(sorted(alphabet)), max_degree)
-    for d, bars in groups if include_unit else groups[1:]:
+    are compared one whole degree at a time, as cross-multiplied
+    numerators, ``f.num(b) * g.den(d)`` against ``g.num(b) * f.den(d)``."""
+    domain = _domain(tuple(sorted(alphabet)))
+    for d in range(0 if include_unit else 1, max_degree + 1):
         fden, gden = f.den(d), g.den(d)
-        for b in bars:
-            if f.num(b) * gden != g.num(b) * fden:
-                return (b, f(b), g(b))
+        fnums, gnums = f._degree(domain, d), g._degree(domain, d)
+        differ = list(map(ne, map(gden.__mul__, fnums), map(fden.__mul__, gnums)))
+        if True in differ:
+            i = differ.index(True)
+            return (domain.bars(d)[i], Fraction(fnums[i], fden), Fraction(gnums[i], gden))
     return None

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, quoted
@@ -182,6 +182,17 @@ def family_blocks(family: str, n: int) -> Sequence[tuple[tuple[int, ...], ...]]:
     if family == "boolean":
         return _interval_blocks(n)
     return _nc_blocks(1, n, {}, closed=family == "nc-irr")
+
+
+def family_count(family: str, n: int) -> int:
+    """``len(family_blocks(family, n))`` from the closed forms, with no
+    blocks built: Catalan(n) for "nc", Catalan(n - 1) for "nc-irr" and
+    2^(n - 1) for "boolean"."""
+    _check_family(family, n)
+    if family == "boolean":
+        return 1 << (n - 1)
+    m = n if family == "nc" else n - 1
+    return comb(2 * m, m) // (m + 1)
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:

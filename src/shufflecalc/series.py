@@ -20,16 +20,20 @@ character/infinitesimal checks are available via ``functionals.is_character``
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm
+from operator import add
 from typing import Iterable
 
 from . import coalgebra
 from .errors import DomainError
 from .functionals import (
     Functional,
+    _Domain,
     _FixedPoint,
     _known_first,
     _multipliers,
+    _split_sum,
     conv,
     functionals_agree,
     half_left,
@@ -87,7 +91,10 @@ class _Series(Functional):
     Computing P_m on b hands ``_powers[m - 1]`` to ``_known_first``, which
     reads it inline and falls back to ``_power(m - 1, .)`` on a miss; the
     series sums ``_powers[m]`` the same way.  The series reads itself by
-    calling ``self``, so no child node refers back to it.
+    calling ``self``, so no child node refers back to it.  The exhaustive
+    checks read P_m one whole degree at a time (``_power_degree``), from
+    one list per ``(m, alphabet, degree)`` in ``_power_lists``, by the same
+    weights.
     """
 
     def __init__(self, seed: Functional, coeff, step):
@@ -97,6 +104,7 @@ class _Series(Functional):
         self.step = step
         self._powers: list[dict[BarWord, int]] = [seed._memo]
         self._power_scales: dict[tuple[int, int], tuple] = {}
+        self._power_lists: dict[tuple, list[int]] = {}
         self._low = 1 if seed(UNIT) == ZERO else 0
 
     def _rescale(self, d: int) -> tuple:
@@ -157,6 +165,31 @@ class _Series(Functional):
                 value += _known_first(split(b), known, lower, miss, row, known_left)
             memo[b] = value
         return value
+
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        total = [0] * len(domain.bars(d))
+        for m, w in self._scale(d)[1]:
+            total = list(map(add, total, map(w.__mul__, self._power_degree(m, domain, d))))
+        return total
+
+    def _power_degree(self, m: int, domain: _Domain, d: int) -> list[int]:
+        """The batched ``_power``: the numerators of P_m on every bar-word of
+        degree d of the domain, kept in ``_power_lists``."""
+        if m == 0:
+            return self.seed._degree(domain, d)
+        if m + self._low > d:
+            return [0] * len(domain.bars(d))
+        key = (m, domain.alphabet, d)
+        values = self._power_lists.get(key)
+        if values is None:
+            lower = partial(self._power_degree, m - 1)
+            values = [0] * len(domain.bars(d))
+            for (_, split, known, known_left), row in zip(self.step, self._power_scale(m, d)[1]):
+                known = (self if known is None else known)._degree
+                left, right = (known, lower) if known_left else (lower, known)
+                values = list(map(add, values, _split_sum(domain, split, d, row, left, right)))
+            self._power_lists[key] = values
+        return values
 
 
 def _times(g: Functional):

@@ -12,7 +12,6 @@ reproducible from the reported configuration alone.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -120,20 +119,15 @@ def _agree(name: str, f: Functional, g: Functional, config: VerifyConfig, degree
 # --- coalgebra ---------------------------------------------------------
 
 
-def _triple_counter_left(b: BarWord) -> Counter:
-    out: Counter = Counter()
-    for l, r, c in coalgebra.coproduct(b).items():
-        for l2, r2, c2 in coalgebra.coproduct(l).items():
-            out[(l2, r2, r)] += c * c2
-    return out
-
-
-def _triple_counter_right(b: BarWord) -> Counter:
-    out: Counter = Counter()
-    for l, r, c in coalgebra.coproduct(b).items():
-        for l2, r2, c2 in coalgebra.coproduct(r).items():
-            out[(l, l2, r2)] += c * c2
-    return out
+def _triples(b: BarWord, left: bool) -> dict:
+    """``(Delta (x) id) Delta b`` (``left``) or ``(id (x) Delta) Delta b`` as
+    a dict from ``(l, m, r)`` to its nonzero coefficient."""
+    out: dict = {}
+    for (l, r), c in coalgebra.coproduct(b).pairs():
+        for (x, y), c2 in coalgebra.coproduct(l if left else r).pairs():
+            key = (x, y, r) if left else (l, x, y)
+            out[key] = out.get(key, 0) + c * c2
+    return {key: c for key, c in out.items() if c}
 
 
 @_check("coassociativity")
@@ -141,10 +135,10 @@ def _coassociativity(config: VerifyConfig) -> CheckResult:
     name = "coassociativity"
     for w in words_up_to(config.alphabet, config.max_len):
         b = BarWord.of(w)
-        if _triple_counter_left(b) != _triple_counter_right(b):
+        if _triples(b, True) != _triples(b, False):
             return CheckResult(name, False, f"counterexample word {w.dotted()!r}")
     for b in barwords_up_to(config.alphabet, min(config.max_len, 4)):
-        if _triple_counter_left(b) != _triple_counter_right(b):
+        if _triples(b, True) != _triples(b, False):
             return CheckResult(name, False, f"counterexample {b!r}")
     return CheckResult(name, True)
 

@@ -33,7 +33,7 @@ from shufflecalc import (
     tree_factorial,
 )
 from shufflecalc.tables import words_over, words_up_to
-from shufflecalc.partitions import family_blocks, json_lines
+from shufflecalc.partitions import family_blocks, family_count, json_lines
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -167,15 +167,21 @@ class TestNesting:
                 "tree_factorial": tree_factorial(p),
             }, sort_keys=True) for p in members]
 
+    @pytest.mark.parametrize("family", ["nc", "nc-irr", "boolean"])
+    def test_closed_form_counts_match_the_generated_blocks(self, family):
+        for n in range(1, 13):
+            assert family_count(family, n) == len(family_blocks(family, n)), n
+
     def test_family_blocks_rejects_bad_input(self):
         with pytest.raises(DomainError, match="unknown partition family"):
             family_blocks("crossing", 3)
         # json_lines raises when called, before any line is taken from it
-        with pytest.raises(DomainError, match="unknown partition family"):
-            json_lines("crossing", 3)
-        for n in (0, 15):
-            with pytest.raises(DomainError, match="order must be"):
-                json_lines("nc", n)
+        for reader in (json_lines, family_count):
+            with pytest.raises(DomainError, match="unknown partition family"):
+                reader("crossing", 3)
+            for n in (0, 15):
+                with pytest.raises(DomainError, match="order must be"):
+                    reader("nc", n)
 
 
 def _set_partitions(n):

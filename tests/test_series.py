@@ -35,13 +35,17 @@ from shufflecalc import (
     unit,
 )
 from shufflecalc.functionals import (
+    _domain,
     barwords_up_to,
     functionals_agree,
     half_left,
     half_right,
+    is_character,
+    is_infinitesimal,
     prelie,
 )
 from shufflecalc.series import bernoulli
+from shufflecalc.tables import words_up_to
 
 ALPHABET = ["a", "b"]
 N = 4
@@ -185,6 +189,28 @@ class TestFixedPoints:
                 ref = weakref.ref(node)
                 del node
                 assert ref() is None, make.__name__
+        finally:
+            gc.enable()
+
+
+    def test_checked_nodes_are_freed_by_reference_counting(self):
+        """The exhaustive checks keep per-degree lists in the nodes and split
+        indexes in the domain; neither holds a node in a cycle."""
+        a, f = rand_lie(33), rand_char(34)
+        gc.disable()
+        try:
+            for make, arg in (
+                (exp_left, a), (exp_right, a), (inverse, f),
+                (exp_conv, a), (log_conv, f), (magnus, a), (magnus_inverse, a),
+                (lambda x: bch(x, x), a), (lambda x: ad_lower(x, x), a),
+            ):
+                node, other = make(arg), make(arg)
+                assert functionals_agree(node, other, ALPHABET, N) is None
+                is_character(node, ALPHABET, N)
+                is_infinitesimal(node, ALPHABET, N)
+                refs = weakref.ref(node), weakref.ref(other)
+                del node, other
+                assert [ref() for ref in refs] == [None, None], make
         finally:
             gc.enable()
 
@@ -432,3 +458,70 @@ def test_memos_hold_integer_numerators():
                 nodes.append(value)
     assert len(seen) > 30
     assert power_values > 0
+
+
+def _lazy_nums(node, alphabet, degree):
+    """``num(b)`` one bar-word at a time, by the point-query path."""
+    return [node.num(b) for b in [BarWord(), *barwords_up_to(alphabet, degree)]]
+
+
+def _batched_nums(node, alphabet, degree):
+    """The numerators the exhaustive checks compare, one degree at a time."""
+    domain = _domain(tuple(alphabet))
+    return [x for d in range(degree + 1) for x in node._degree(domain, d)]
+
+
+def _batch_cases(alphabet, degree):
+    """The guarded nodes plus a sum with a zero part, the inverse, both
+    half-shuffles and ``E>``, whose known factor sits on the right."""
+    nodes = _guarded_nodes(alphabet, degree)
+    rng = random.Random(7000 + len(alphabet))
+    x = infinitesimal(CumulantTable.random(alphabet, degree, rng))
+    f = character(MomentTable.random(alphabet, degree, rng))
+    nodes.update({
+        "sum_with_zero_part": 0 * f + x - Fraction(2, 3) * f,
+        "inverse": inverse(f),
+        "half_left": half_left(f, x),
+        "half_right": half_right(x, f),
+        "exp_right_alone": exp_right(x),
+    })
+    return nodes
+
+
+@pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4)])
+def test_degree_batches_match_point_queries(alphabet, degree):
+    alphabet = list(alphabet)
+    lazy = _batch_cases(alphabet, degree)
+    batched = _batch_cases(alphabet, degree)
+    assert lazy.keys() == batched.keys()
+    for name in lazy:
+        expected = _lazy_nums(lazy[name], alphabet, degree)
+        assert _batched_nums(batched[name], alphabet, degree) == expected, name
+        assert any(expected[1:]), name
+
+
+@pytest.mark.parametrize("include_unit", [True, False])
+def test_first_counterexample_on_a_degree_4_bar_product(include_unit):
+    """g differs from f by ``char(T) - e - inf(T)``, with T vanishing on
+    letters: 0 on the unit, on single words and on every bar-word with a
+    one-letter factor, so the first difference is a product of two words
+    of length 2.  The batched check reports the bar-word and values that a
+    scan by point queries finds first."""
+    alphabet = ["a", "b"]
+    rng = random.Random(71)
+    values = {w: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+              for w in words_up_to(alphabet, 4)}
+    values.update(dict.fromkeys(words_up_to(alphabet, 1), Fraction(0)))
+
+    def pair():
+        f = exp_left(rand_lie(72))
+        h = character(MomentTable(alphabet, 4, values)) - unit() \
+            - infinitesimal(CumulantTable(alphabet, 4, values))
+        return f, f + h
+
+    f, g = pair()
+    domain = [BarWord(), *barwords_up_to(alphabet, 4)][0 if include_unit else 1:]
+    first = next(b for b in domain if f(b) != g(b))
+    assert first.degree == 4 and len(first.factors) == 2
+    bad = functionals_agree(*pair(), alphabet, 4, include_unit=include_unit)
+    assert bad == (first, f(first), g(first))
