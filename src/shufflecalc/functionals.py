@@ -1,9 +1,13 @@
 """Linear forms on the word Hopf algebra with exact rational values.
 
-A ``Functional`` is a node in an immutable expression tree (unit, character,
-infinitesimal character, sums, convolution, half-shuffles, pre-Lie product,
-and the fixed points of ``X = e + g . X`` that give the convolution inverse
-and the half-shuffle exponentials).
+A ``Functional`` is a node in an immutable expression tree.  Its leaves are
+the unit, characters and infinitesimal characters read from tables; its
+inner nodes are sums and split products.  A split product (``_Product``)
+pairs the two legs of the coproduct or of a half-coproduct with a known
+factor and another node: that one node gives the convolution, both
+half-shuffles (and so the pre-Lie product, a sum of two), the fixed points
+of ``X = e + g . X`` behind the convolution inverse and the half-shuffle
+exponentials, and each power of the series in ``series``.
 
 The coproduct and both half-coproducts preserve degree, so every node is
 homogeneous: its values on the bar-words of degree d share one positive
@@ -147,12 +151,13 @@ def _domain(alphabet: tuple[str, ...]) -> _Domain:
 class Functional:
     """Base class: a lazily evaluated linear form on bar-words.
 
-    Subclasses give ``_num(b)``, the integer numerator of the value on b,
-    and ``_rescale(d)``, the pair ``(den(d), weights)`` where ``weights``
-    holds whatever integer multipliers ``_num`` needs at degree d.  Both
-    are memoized here.  For the exhaustive checks, ``_batch(domain, d)``
-    gives the numerators on every bar-word of degree d of a domain at once,
-    from the same weights; ``_degree`` keeps them, apart from the memo.
+    Subclasses (the table leaves, ``_Sum`` and ``_Product``) give
+    ``_num(b)``, the integer numerator of the value on b, and
+    ``_rescale(d)``, the pair ``(den(d), weights)`` where ``weights`` holds
+    whatever integer multipliers ``_num`` needs at degree d.  Both are
+    memoized here.  For the exhaustive checks, ``_batch(domain, d)`` gives
+    the numerators on every bar-word of degree d of a domain at once, from
+    the same weights; ``_degree`` keeps them, apart from the memo.
     """
 
     def __init__(self):
@@ -277,20 +282,26 @@ class InfinitesimalFunctional(_TableFunctional):
 class _Sum(Functional):
     """``sum c_i f_i``: ``den(d)`` is the lcm of ``c_i.denominator *
     den_i(d)``, and each part has one integer weight per degree, kept
-    beside the part's memo and ``num`` so ``_num`` reads the memo inline."""
+    beside the part's memo and ``num`` so ``_num`` reads the memo inline.
+    ``_parts(d)`` gives the parts that degree d reads."""
 
     def __init__(self, parts: Iterable[tuple[Fraction, Functional]]):
         super().__init__()
         flat: list[tuple[Fraction, Functional]] = []
         for coeff, f in parts:
-            if isinstance(f, _Sum):
+            # Only a plain sum is flattened: a subclass gives its parts
+            # through ``_parts``.
+            if type(f) is _Sum:
                 flat.extend((coeff * c, g) for c, g in f.parts)
             else:
                 flat.append((coeff, f))
         self.parts = tuple(flat)
 
+    def _parts(self, d: int):
+        return self.parts
+
     def _rescale(self, d: int) -> tuple:
-        scaled = [(c.numerator, c.denominator * f.den(d), f) for c, f in self.parts if c]
+        scaled = [(c.numerator, c.denominator * f.den(d), f) for c, f in self._parts(d) if c]
         den = lcm(*(x for _, x, _ in scaled))
         return den, [(n * (den // x), f._memo, f) for n, x, f in scaled]
 
@@ -310,105 +321,80 @@ class _Sum(Functional):
         return total
 
 
-class _Convolution(Functional):
-    """``sum coeff * f(left) * g(right)`` over the ``(left, right, coeff)``
-    terms of ``split``: ``coalgebra.coproduct`` for the convolution,
-    ``half_coproduct_left``/``_right`` for the half-shuffles (``half``),
-    which vanish on the unit.  ``den(d)`` is the lcm over the left-leg
-    degree k of ``den_f(k) * den_g(d - k)``, with one multiplier per k; f
-    is the known factor of ``_known_first``."""
-
-    def __init__(self, f: Functional, g: Functional, split, half: bool):
-        super().__init__()
-        self.f = f
-        self.g = g
-        self.split = split
-        self.half = half
-
-    def _rescale(self, d: int) -> tuple:
-        f, g = self.f, self.g
-        return _multipliers(d, [(1, True, {k: f.den(k) * g.den(d - k) for k in range(d + 1)})])
-
-    def _num(self, b: BarWord) -> int:
-        if self.half and not b.factors:
-            return 0
-        weights = self._scale(b.degree)[1][0]
-        g = self.g
-        return _known_first(self.split(b), self.f, g._memo, g.num, weights, True)
-
-    def _batch(self, domain: _Domain, d: int) -> list[int]:
-        if self.half and not d:
-            return [0]
-        return _split_sum(domain, self.split, d, self._scale(d)[1][0],
-                          self.f._degree, self.g._degree)
-
-
-class _FixedPoint(Functional):
-    """Solution of ``X = e + g . X`` (``g_left``) or ``X = e + X . g``, where
-    ``.`` pairs the legs of ``split``: ``coalgebra.coproduct`` for the
+class _Product(Functional):
+    """``sum sign * (known . other)`` (``known_left``) or ``sign * (other .
+    known)`` over ``(sign, split, known, known_left)`` terms, where ``.``
+    pairs the legs of ``split``: ``coalgebra.coproduct`` for the
     convolution, ``half_coproduct_left``/``_right`` for the half-shuffles.
+    ``other is None`` stands for the node itself, which makes it the fixed
+    point ``X = e + known . X`` (or ``X = e + X . known``); earlier values
+    and denominators are then read from ``self``, and no child refers back
+    to it, so reference counting alone frees it.
 
-    ``g`` must vanish on the unit, so on degree d the g leg has a degree k
-    in ``1..d`` and the X leg a degree below d: ``den(0) = 1`` and
-    ``den(d)`` is the lcm over k of ``den_g(k) * den_X(d - k)``.  Earlier
-    values and denominators are read from ``self``; no child node refers
-    back to it, so reference counting alone frees it.
+    On degree d the known leg's degree k runs over ``low..d - skip`` only,
+    where both legs can be nonzero; this keeps a fixed point below its own
+    degree.  ``den(d)`` is the lcm over the terms and k of ``den_known(k) *
+    den_other(d - k)``, and each term has one multiplier per left-leg
+    degree, 0 outside that range.  ``on_unit``, if not None, is the value
+    on the unit bar-word: 0 for the half-shuffles, 1 for a fixed point.
     """
 
-    def __init__(self, g: Functional, split, g_left: bool):
+    def __init__(self, terms, other: Functional | None, low: int = 0, skip: int = 0,
+                 on_unit: int | None = None):
         super().__init__()
-        self.g = g
-        self.split = split
-        self.g_left = g_left
+        self.terms = terms
+        self.other = other
+        self.low = low
+        self.skip = skip
+        self.on_unit = on_unit
 
     def _rescale(self, d: int) -> tuple:
-        if d == 0:
-            return 1, None
-        dens = {k: self.g.den(k) * self.den(d - k) for k in range(1, d + 1)}
-        return _multipliers(d, [(1, self.g_left, dens)])
+        other = self if self.other is None else self.other
+        dens = [{k: known.den(k) * other.den(d - k) for k in range(self.low, d - self.skip + 1)}
+                for _, _, known, _ in self.terms]
+        den = lcm(*(x for row in dens for x in row.values()))
+        weights = []
+        for (sign, _, _, known_left), row in zip(self.terms, dens):
+            ws = [0] * (d + 1)
+            for k, x in row.items():
+                ws[k if known_left else d - k] = sign * (den // x)
+            weights.append(ws)
+        return den, weights
 
     def _num(self, b: BarWord) -> int:
-        if not b.factors:
-            return 1
-        weights = self._scale(b.degree)[1][0]
-        return _known_first(self.split(b), self.g, self._memo, self.num, weights, self.g_left)
+        if self.on_unit is not None and not b.factors:
+            return self.on_unit
+        other = self if self.other is None else self.other
+        memo, miss = other._memo, other.num
+        total = 0
+        for (_, split, known, known_left), weights in zip(self.terms, self._scale(b.degree)[1]):
+            total += _known_first(split(b), known, memo, miss, weights, known_left)
+        return total
 
     def _batch(self, domain: _Domain, d: int) -> list[int]:
-        if not d:
-            return [1]
-        known, unknown = self.g._degree, self._degree
-        left, right = (known, unknown) if self.g_left else (unknown, known)
-        return _split_sum(domain, self.split, d, self._scale(d)[1][0], left, right)
+        if self.on_unit is not None and not d:
+            return [self.on_unit]
+        other = (self if self.other is None else self.other)._degree
+        total = [0] * len(domain.bars(d))
+        for (_, split, known, known_left), weights in zip(self.terms, self._scale(d)[1]):
+            left, right = (known._degree, other) if known_left else (other, known._degree)
+            total = _split_sum(domain, split, d, weights, left, right, total)
+        return total
 
 
-def _multipliers(d: int, terms) -> tuple:
-    """``(den, weights)`` for a sum of ``(sign, known_left, dens)`` split
-    terms at degree d, where ``dens`` maps the known leg's degree k to
-    ``den_known(k) * den_unknown(d - k)``.  ``den`` is the lcm of all of
-    them, and each term's weights, indexed by the degree of the left leg,
-    are ``sign * den // dens[k]``, and 0 for every k that ``dens`` leaves
-    out."""
-    den = lcm(*(x for _, _, dens in terms for x in dens.values()))
-    weights = []
-    for sign, known_left, dens in terms:
-        row = [0] * (d + 1)
-        for k, x in dens.items():
-            row[k if known_left else d - k] = sign * (den // x)
-        weights.append(row)
-    return den, weights
+def _split_sum(domain: _Domain, split, d: int, weights, left, right, total) -> list[int]:
+    """The batched ``_known_first``: ``total`` plus, for every bar-word b of
+    degree d of the domain, ``sum coeff * weights[k] * left(domain, k)[l] *
+    right(domain, d - k)[r]`` over the ``(l, r, coeff)`` terms of
+    ``split(b)``, where k is the degree of l.  ``left`` and ``right`` give
+    the numerators of the two legs on one degree, as ``Functional._degree``
+    does.
 
-
-def _split_sum(domain: _Domain, split, d: int, weights, left, right) -> list[int]:
-    """The batched ``_known_first``: for every bar-word b of degree d of the
-    domain, ``sum coeff * weights[k] * left(domain, k)[l] * right(domain,
-    d - k)[r]`` over the ``(l, r, coeff)`` terms of ``split(b)``, where k is
-    the degree of l and ``left``, ``right`` give the numerators of the two
-    legs on one degree, as ``Functional._degree`` does.  The terms of one left-leg degree k are summed in a few C-level
-    passes over ``domain.split_index``: gather both legs, multiply, take
-    running sums and subtract them at each bar-word's bounds.  A k whose
-    weight is 0 is skipped and its legs are never read, which keeps a fixed
-    point or a series off its own values on degree d."""
-    total = [0] * len(domain.bars(d))
+    The terms of one left-leg degree k are summed in a few C-level passes
+    over ``domain.split_index``: gather both legs, multiply, take running
+    sums and subtract them at each bar-word's bounds.  A k whose weight is
+    0 is skipped and its legs are never read, which keeps a fixed point or
+    a series off its own values on degree d."""
     for k, terms in enumerate(domain.split_index(split, d)):
         weight = weights[k]
         if not weight or terms is None:
@@ -429,10 +415,10 @@ def _known_first(terms, known: Functional, memo: dict, miss, weights, known_left
     """The point-query path: ``sum coeff * weights[deg left] * known(k) *
     unknown(u)`` over the ``(l, r, coeff)`` terms of a split, in numerators,
     where ``k`` is the left leg if ``known_left`` and the right leg
-    otherwise.  The unknown leg's
-    numerators are read from ``memo``, and ``miss(u)`` computes (and
-    memoizes) one that is not there yet; ``known``'s memo is read the same
-    way, so a hit on either leg costs one ``dict.get`` and no call.
+    otherwise.  The unknown leg's numerators are read from ``memo``, and
+    ``miss(u)`` computes (and memoizes) one that is not there yet;
+    ``known``'s memo is read the same way, so a hit on either leg costs one
+    ``dict.get`` and no call.
 
     A term whose weight is 0 is skipped, and ``known`` is evaluated before
     ``unknown`` and zero terms are skipped, so weights that vanish outside
@@ -486,17 +472,17 @@ def infinitesimal(table: CumulantTable) -> Functional:
 
 def conv(f: Functional, g: Functional) -> Functional:
     """Convolution: pair the coproduct legs with f and g."""
-    return _Convolution(f, g, coalgebra.coproduct, half=False)
+    return _Product(((1, coalgebra.coproduct, f, True),), g)
 
 
 def half_left(f: Functional, g: Functional) -> Functional:
     """Left half-shuffle ``f < g``; vanishes on the unit bar-word."""
-    return _Convolution(f, g, coalgebra.half_coproduct_left, half=True)
+    return _Product(((1, coalgebra.half_coproduct_left, f, True),), g, on_unit=0)
 
 
 def half_right(f: Functional, g: Functional) -> Functional:
     """Right half-shuffle ``f > g``; vanishes on the unit bar-word."""
-    return _Convolution(f, g, coalgebra.half_coproduct_right, half=True)
+    return _Product(((1, coalgebra.half_coproduct_right, f, True),), g, on_unit=0)
 
 
 def prelie(f: Functional, g: Functional) -> Functional:
@@ -509,7 +495,7 @@ def inverse(f: Functional) -> Functional:
     solution of ``X = e + (e - f) * X``."""
     if f(UNIT) != ONE:
         raise DomainError("only functionals with value 1 on the unit are invertible")
-    return _FixedPoint(unit() - f, coalgebra.coproduct, g_left=True)
+    return _Product(((1, coalgebra.coproduct, unit() - f, True),), None, low=1, on_unit=1)
 
 
 def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:

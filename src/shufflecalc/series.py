@@ -7,33 +7,29 @@ series: they solve ``X = e + a < X`` and ``Y = e + Y > a`` directly, as the
 convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
 ``exp*``, ``log*`` and the Magnus pair are power series
 ``sum_m c_m L^m(seed)`` in a linear map L (right convolution by a
-known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node
-that memoizes the integer numerators of the powers ``L^m(seed)`` in one dict
-per power m, over one denominator per ``(m, degree)``, and stops by
-grading at the degree of the bar-word.  Group-side arguments must
-take the value 1 on the unit, Lie-side arguments the value 0; only these
-cheap normalizations are checked at construction (full
-character/infinitesimal checks are available via ``functionals.is_character``
-/ ``is_infinitesimal``).
+known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node,
+a sum over the powers ``L^m(seed)``, which stops by grading at the degree of
+the bar-word.  Each power is a split-product node (``functionals._Product``)
+of L with the power before it, with its own memo and denominators, made when
+a degree first needs it.  Group-side arguments must take the value 1 on the
+unit, Lie-side arguments the value 0; only these cheap normalizations are
+checked at construction (full character/infinitesimal checks are available
+via ``functionals.is_character`` / ``is_infinitesimal``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import comb, factorial, lcm
-from operator import add
+from math import comb, factorial
 from typing import Iterable
+from weakref import proxy
 
 from . import coalgebra
 from .errors import DomainError
 from .functionals import (
     Functional,
-    _Domain,
-    _FixedPoint,
-    _known_first,
-    _multipliers,
-    _split_sum,
+    _Product,
+    _Sum,
     conv,
     functionals_agree,
     half_left,
@@ -42,7 +38,7 @@ from .functionals import (
     unit,
 )
 from .tables import ONE, ZERO
-from .words import UNIT, BarWord
+from .words import UNIT
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
@@ -69,127 +65,36 @@ def _require_group(f: Functional, what: str) -> None:
         raise DomainError(f"{what} requires a functional equal to 1 on the unit")
 
 
-class _Series(Functional):
+class _Series(_Sum):
     """``sum_m coeff(m) P_m``, where ``P_0 = seed`` and ``P_m = L(P_{m-1})``
     for a linear map L.
 
-    L is given as ``(sign, split, known, known_left)`` terms, each adding
-    ``sign * (known . P)`` (``known_left``) or ``sign * (P . known)`` with
-    ``.`` pairing the legs of ``split``; ``known is None`` stands for the
-    series itself.  Every known factor vanishes on the unit, so L raises the
-    degree: P_m vanishes below degree ``m + low``, where ``low`` is 1 if the
-    seed vanishes on the unit and 0 otherwise, and on a bar-word of degree d
-    the series stops at ``m = d - low``.
-
-    The numerators of P_m are memoized in ``_powers[m]``, a dict keyed by
-    bar-word, over the denominator ``den_P(m, d)``: ``_powers[0]`` is the
-    seed's own memo and ``den_P(0, d)`` the seed's ``den(d)``; for m >= 1,
-    ``den_P(m, d)`` is the lcm over the terms of L and over the known leg's
-    degree k of ``den_known(k) * den_P(m - 1, d - k)``.  k runs over
-    ``1..d - (m - 1 + low)`` only, where both legs can be nonzero; this also
-    keeps a series that is its own known factor below its own ``den(d)``.
-    Computing P_m on b hands ``_powers[m - 1]`` to ``_known_first``, which
-    reads it inline and falls back to ``_power(m - 1, .)`` on a miss; the
-    series sums ``_powers[m]`` the same way.  The series reads itself by
-    calling ``self``, so no child node refers back to it.  The exhaustive
-    checks read P_m one whole degree at a time (``_power_degree``), from
-    one list per ``(m, alphabet, degree)`` in ``_power_lists``, by the same
-    weights.
+    L is given as ``(sign, split, known, known_left)`` terms, as for a
+    ``_Product``; ``known is None`` stands for the series itself, read
+    through a weak proxy so that no power refers back to the series.  Every
+    known factor vanishes on the unit, so L raises the degree: P_m vanishes
+    below degree ``m + low``, where ``low`` is 1 if the seed vanishes on the
+    unit and 0 otherwise, and on a bar-word of degree d the series stops at
+    ``m = d - low``.  So the series is a sum whose parts at degree d are
+    ``coeff(m) P_m`` for ``m <= d - low``, and P_m is the ``_Product`` of L
+    with ``P_{m-1}`` whose known leg has degree ``1..d - (m - 1 + low)``,
+    made when a degree first needs it.  That range also keeps a series that
+    is its own known factor below its own ``den(d)``.
     """
 
     def __init__(self, seed: Functional, coeff, step):
-        super().__init__()
-        self.seed = seed
+        super().__init__(())
         self.coeff = coeff
-        self.step = step
-        self._powers: list[dict[BarWord, int]] = [seed._memo]
-        self._power_scales: dict[tuple[int, int], tuple] = {}
-        self._power_lists: dict[tuple, list[int]] = {}
+        self.step = tuple((sign, split, proxy(self) if known is None else known, known_left)
+                          for sign, split, known, known_left in step)
+        self.powers = [seed]
         self._low = 1 if seed(UNIT) == ZERO else 0
 
-    def _rescale(self, d: int) -> tuple:
-        # Degree d reads P_0..P_{d - low}: give each its memo before
-        # ``_num`` or ``_power`` indexes ``_powers``.
-        powers = self._powers
-        while len(powers) < d + 1 - self._low:
-            powers.append({})
-        terms = []
-        for m in range(d + 1 - self._low):
-            c = self.coeff(m)
-            if c:
-                terms.append((m, c.numerator, c.denominator * self._power_scale(m, d)[0]))
-        den = lcm(*(x for _, _, x in terms))
-        return den, [(m, n * (den // x)) for m, n, x in terms]
-
-    def _num(self, b: BarWord) -> int:
-        powers = self._powers
-        total = 0
-        for m, w in self._scale(b.degree)[1]:
-            x = powers[m].get(b)
-            if x is None:
-                x = self._power(m, b)
-            total += w * x
-        return total
-
-    def _power_scale(self, m: int, d: int) -> tuple:
-        """``(den_P(m, d), weights per term of L)``."""
-        if m == 0:
-            return self.seed.den(d), None
-        key = (m, d)
-        scale = self._power_scales.get(key)
-        if scale is None:
-            top = d - (m - 1 + self._low)
-            terms = []
-            for sign, _, known, known_left in self.step:
-                known = self if known is None else known
-                terms.append((sign, known_left, {
-                    k: known.den(k) * self._power_scale(m - 1, d - k)[0]
-                    for k in range(1, top + 1)}))
-            scale = self._power_scales[key] = _multipliers(d, terms)
-        return scale
-
-    def _power(self, m: int, b: BarWord) -> int:
-        if m == 0:
-            return self.seed.num(b)
-        if m + self._low > b.degree:
-            return 0
-        memo = self._powers[m]
-        value = memo.get(b)
-        if value is None:
-            weights = self._power_scale(m, b.degree)[1]
-            lower = self._powers[m - 1]
-            miss = lambda u: self._power(m - 1, u)
-            value = 0
-            for (_, split, known, known_left), row in zip(self.step, weights):
-                known = self if known is None else known
-                value += _known_first(split(b), known, lower, miss, row, known_left)
-            memo[b] = value
-        return value
-
-    def _batch(self, domain: _Domain, d: int) -> list[int]:
-        total = [0] * len(domain.bars(d))
-        for m, w in self._scale(d)[1]:
-            total = list(map(add, total, map(w.__mul__, self._power_degree(m, domain, d))))
-        return total
-
-    def _power_degree(self, m: int, domain: _Domain, d: int) -> list[int]:
-        """The batched ``_power``: the numerators of P_m on every bar-word of
-        degree d of the domain, kept in ``_power_lists``."""
-        if m == 0:
-            return self.seed._degree(domain, d)
-        if m + self._low > d:
-            return [0] * len(domain.bars(d))
-        key = (m, domain.alphabet, d)
-        values = self._power_lists.get(key)
-        if values is None:
-            lower = partial(self._power_degree, m - 1)
-            values = [0] * len(domain.bars(d))
-            for (_, split, known, known_left), row in zip(self.step, self._power_scale(m, d)[1]):
-                known = (self if known is None else known)._degree
-                left, right = (known, lower) if known_left else (lower, known)
-                values = list(map(add, values, _split_sum(domain, split, d, row, left, right)))
-            self._power_lists[key] = values
-        return values
+    def _parts(self, d: int):
+        powers, low = self.powers, self._low
+        while len(powers) < d + 1 - low:
+            powers.append(_Product(self.step, powers[-1], low=1, skip=len(powers) - 1 + low))
+        return [(self.coeff(m), powers[m]) for m in range(d + 1 - low)]
 
 
 def _times(g: Functional):
@@ -222,13 +127,13 @@ def log_conv(f: Functional) -> Functional:
 def exp_left(a: Functional) -> Functional:
     """Solution of the left fixed point equation ``X = e + a < X``."""
     _require_lie(a, "exp_left")
-    return _FixedPoint(a, coalgebra.half_coproduct_left, g_left=True)
+    return _Product(((1, coalgebra.half_coproduct_left, a, True),), None, low=1, on_unit=1)
 
 
 def exp_right(a: Functional) -> Functional:
     """Solution of the right fixed point equation ``Y = e + Y > a``."""
     _require_lie(a, "exp_right")
-    return _FixedPoint(a, coalgebra.half_coproduct_right, g_left=False)
+    return _Product(((1, coalgebra.half_coproduct_right, a, False),), None, low=1, on_unit=1)
 
 
 def log_left(f: Functional) -> Functional:

@@ -611,13 +611,14 @@ def _nc_counts(config: VerifyConfig) -> CheckResult:
     catalan = [1]
     for n in range(1, 9):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
-    for n in range(1, 8):
-        if len(partitions.enumerate_nc(n)) != catalan[n]:
+    ncs = {n: partitions.enumerate_nc(n) for n in range(1, 8)}
+    for n, nc in ncs.items():
+        if len(nc) != catalan[n]:
             return CheckResult(name, False, f"|NC_{n}| != Catalan({n})")
     for n in range(1, 9):
         bools = partitions.enumerate_boolean(n)
         if len(bools) != 2 ** (n - 1):
             return CheckResult(name, False, f"|B_{n}| != 2^{n - 1}")
-        if n <= 7 and not set(bools) <= set(partitions.enumerate_nc(n)):
+        if n in ncs and not set(bools) <= set(ncs[n]):
             return CheckResult(name, False, f"B_{n} not inside NC_{n}")
     return CheckResult(name, True)

@@ -433,8 +433,8 @@ def test_cold_evaluation_order_keeps_values(monkeypatch):
 
 def test_memos_hold_integer_numerators():
     """Below ``__call__`` the engine runs in integers: every memo of every
-    node under the guarded ones holds ``int``s, and so does every per-power
-    memo of every series node."""
+    node under the guarded ones holds ``int``s, the power nodes of every
+    series node included."""
     nodes = list(_guarded_nodes(["a", "b"], 3).values())
     for node in nodes:
         for b in barwords_up_to(["a", "b"], 3):
@@ -446,14 +446,19 @@ def test_memos_hold_integer_numerators():
         if id(node) in seen:
             continue
         seen.add(id(node))
-        memos = [node._memo, *getattr(node, "_powers", ())]
-        assert all(type(v) is int for memo in memos for v in memo.values()), node
-        power_values += sum(len(memo) for memo in memos[1:])
+        assert all(type(v) is int for v in node._memo.values()), node
         fields = list(vars(node).values())
         while fields:
             value = fields.pop()
+            if type(value) in weakref.ProxyTypes:
+                # a series read by its own powers, reached from its owner
+                continue
             if isinstance(value, tuple):
                 fields.extend(value)
+            elif isinstance(value, list):
+                # a series' powers: the seed, then P_1, P_2, ...
+                fields.extend(value)
+                power_values += sum(len(power._memo) for power in value[1:])
             elif isinstance(value, Functional):
                 nodes.append(value)
     assert len(seen) > 30
@@ -498,6 +503,31 @@ def test_degree_batches_match_point_queries(alphabet, degree):
         expected = _lazy_nums(lazy[name], alphabet, degree)
         assert _batched_nums(batched[name], alphabet, degree) == expected, name
         assert any(expected[1:]), name
+
+
+def test_a_series_inside_a_sum_keeps_its_values():
+    """A series node is a sum over its powers, made per degree; a sum that
+    holds one keeps it whole as a part, by point queries and by degree
+    batches alike."""
+    a = rand_lie(41)
+    domain = [BarWord(), *barwords_up_to(ALPHABET, 4)]
+    e, w, v = exp_conv(a), magnus(a), magnus_inverse(-a)
+    expected = {
+        "2 * exp_conv(a)": [2 * e(b) for b in domain],
+        "magnus(a) - a": [w(b) - a(b) for b in domain],
+        "-magnus_inverse(-a)": [-v(b) for b in domain],
+    }
+
+    def combined():
+        return {"2 * exp_conv(a)": 2 * exp_conv(a), "magnus(a) - a": magnus(a) - a,
+                "-magnus_inverse(-a)": -magnus_inverse(-a)}
+
+    for name, node in combined().items():
+        assert [node(b) for b in domain] == expected[name], name
+    for name, node in combined().items():
+        nums = _batched_nums(node, ALPHABET, 4)
+        values = [Fraction(x, node.den(b.degree)) for b, x in zip(domain, nums)]
+        assert values == expected[name], name
 
 
 @pytest.mark.parametrize("include_unit", [True, False])
