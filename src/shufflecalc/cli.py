@@ -117,7 +117,8 @@ def cmd_transform(args) -> int:
     else:
         _check_headers(obj)
         inputs = ((MomentTable if args.to else CumulantTable).from_json(obj),)
-    return _run(op, inputs, args.output)
+    _write_text(args.output, _dump_json(op(*inputs).to_json()))
+    return 0
 
 
 def cmd_convolve(args) -> int:
@@ -132,7 +133,8 @@ def cmd_convolve(args) -> int:
     _check_headers(a, *parts)
     _check_headers(b, *parts)
     parse = StatePair.from_json if args.kind == "cfree" else MomentTable.from_json
-    return _run(op, (parse(a), parse(b)), args.output)
+    _write_text(args.output, _dump_json(op(parse(a), parse(b)).to_json()))
+    return 0
 
 
 def _check_headers(obj, *parts: str) -> None:
@@ -148,13 +150,6 @@ def _check_headers(obj, *parts: str) -> None:
         n = table.get("max_len") if isinstance(table, dict) else None
         if isinstance(n, int) and not isinstance(n, bool):
             _check_truncation(n)
-
-
-def _run(op, inputs, output: str) -> int:
-    """Apply the op to the parsed inputs, whose truncation
-    ``_check_headers`` has checked, and write its result."""
-    _write_text(output, _dump_json(op(*inputs).to_json()))
-    return 0
 
 
 def cmd_enumerate(args) -> int:
