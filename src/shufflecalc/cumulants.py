@@ -50,9 +50,9 @@ bar-word engine by the ``cumulant-conversions`` verify suite, which holds
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb, factorial, lcm
-from operator import add, attrgetter, floordiv, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import DomainError
 from .tables import CumulantTable, MomentTable, ValueTable
@@ -173,12 +173,12 @@ def _scaled(*tables: ValueTable, factorials: bool = False):
     code order: a word's code is its index there, the base-K number (K
     letters) whose digits are the places of its letters in the sorted
     alphabet, first letter most significant, which is
-    ``itertools.product`` order."""
+    ``itertools.product`` order and so the order the tables hold."""
     d = lcm(*(v.denominator for t in tables for v in t.values.values()))
     scale = [(factorial(n) if factorials else 1) * d**n for n in range(tables[0].max_len + 1)]
-    words: list[list] = [[] for _ in scale]
-    for w in sorted(tables[0].values, key=attrgetter("letters")):
-        words[len(w.letters)].append(w)
+    ordered = iter(tables[0].values)
+    words = [[]] + [list(islice(ordered, len(tables[0].alphabet) ** n))
+                    for n in range(1, len(scale))]
 
     def coded(table: ValueTable) -> list[list[int]]:
         return [[1]] + [[v.numerator * (scale[n] // v.denominator)

@@ -30,11 +30,14 @@ integer weights, so both give the same numerators.
   memo dict directly: a hit is one ``dict.get``, and only a miss
   (``None``) calls the child's ``num``, which computes and stores the
   value.  Memos hold 0 for values that vanish, so a read tests ``is None``,
-  never truthiness.  A split term whose known leg is 0 is skipped, so a
-  query that reads few bar-words stays cheap.
-- The exhaustive checks (``functionals_agree``, ``is_character``,
-  ``is_infinitesimal``) read every bar-word of each degree, so each node
-  gives them all its numerators on one degree d of a ``_Domain`` at once
+  never truthiness.  A split product runs one loop over the terms of its
+  splits, whichever leg is the known one, and skips a term whose known
+  leg is 0, so a query that reads few bar-words stays cheap.
+- The exhaustive check ``functionals_agree`` reads every bar-word of each
+  degree, and ``is_character`` and ``is_infinitesimal`` are that check
+  against the character or the infinitesimal extension of f's own word
+  values.  So each node gives it all its numerators on one degree d of a
+  ``_Domain`` (the bar-words of d and the split indexes over them) at once
   (``_degree``), kept as one list per degree beside the memo.  A parent
   builds its list from its children's with a few ``map``/``accumulate``
   passes per left-leg degree over flat split indexes (``_split_sum``).  A
@@ -93,14 +96,13 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
 class _Domain:
     """The domain of the exhaustive checks over one alphabet, one degree at
     a time: the bar-words of degree d in ``barwords_up_to`` order (the unit
-    alone at d = 0), the position of each in its degree, and for each split
-    kind the index ``_split_sum`` reads.  Each part is built on first use
-    and kept; ``_domain`` keeps the domains of the last few alphabets."""
+    alone at d = 0), and for each split kind the index ``_split_sum``
+    reads.  Each part is built on first use and kept; ``_domain`` keeps the
+    domains of the last few alphabets."""
 
     def __init__(self, alphabet: tuple[str, ...]):
         self.alphabet = alphabet
         self._bars: dict[int, tuple[BarWord, ...]] = {}
-        self._positions: dict[int, dict[BarWord, int]] = {}
         self._indexes: dict[tuple, list] = {}
 
     def bars(self, d: int) -> tuple[BarWord, ...]:
@@ -108,12 +110,6 @@ class _Domain:
         if bars is None:
             bars = self._bars[d] = tuple(_barwords_of_degree(list(self.alphabet), d))
         return bars
-
-    def positions(self, d: int) -> dict[BarWord, int]:
-        positions = self._positions.get(d)
-        if positions is None:
-            positions = self._positions[d] = {b: i for i, b in enumerate(self.bars(d))}
-        return positions
 
     def split_index(self, split, d: int) -> list:
         """The terms of ``split`` on the bar-words of degree d, one entry per
@@ -125,7 +121,7 @@ class _Domain:
         key = (split, d)
         index = self._indexes.get(key)
         if index is None:
-            positions = [self.positions(k) for k in range(d + 1)]
+            positions = [{b: i for i, b in enumerate(self.bars(k))} for k in range(d + 1)]
             legs = [([], [], [], [0]) for _ in range(d + 1)]
             for b in self.bars(d):
                 for (l, r), c in split(b).pairs():
@@ -169,9 +165,10 @@ class Functional:
         return Fraction(self.num(b), self.den(b.degree))
 
     def num(self, b: BarWord) -> int:
-        """The value on b times ``den(b.degree)``.  Parents that read the
-        memo inline call this on a miss only, so it looks up with ``get``
-        rather than paying for a ``KeyError``."""
+        """The value on b times ``den(b.degree)``.  ``_Sum._num`` and
+        ``_Product._num`` read their children's memos inline and call this
+        on a miss only, so it looks up with ``get`` rather than paying for a
+        ``KeyError``."""
         value = self._memo.get(b)
         if value is None:
             value = self._memo[b] = self._num(b)
@@ -337,6 +334,12 @@ class _Product(Functional):
     den_other(d - k)``, and each term has one multiplier per left-leg
     degree, 0 outside that range.  ``on_unit``, if not None, is the value
     on the unit bar-word: 0 for the half-shuffles, 1 for a fixed point.
+
+    ``_num`` runs over the ``(l, r)`` legs of each term's split, with k the
+    known leg and u the other.  A term whose weight is 0 is skipped, and
+    the known leg is read before u and a zero skips the term, so weights
+    that vanish outside the degrees where both legs can be nonzero keep u
+    below the degree of the split bar-word.
     """
 
     def __init__(self, terms, other: Functional | None, low: int = 0, skip: int = 0,
@@ -365,10 +368,22 @@ class _Product(Functional):
         if self.on_unit is not None and not b.factors:
             return self.on_unit
         other = self if self.other is None else self.other
-        memo, miss = other._memo, other.num
+        umemo, unum = other._memo, other.num
         total = 0
         for (_, split, known, known_left), weights in zip(self.terms, self._scale(b.degree)[1]):
-            total += _known_first(split(b), known, memo, miss, weights, known_left)
+            kmemo, knum = known._memo, known.num
+            for (l, r), coeff in split(b).pairs():
+                weight = weights[l.degree]
+                if weight:
+                    k, u = (l, r) if known_left else (r, l)
+                    x = kmemo.get(k)
+                    if x is None:
+                        x = knum(k)
+                    if x:
+                        y = umemo.get(u)
+                        if y is None:
+                            y = unum(u)
+                        total += coeff * weight * x * y
         return total
 
     def _batch(self, domain: _Domain, d: int) -> list[int]:
@@ -383,7 +398,7 @@ class _Product(Functional):
 
 
 def _split_sum(domain: _Domain, split, d: int, weights, left, right, total) -> list[int]:
-    """The batched ``_known_first``: ``total`` plus, for every bar-word b of
+    """The batched ``_Product._num``: ``total`` plus, for every bar-word b of
     degree d of the domain, ``sum coeff * weights[k] * left(domain, k)[l] *
     right(domain, d - k)[r]`` over the ``(l, r, coeff)`` terms of
     ``split(b)``, where k is the degree of l.  ``left`` and ``right`` give
@@ -408,50 +423,6 @@ def _split_sum(domain: _Domain, split, d: int, weights, left, right, total) -> l
         per_bar = map(sub, map(sums.__getitem__, islice(bounds, 1, None)),
                       map(sums.__getitem__, bounds))
         total = list(map(add, total, map(weight.__mul__, per_bar)))
-    return total
-
-
-def _known_first(terms, known: Functional, memo: dict, miss, weights, known_left: bool) -> int:
-    """The point-query path: ``sum coeff * weights[deg left] * known(k) *
-    unknown(u)`` over the ``(l, r, coeff)`` terms of a split, in numerators,
-    where ``k`` is the left leg if ``known_left`` and the right leg
-    otherwise.  The unknown leg's numerators are read from ``memo``, and
-    ``miss(u)`` computes (and memoizes) one that is not there yet;
-    ``known``'s memo is read the same way, so a hit on either leg costs one
-    ``dict.get`` and no call.
-
-    A term whose weight is 0 is skipped, and ``known`` is evaluated before
-    ``unknown`` and zero terms are skipped, so weights that vanish outside
-    the degrees where both legs can be nonzero keep ``unknown`` below the
-    degree of the split bar-word.  Each orientation has its own loop, so no
-    pair is rebuilt per term."""
-    kmemo = known._memo
-    knum = known.num
-    total = 0
-    if known_left:
-        for (l, r), coeff in terms.pairs():
-            weight = weights[l.degree]
-            if weight:
-                x = kmemo.get(l)
-                if x is None:
-                    x = knum(l)
-                if x:
-                    y = memo.get(r)
-                    if y is None:
-                        y = miss(r)
-                    total += coeff * weight * x * y
-    else:
-        for (l, r), coeff in terms.pairs():
-            weight = weights[l.degree]
-            if weight:
-                x = kmemo.get(r)
-                if x is None:
-                    x = knum(r)
-                if x:
-                    y = memo.get(l)
-                    if y is None:
-                        y = miss(l)
-                    total += coeff * weight * x * y
     return total
 
 
@@ -499,33 +470,20 @@ def inverse(f: Functional) -> Functional:
 
 
 def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
-    """Exhaustively check unitality and multiplicativity on all bar-words of
-    degree <= max_degree over the alphabet, in numerators: ``num(b)`` times
-    the denominators of b's factors against the product of their numerators
-    times ``den(b.degree)``, which on the unit reads ``num(1) == den(0)``."""
-    domain = _domain(tuple(sorted(alphabet)))
-    for d in range(max_degree + 1):
-        den = f.den(d)
-        for b, x in zip(domain.bars(d), f._degree(domain, d)):
-            product = scale = 1
-            for factor in b.factors:
-                n = len(factor.letters)
-                product *= f._degree(domain, n)[domain.positions(n)[BarWord.of(factor)]]
-                scale *= f.den(n)
-            if x * scale != product * den:
-                return False
-    return True
+    """Exhaustively check that f is a character on all bar-words of degree
+    <= max_degree over the alphabet: that it agrees with the character of
+    its own word values, which is 1 on the unit and multiplicative."""
+    moments = materialize(f, alphabet, max(max_degree, 1), MomentTable)
+    return functionals_agree(f, character(moments), alphabet, max_degree) is None
 
 
 def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
-    """Exhaustively check vanishing on the unit and on proper bar-products,
-    on all bar-words of degree <= max_degree over the alphabet."""
-    domain = _domain(tuple(sorted(alphabet)))
-    for d in range(max_degree + 1):
-        for b, x in zip(domain.bars(d), f._degree(domain, d)):
-            if x and len(b.factors) != 1:
-                return False
-    return True
+    """Exhaustively check that f is an infinitesimal character on all
+    bar-words of degree <= max_degree over the alphabet: that it agrees
+    with the infinitesimal extension of its own word values, which vanishes
+    on the unit and on proper bar-products."""
+    cumulants = materialize(f, alphabet, max(max_degree, 1), CumulantTable)
+    return functionals_agree(f, infinitesimal(cumulants), alphabet, max_degree) is None
 
 
 def materialize(f: Functional, alphabet: Iterable[str], max_len: int, cls=ValueTable):

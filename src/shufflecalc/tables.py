@@ -68,7 +68,9 @@ def words_up_to(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:
 
 
 class ValueTable:
-    """A total mapping Word -> Scalar for all words of length <= max_len.
+    """A total mapping Word -> Scalar for all words of length <= max_len,
+    held in ``words_up_to`` order (by length, then by letters), which is
+    also the order of its JSON form.
 
     JSON form: ``{"alphabet": ["a","b"], "max_len": N,
     "values": {"a": "1/2", "a.b": "-2/3", ...}}``
@@ -83,13 +85,13 @@ class ValueTable:
         if max_len < 1:
             raise DomainError("max_len must be >= 1")
         self.max_len = max_len
-        self.values = dict(values)
+        self.values = {}
         for w in words_up_to(self.alphabet, max_len):
-            if w not in self.values:
+            if w not in values:
                 raise DomainError(f"table is missing a value for {quoted(w.dotted())}")
-        size = sum(len(self.alphabet) ** n for n in range(1, max_len + 1))
-        if len(self.values) != size:
-            extra = set(self.values) - set(words_up_to(self.alphabet, max_len))
+            self.values[w] = values[w]
+        if len(self.values) != len(values):
+            extra = set(values) - self.values.keys()
             raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
 
     def lookup(self, w: Word) -> Fraction:
@@ -128,7 +130,7 @@ class ValueTable:
         return {
             "alphabet": list(self.alphabet),
             "max_len": self.max_len,
-            "values": {w.dotted(): format_scalar(v) for w, v in sorted(self.values.items())},
+            "values": {w.dotted(): format_scalar(v) for w, v in self.values.items()},
         }
 
     @classmethod

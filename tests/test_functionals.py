@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from shufflecalc import (
     Word,
     character,
     conv,
+    free_cumulants,
     half_left,
     half_right,
     infinitesimal,
@@ -25,6 +27,7 @@ from shufflecalc import (
 )
 from shufflecalc.functionals import barwords_up_to, functionals_agree
 from shufflecalc.tables import ValueTable, format_scalar, parse_scalar, words_up_to
+from test_series import LIE_SIDE, _guarded_nodes
 
 
 def B(*texts):
@@ -259,3 +262,67 @@ def test_materialize_freezes_word_values(moments):
 def test_moment_and_cumulant_tables_are_value_tables():
     assert issubclass(MomentTable, ValueTable)
     assert issubclass(CumulantTable, ValueTable)
+
+
+def reference_is_character(f, alphabet, max_degree):
+    """The per-factor definition: 1 on the unit, and on every bar-word the
+    product of the values on its factors."""
+    return f(UNIT) == 1 and all(
+        f(b) == math.prod(f(BarWord.of(w)) for w in b.factors)
+        for b in barwords_up_to(alphabet, max_degree))
+
+
+def reference_is_infinitesimal(f, alphabet, max_degree):
+    """The per-factor definition: 0 on the unit and on every bar-word of two
+    or more factors."""
+    return f(UNIT) == 0 and all(
+        f(b) == 0 for b in barwords_up_to(alphabet, max_degree) if len(b.factors) > 1)
+
+
+class TestMembershipChecks:
+    """``is_character`` and ``is_infinitesimal`` compare f with the extension
+    of its own word values, so they must still see a functional that is
+    right on the unit and on every word but wrong on a bar-product."""
+
+    def test_a_defect_on_a_bar_product_only(self, moments, cumulants_table):
+        # the pair of test_first_counterexample_on_a_bar_product: it agrees
+        # on the unit and on single words, and first differs on a|a
+        shifted = {w: v + 1 for w, v in cumulants_table.values.items()}
+        ones = CumulantTable(["a", "b"], 4, dict.fromkeys(shifted, Fraction(1)))
+        gap = (infinitesimal(cumulants_table) + unit()
+               - (character(MomentTable(["a", "b"], 4, shifted)) - infinitesimal(ones)))
+        h = character(moments) + gap
+        k = infinitesimal(cumulants_table) + gap
+        assert gap(B("a", "a")) != 0
+        for degree in range(5):
+            expected = degree <= 1
+            assert is_character(h, ["a", "b"], degree) is expected
+            assert is_infinitesimal(k, ["a", "b"], degree) is expected
+            assert reference_is_character(h, ["a", "b"], degree) is expected
+            assert reference_is_infinitesimal(k, ["a", "b"], degree) is expected
+
+    @pytest.mark.parametrize("alphabet, degree", [(["a", "b"], 5), (["a", "b", "c"], 4)])
+    def test_checks_match_the_per_factor_definitions(self, alphabet, degree):
+        nodes = _guarded_nodes(alphabet, degree)
+
+        def passing(check):
+            return {name for name, f in nodes.items() if check(f, alphabet, degree)}
+
+        assert passing(is_character) == passing(reference_is_character) == {
+            "exp_left", "exp_right", "exp_conv"}
+        assert passing(is_infinitesimal) == passing(reference_is_infinitesimal) == {
+            "log_conv", "log_left", "log_right", *LIE_SIDE}
+
+
+def test_table_order_is_canonical():
+    """A table holds its words in ``words_up_to`` order whatever order it
+    was given them in, and that order is its JSON form's."""
+    table = MomentTable.random(["a", "b"], 3, random.Random(8))
+    reversed_table = MomentTable(["b", "a"], 3, dict(reversed(table.values.items())))
+    order = list(words_up_to(["a", "b"], 3))
+    assert list(reversed_table.values) == list(table.values) == order
+    assert reversed_table.to_json() == table.to_json()
+    assert list(reversed_table.to_json()["values"]) == [w.dotted() for w in order]
+    cumulants = free_cumulants(reversed_table)
+    assert cumulants == free_cumulants(table)
+    assert list(cumulants.values) == order
