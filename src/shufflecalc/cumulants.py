@@ -23,28 +23,30 @@ the moments phi on shorter words only.  Cumulants solve it,
 The kernel works on coded per-length lists.  A word of length n over K
 letters has the code whose base-K digits are its letters' places in the
 sorted alphabet, first letter most significant, so the codes of a length
-run in ``itertools.product`` order; a table is one list of values per
-length, indexed by code.  Each relation's ``lower(x, phi, n)`` returns the
-list for all K^n words of length n at once, and ``_solve`` and
-``_evaluate`` loop over lengths.  A subword at fixed positions is a fixed
-map of codes: ``w[a:b]`` repeats each value ``K^(n-b)`` times and tiles the
-result ``K^a`` times (``_spread``), and the code of ``w_S`` grows one
-position at a time, ``code * K + digit``.  So each position set or
-interval costs a few C-level ``map`` passes over one length, not a Python
-loop over its words.  The first-block sum is regrouped by ``max S`` into a
-boolean-like split sum and the sum over the sets that hold both ends of
-the word, which are walked depth-first; the monotone convolution is
-regrouped by ``min S`` onto the first-block sum.
+run in ``itertools.product`` order, the order in which a ``ValueTable``
+holds its values; a table is one list of values per length, indexed by
+code.  Each relation's ``lower(x, phi, n)`` returns the list for all K^n
+words of length n at once, and ``_solve`` and ``_evaluate`` loop over
+lengths.  A subword at fixed positions is a fixed map of codes:
+``w[a:b]`` repeats each value ``K^(n-b)`` times and tiles the result
+``K^a`` times (``_spread``), and the code of ``w_S`` grows one position
+at a time, ``code * K + digit``.  So each position set or interval costs
+a few C-level ``map`` passes over one length, not a Python loop over its
+words.  The first-block sum is regrouped by ``max S`` into a boolean-like
+split sum and the sum over the sets that hold both ends of the word,
+which are walked depth-first; the monotone convolution is regrouped by
+``min S`` onto the first-block sum.
 
 All of them are homogeneous in word length and run in ``int``: the input
 values are scaled by ``D^|w|`` (D the lcm of the input denominators), by
 ``|w|! D^|w|`` for the monotone relation in both directions, and each
-output word gets one ``Fraction``; ``_scaled`` and ``_table`` are the only
-conversions between tables and coded lists.  ``convert`` evaluates one
-relation and solves another.  The paper's Lie-side form of the conversions
-(the pre-Lie Magnus pair and the adjoint actions) is evaluated on the
-bar-word engine by the ``cumulant-conversions`` verify suite, which holds
-``convert`` to it.
+output word gets one ``Fraction``.  ``_scaled`` and ``_table`` are the only
+conversions between tables and coded lists, and both read a table by
+position, never by word.  ``convert`` evaluates one relation and solves
+another.  The paper's Lie-side form of the conversions (the pre-Lie
+Magnus pair and the adjoint actions) is evaluated on the bar-word engine
+by the ``cumulant-conversions`` verify suite, which holds ``convert`` to
+it.
 """
 
 from __future__ import annotations
@@ -79,14 +81,6 @@ class StatePair:
 
     def __repr__(self) -> str:
         return f"StatePair(phi={self.phi!r}, psi={self.psi!r})"
-
-    @property
-    def alphabet(self):
-        return self.phi.alphabet
-
-    @property
-    def max_len(self) -> int:
-        return self.phi.max_len
 
     def to_json(self) -> dict:
         return {"phi": self.phi.to_json(), "psi": self.psi.to_json()}
@@ -146,52 +140,50 @@ def _solve(relation, phi: MomentTable, *given: MomentTable) -> CumulantTable:
     """The cumulants ``x = phi - lower`` of phi under a relation, one word
     length at a time, shortest first; ``given`` are the relation's further
     states."""
-    words, scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
+    scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
     lower = relation(len(phi.alphabet), *given)
     x: list[list[int]] = [[]]
     for n in range(1, phi.max_len + 1):
         x.append(list(map(sub, moments[n], lower(x, moments, n))))
-    return _table(CumulantTable, phi, words, scale, x)
+    return _table(CumulantTable, phi, scale, x)
 
 
 def _evaluate(relation, x: ValueTable, *given: MomentTable) -> MomentTable:
     """The moments ``phi = x + lower`` of the cumulants x under a relation,
     one word length at a time, shortest first."""
-    words, scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
+    scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
     lower = relation(len(x.alphabet), *given)
     phi = [[1]]
     for n in range(1, x.max_len + 1):
         phi.append(list(map(add, cumulants[n], lower(cumulants, phi, n))))
-    return _table(MomentTable, x, words, scale, phi)
+    return _table(MomentTable, x, scale, phi)
 
 
 def _scaled(*tables: ValueTable, factorials: bool = False):
     """The tables' values times ``D^n``, or ``n! D^n`` with
     ``factorials``, as ints in one list per word length n, with D the lcm
     of all their denominators and the empty word's value 1 at length 0;
-    also the words by length and the scales by length.  Each length is in
-    code order: a word's code is its index there, the base-K number (K
-    letters) whose digits are the places of its letters in the sorted
-    alphabet, first letter most significant, which is
-    ``itertools.product`` order and so the order the tables hold."""
+    also the scales by length.  A table holds its values in
+    ``words_up_to`` order, so each length is the table's next ``K^n``
+    values (K letters), in code order: a word's code is its index there,
+    the base-K number whose digits are the places of its letters in the
+    sorted alphabet, first letter most significant."""
     d = lcm(*(v.denominator for t in tables for v in t.values.values()))
     scale = [(factorial(n) if factorials else 1) * d**n for n in range(tables[0].max_len + 1)]
-    ordered = iter(tables[0].values)
-    words = [[]] + [list(islice(ordered, len(tables[0].alphabet) ** n))
-                    for n in range(1, len(scale))]
+    K = len(tables[0].alphabet)
 
     def coded(table: ValueTable) -> list[list[int]]:
-        return [[1]] + [[v.numerator * (scale[n] // v.denominator)
-                         for v in map(table.values.__getitem__, words[n])]
-                        for n in range(1, len(words))]
-    return words, scale, [coded(t) for t in tables]
+        values = iter(table.values.values())
+        return [[1]] + [[v.numerator * (scale[n] // v.denominator) for v in islice(values, K**n)]
+                        for n in range(1, len(scale))]
+    return scale, [coded(t) for t in tables]
 
 
-def _table(cls, like: ValueTable, words: list[list], scale: list[int], coded: list[list[int]]):
-    """Undo the scaling: one ``Fraction`` per word of ``like``."""
-    return cls(like.alphabet, like.max_len,
-               {w: Fraction(v, scale[n]) for n in range(1, len(words))
-                for w, v in zip(words[n], coded[n])})
+def _table(cls, like: ValueTable, scale: list[int], coded: list[list[int]]):
+    """Undo the scaling: one ``Fraction`` per word of ``like``, paired with
+    its words by position."""
+    values = (Fraction(v, scale[n]) for n in range(1, len(scale)) for v in coded[n])
+    return cls(like.alphabet, like.max_len, dict(zip(like.values, values)))
 
 
 def _spread(values, inner: int, outer: int) -> list:

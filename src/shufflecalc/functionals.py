@@ -229,10 +229,6 @@ class _Unit(Functional):
     def _num(self, b: BarWord) -> int:
         return 0 if b.factors else 1
 
-    def _degree(self, domain: _Domain, d: int) -> list[int]:
-        """Not kept: the unit node is shared by the whole process."""
-        return self._batch(domain, d)
-
 
 class _TableFunctional(Functional):
     """A node read from a table: ``den(d) = D^d`` with D the lcm of the
@@ -426,11 +422,9 @@ def _split_sum(domain: _Domain, split, d: int, weights, left, right, total) -> l
     return total
 
 
-_UNIT_FUNCTIONAL = _Unit()
-
-
 def unit() -> Functional:
-    return _UNIT_FUNCTIONAL
+    """A new counit node, freed with the expression that holds it."""
+    return _Unit()
 
 
 def character(table: MomentTable) -> Functional:

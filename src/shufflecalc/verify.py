@@ -459,11 +459,6 @@ _LIE_CONVERSIONS = {
 }
 
 
-def _engine_convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
-    out = _LIE_CONVERSIONS[src, dst](infinitesimal(table))
-    return materialize(out, table.alphabet, table.max_len, CumulantTable)
-
-
 @_suite("cumulant-conversions")
 def _cumulant_conversions(config: VerifyConfig, rng):
     phi = _rand_moments(config, rng)
@@ -471,19 +466,12 @@ def _cumulant_conversions(config: VerifyConfig, rng):
     beta = cumulants.boolean_cumulants(phi)
     rho = cumulants.monotone_cumulants(phi)
     tables = {"free": kappa, "boolean": beta, "monotone": rho}
-    for src, dst in _LIE_CONVERSIONS:
-        if _engine_convert(tables[src], src, dst) != tables[dst]:
+    for (src, dst), lie in _LIE_CONVERSIONS.items():
+        engine = lie(infinitesimal(tables[src]))
+        if materialize(engine, phi.alphabet, phi.max_len, CumulantTable) != tables[dst]:
             yield f"engine conversion {src} -> {dst} fails"
         if cumulants.convert(tables[src], src, dst) != tables[dst]:
             yield f"conversion {src} -> {dst} fails"
-    # consistency triangle on the engine
-    back = _engine_convert(
-        _engine_convert(_engine_convert(kappa, "free", "boolean"), "boolean", "monotone"),
-        "monotone",
-        "free",
-    )
-    if back != kappa:
-        yield "free -> boolean -> monotone -> free round trip fails"
     # irreducible partition sums linking the three cumulant families
     for w in words_up_to(config.alphabet, config.max_len):
         for expected, oracle, table in (

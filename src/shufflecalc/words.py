@@ -112,9 +112,6 @@ class BarWord:
     def is_unit(self) -> bool:
         return not self.factors
 
-    def __lt__(self, other: "BarWord") -> bool:
-        return self._key() < other._key()
-
     def _key(self):
         return (self.degree, len(self.factors), tuple(f.letters for f in self.factors))
 
@@ -161,31 +158,24 @@ def subword(w: Word, positions: Iterable[int]):
     return Word(w.letters[p - 1] for p in positions)
 
 
-def complement_components(w: Word, S: Iterable[int], U: Iterable[int] | None = None) -> BarWord:
-    """Split ``U - S`` into its connected components relative to ``U`` and
-    render each component as a subword of ``w``.
-
-    A component is a maximal run of elements of ``U - S`` with no element of
-    ``U`` strictly between consecutive members.  ``U`` defaults to all
-    positions of ``w``.  Returns the unit when ``U == S``.
+def complement_components(w: Word, S: Iterable[int]) -> BarWord:
+    """Split the positions of ``w`` outside ``S`` into their connected
+    components, the maximal runs of consecutive positions, and render each
+    as a subword of ``w``.  Returns the unit when ``S`` holds every
+    position.
     """
     S = tuple(S)
-    U = tuple(range(1, len(w) + 1)) if U is None else tuple(U)
-    _check_positions(w, U)
     _check_positions(w, S)
-    uset = set(U)
-    if not set(S) <= uset:
-        raise DomainError(f"S={S} is not a subset of U={U}")
     sset = set(S)
     components: list[Word] = []
     run: list[str] = []
-    for u in U:
+    for u, letter in enumerate(w.letters, 1):
         if u in sset:
             if run:
                 components.append(Word(run))
                 run = []
         else:
-            run.append(w.letters[u - 1])
+            run.append(letter)
     if run:
         components.append(Word(run))
     return BarWord(components)

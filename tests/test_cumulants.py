@@ -167,16 +167,17 @@ def test_coded_lists_follow_product_order(alphabet):
     K = len(letters)
     rank = {w: i for n in range(1, 5) for i, w in enumerate(itertools.product(letters, repeat=n))}
     table = MomentTable(alphabet, 4, {Word(w): Fraction(i + 1) for w, i in rank.items()})
-    words, scale, (coded,) = cumulants._scaled(table)
+    scale, (coded,) = cumulants._scaled(table)
+    words = iter(table.values)
     for n in range(1, 5):
         product = list(itertools.product(letters, repeat=n))
-        assert [w.letters for w in words[n]] == product
+        assert [w.letters for w in itertools.islice(words, K**n)] == product
         assert coded[n] == list(range(1, K**n + 1))
         for a in range(n):
             for b in range(a + 1, n + 1):
                 spread = cumulants._spread(range(K ** (b - a)), K ** (n - b), K**a)
                 assert spread == [rank[w[a:b]] for w in product], (n, a, b)
-    assert cumulants._table(MomentTable, table, words, scale, coded) == table
+    assert cumulants._table(MomentTable, table, scale, coded) == table
 
 
 class TestConversions:

@@ -186,9 +186,9 @@ class TestFixedPoints:
                 node = make(arg)
                 for b in barwords_up_to(ALPHABET, N):
                     node(b)
-                ref = weakref.ref(node)
+                refs = [weakref.ref(node)] + _unit_seed(make, node)
                 del node
-                assert ref() is None, make.__name__
+                assert [ref() for ref in refs] == [None] * len(refs), make.__name__
         finally:
             gc.enable()
 
@@ -208,11 +208,21 @@ class TestFixedPoints:
                 assert functionals_agree(node, other, ALPHABET, N) is None
                 is_character(node, ALPHABET, N)
                 is_infinitesimal(node, ALPHABET, N)
-                refs = weakref.ref(node), weakref.ref(other)
+                refs = [weakref.ref(node), weakref.ref(other)]
+                refs += _unit_seed(make, node) + _unit_seed(make, other)
                 del node, other
-                assert [ref() for ref in refs] == [None, None], make
+                assert [ref() for ref in refs] == [None] * len(refs), make
         finally:
             gc.enable()
+
+
+def _unit_seed(make, node) -> list:
+    """A weak reference to the unit seed ``powers[0]`` of the two series
+    that start at the counit, which must be freed with its series."""
+    if make not in (exp_conv, log_conv):
+        return []
+    assert type(node.powers[0]) is type(unit())
+    return [weakref.ref(node.powers[0])]
 
 
 class TestMagnus:

@@ -14,7 +14,7 @@ import functools
 
 import pytest
 
-from shufflecalc import partitions, series, verify
+from shufflecalc import cumulants, partitions, series, verify
 from shufflecalc.verify import VerifyConfig, check_names, run_checks
 from shufflecalc.words import UNIT
 
@@ -101,3 +101,36 @@ def test_engine_disagreement_fails_each_engine_suite_at_its_first_check(monkeypa
     assert _failures(results) == expected
     # nothing after a suite's first failure is evaluated
     assert counts == dict.fromkeys(ENGINE_COMPARISONS, 1)
+
+
+@pytest.mark.parametrize("direction", list(verify._LIE_CONVERSIONS), ids="->".join)
+def test_corrupted_engine_conversion_fails_its_suite_alone(monkeypatch, direction):
+    original = verify._LIE_CONVERSIONS[direction]
+    monkeypatch.setitem(verify._LIE_CONVERSIONS, direction, lambda a: -original(a))
+    src, dst = direction
+    assert _failures(run_checks(CONFIG)) == {
+        "cumulant-conversions": f"engine conversion {src} -> {dst} fails"}
+
+
+def test_corrupted_kernel_conversion_fails_its_suite_alone(monkeypatch):
+    convert = cumulants.convert
+
+    def corrupted(table, src, dst):
+        out = convert(table, src, dst)
+        return -out if (src, dst) == ("boolean", "monotone") else out
+
+    monkeypatch.setattr(cumulants, "convert", corrupted)
+    assert _failures(run_checks(CONFIG)) == {
+        "cumulant-conversions": "conversion boolean -> monotone fails"}
+
+
+def test_corrupted_cfree_reconstruction_fails_its_suites(monkeypatch):
+    """``convolve_cfree`` reconstructs its moments with the same function,
+    so the c-free convolution suites fail with the round trip."""
+    original = cumulants.moments_from_cfree
+    monkeypatch.setattr(cumulants, "moments_from_cfree", lambda *args: -original(*args))
+    assert _failures(run_checks(CONFIG)) == {
+        "cfree-additivity": "c-free cumulants are not additive",
+        "cfree-degenerations": "boolean degeneration fails",
+        "cfree-oracle": "moments_from_cfree does not invert cfree_cumulants",
+    }

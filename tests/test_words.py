@@ -129,17 +129,6 @@ class TestComplementComponents:
         assert complement_components(w, [1, 2, 3]) == UNIT
         assert complement_components(w, []) == BarWord([w])
 
-    def test_relative_universe(self):
-        # components are maximal runs inside U, not inside the whole word
-        w = Word("abcde")
-        assert complement_components(w, [3], U=[1, 3, 5]) == BarWord(
-            [Word("a"), Word("e")]
-        )
-
-    def test_s_must_be_inside_u(self):
-        with pytest.raises(DomainError):
-            complement_components(Word("abc"), [2], U=[1, 3])
-
 
 @given(word_strategy, st.data())
 def test_extraction_preserves_degree(w, data):
