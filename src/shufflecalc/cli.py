@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 from itertools import islice
-from typing import Iterable
 
 from .errors import ShuffleCalcError, DomainError, quoted
 

@@ -20,39 +20,40 @@ the moments phi on shorter words only.  Cumulants solve it,
 - monotone convolution: ``sum_S phi1(w_S) prod phi2(run)`` over all S,
   evaluated with ``x = phi1``.
 
-The kernel works on coded per-length lists.  A word of length n over K
-letters has the code whose base-K digits are its letters' places in the
-sorted alphabet, first letter most significant, so the codes of a length
-run in ``itertools.product`` order, the order in which a ``ValueTable``
-holds its values; a table is one list of values per length, indexed by
-code.  Each relation's ``lower(x, phi, n)`` returns the list for all K^n
-words of length n at once, and ``_solve`` and ``_evaluate`` loop over
-lengths.  A subword at fixed positions is a fixed map of codes:
-``w[a:b]`` repeats each value ``K^(n-b)`` times and tiles the result
-``K^a`` times (``_spread``), and the code of ``w_S`` grows one position
-at a time, ``code * K + digit``.  So each position set or interval costs
-a few C-level ``map`` passes over one length, not a Python loop over its
-words.  The first-block sum is regrouped by ``max S`` into a boolean-like
-split sum and the sum over the sets that hold both ends of the word,
-which are walked depth-first; the monotone convolution is regrouped by
-``min S`` onto the first-block sum.
+The kernel works on the coded per-length lists that a ``ValueTable``
+holds.  A word of length n over K letters has the code whose base-K digits
+are its letters' places in the sorted alphabet, first letter most
+significant, so the codes of a length run in ``itertools.product`` order;
+a table is one list of values per length, indexed by code.  Each
+relation's ``lower(x, phi, n)`` returns the list for all K^n words of
+length n at once, and ``_solve`` and ``_evaluate`` loop over lengths.  A
+subword at fixed positions is a fixed map of codes: ``w[a:b]`` repeats
+each value ``K^(n-b)`` times and tiles the result ``K^a`` times
+(``_spread``), and the code of ``w_S`` grows one position at a time,
+``code * K + digit``.  So each position set or interval costs a few
+C-level ``map`` passes over one length, not a Python loop over its words.
+The first-block sum is regrouped by ``max S`` into a boolean-like split
+sum and the sum over the sets that hold both ends of the word, which are
+walked depth-first; the monotone convolution is regrouped by ``min S``
+onto the first-block sum.
 
-All of them are homogeneous in word length and run in ``int``: the input
-values are scaled by ``D^|w|`` (D the lcm of the input denominators), by
-``|w|! D^|w|`` for the monotone relation in both directions, and each
-output word gets one ``Fraction``.  ``_scaled`` and ``_table`` are the only
-conversions between tables and coded lists, and both read a table by
-position, never by word.  ``convert`` evaluates one relation and solves
-another.  The paper's Lie-side form of the conversions (the pre-Lie
-Magnus pair and the adjoint actions) is evaluated on the bar-word engine
-by the ``cumulant-conversions`` verify suite, which holds ``convert`` to
-it.
+All of them are homogeneous in word length and run in ``int``: a table
+holds its values times ``D^|w|``, and ``_scaled`` brings the tables of one
+call to the base D that is the lcm of theirs, times ``|w|!`` for the
+monotone relation in both directions.  ``_table`` reads the result back
+with one ``gcd`` per value.  No ``Fraction`` or ``Word`` is built, so this
+module imports neither ``fractions`` nor ``words``.  The free, boolean and
+c-free convolutions add their solved cumulants in these integers, on one
+scale for all their inputs.  ``convert`` evaluates one relation and solves
+another.  The paper's Lie-side form of the
+conversions (the pre-Lie Magnus pair and the adjoint actions) is
+evaluated on the bar-word engine by the ``cumulant-conversions`` verify
+suite, which holds ``convert`` to it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from math import comb, factorial, lcm
 from operator import add, floordiv, mul, sub
 
@@ -104,86 +105,80 @@ def free_cumulants(phi: MomentTable) -> CumulantTable:
     """Left half-shuffle logarithm of the state: the first-block sum with
     ``gap = tail = phi``, solved for its ``S = [n]`` term: the c-free
     cumulants of (phi, phi)."""
-    return _solve(_first_block, phi)
+    return _apply(_solve, _first_block, CumulantTable, phi)
 
 
 def boolean_cumulants(phi: MomentTable) -> CumulantTable:
     """Right half-shuffle logarithm of the state:
     ``beta(w) = phi(w) - sum_{k<n} beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
-    return _solve(_boolean, phi)
+    return _apply(_solve, _boolean, CumulantTable, phi)
 
 
 def monotone_cumulants(phi: MomentTable) -> CumulantTable:
     """Convolution logarithm of the state: ``phi = sum_m P_m / m!`` solved
     for ``P_1 = rho``."""
-    return _solve(_monotone, phi)
+    return _apply(_solve, _monotone, CumulantTable, phi)
 
 
 def moments_from_free(kappa: CumulantTable) -> MomentTable:
     """Left half-shuffle exponential: the first-block sum with
     ``gap = tail = phi``."""
-    return _evaluate(_first_block, kappa)
+    return _apply(_evaluate, _first_block, MomentTable, kappa)
 
 
 def moments_from_boolean(beta: CumulantTable) -> MomentTable:
     """Right half-shuffle exponential:
     ``phi(w) = sum_k beta(a_1..a_k) phi(a_{k+1}..a_n)``."""
-    return _evaluate(_boolean, beta)
+    return _apply(_evaluate, _boolean, MomentTable, beta)
 
 
 def moments_from_monotone(rho: CumulantTable) -> MomentTable:
     """Convolution exponential: ``phi = sum_m P_m / m!`` with ``P_1 = rho``."""
-    return _evaluate(_monotone, rho)
+    return _apply(_evaluate, _monotone, MomentTable, rho)
 
 
-def _solve(relation, phi: MomentTable, *given: MomentTable) -> CumulantTable:
-    """The cumulants ``x = phi - lower`` of phi under a relation, one word
-    length at a time, shortest first; ``given`` are the relation's further
-    states."""
-    scale, (moments, *given) = _scaled(phi, *given, factorials=relation is _monotone)
-    lower = relation(len(phi.alphabet), *given)
+def _solve(relation, K: int, phi: list, *given: list) -> list[list[int]]:
+    """The cumulants ``x = phi - lower`` of the coded moments phi under a
+    relation, one word length at a time, shortest first; ``given`` are the
+    relation's further states."""
+    lower = relation(K, *given)
     x: list[list[int]] = [[]]
-    for n in range(1, phi.max_len + 1):
-        x.append(list(map(sub, moments[n], lower(x, moments, n))))
-    return _table(CumulantTable, phi, scale, x)
+    for n in range(1, len(phi)):
+        x.append(list(map(sub, phi[n], lower(x, phi, n))))
+    return x
 
 
-def _evaluate(relation, x: ValueTable, *given: MomentTable) -> MomentTable:
-    """The moments ``phi = x + lower`` of the cumulants x under a relation,
-    one word length at a time, shortest first."""
-    scale, (cumulants, *given) = _scaled(x, *given, factorials=relation is _monotone)
-    lower = relation(len(x.alphabet), *given)
-    phi = [[1]]
-    for n in range(1, x.max_len + 1):
-        phi.append(list(map(add, cumulants[n], lower(cumulants, phi, n))))
-    return _table(MomentTable, x, scale, phi)
+def _evaluate(relation, K: int, x: list, *given: list) -> list[list[int]]:
+    """The moments ``phi = x + lower`` of the coded cumulants x under a
+    relation, one word length at a time, shortest first."""
+    lower = relation(K, *given)
+    phi: list[list[int]] = [[]]
+    for n in range(1, len(x)):
+        phi.append(list(map(add, x[n], lower(x, phi, n))))
+    return phi
+
+
+def _apply(step, relation, cls, table: ValueTable, *given: ValueTable):
+    """Solve or evaluate (``step``) a relation on a table and the
+    relation's further states, and read the result as a ``cls`` table."""
+    scale, coded = _scaled(table, *given, factorials=relation is _monotone)
+    return _table(cls, table, scale, step(relation, len(table.alphabet), *coded))
 
 
 def _scaled(*tables: ValueTable, factorials: bool = False):
-    """The tables' values times ``D^n``, or ``n! D^n`` with
-    ``factorials``, as ints in one list per word length n, with D the lcm
-    of all their denominators and the empty word's value 1 at length 0;
-    also the scales by length.  A table holds its values in
-    ``words_up_to`` order, so each length is the table's next ``K^n``
-    values (K letters), in code order: a word's code is its index there,
-    the base-K number whose digits are the places of its letters in the
-    sorted alphabet, first letter most significant."""
-    d = lcm(*(v.denominator for t in tables for v in t.values.values()))
-    scale = [(factorial(n) if factorials else 1) * d**n for n in range(tables[0].max_len + 1)]
-    K = len(tables[0].alphabet)
-
-    def coded(table: ValueTable) -> list[list[int]]:
-        values = iter(table.values.values())
-        return [[1]] + [[v.numerator * (scale[n] // v.denominator) for v in islice(values, K**n)]
-                        for n in range(1, len(scale))]
-    return scale, [coded(t) for t in tables]
+    """The tables' coded lists over one scale per word length n, ``D^n``,
+    or ``n! D^n`` with ``factorials``, where D is the lcm of the tables'
+    bases; also the scales by length."""
+    base = lcm(*(t.base for t in tables))
+    scale = [(factorial(n) if factorials else 1) * base**n for n in range(tables[0].max_len + 1)]
+    return scale, [[list(map(mul, coded, repeat(s // t.base**n))) for n, (coded, s)
+                    in enumerate(zip(t.coded, scale))] for t in tables]
 
 
 def _table(cls, like: ValueTable, scale: list[int], coded: list[list[int]]):
-    """Undo the scaling: one ``Fraction`` per word of ``like``, paired with
-    its words by position."""
-    values = (Fraction(v, scale[n]) for n in range(1, len(scale)) for v in coded[n])
-    return cls(like.alphabet, like.max_len, dict(zip(like.values, values)))
+    """The ``cls`` table on the domain of ``like`` whose word of length n
+    and code i has the value ``coded[n][i] / scale[n]``."""
+    return cls._from_fractions(like.alphabet, like.max_len, coded, list(map(repeat, scale)))
 
 
 def _spread(values, inner: int, outer: int) -> list:
@@ -342,14 +337,15 @@ def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
         raise DomainError(f"unknown cumulant kind: {src!r} -> {dst!r}")
     if src == dst:
         return table
-    return _solve(_RELATIONS[dst], _evaluate(_RELATIONS[src], table))
+    moments = _apply(_evaluate, _RELATIONS[src], MomentTable, table)
+    return _apply(_solve, _RELATIONS[dst], CumulantTable, moments)
 
 
 def cfree_cumulants(pair: StatePair) -> CumulantTable:
     """c-free cumulants of (phi, psi), ``R = Psi > (Phi^{*-1} > (Phi - e)) <
     Psi^{*-1}``: the first-block sum with ``gap = psi`` and ``tail = phi``,
     solved for its ``S = [n]`` term."""
-    return _solve(_first_block, pair.phi, pair.psi)
+    return _apply(_solve, _first_block, CumulantTable, pair.phi, pair.psi)
 
 
 def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
@@ -357,31 +353,41 @@ def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
     ``Phi = E>(Psi^{*-1} > R < Psi)``: the first-block sum with
     ``gap = psi`` and ``tail = phi``."""
     R._check_compatible(psi)
-    return _evaluate(_first_block, R, psi)
+    return _apply(_evaluate, _first_block, MomentTable, R, psi)
 
 
 def convolve_free(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
-    phi1._check_compatible(phi2)
-    return moments_from_free(free_cumulants(phi1) + free_cumulants(phi2))
+    scale, kappa = _cumulant_sum(_first_block, (phi1,), (phi2,))
+    return _table(MomentTable, phi1, scale, _evaluate(_first_block, len(phi1.alphabet), kappa))
 
 
 def convolve_boolean(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
-    phi1._check_compatible(phi2)
-    return moments_from_boolean(boolean_cumulants(phi1) + boolean_cumulants(phi2))
+    scale, beta = _cumulant_sum(_boolean, (phi1,), (phi2,))
+    return _table(MomentTable, phi1, scale, _evaluate(_boolean, len(phi1.alphabet), beta))
+
+
+def _cumulant_sum(relation, first: tuple, second: tuple):
+    """The scales and the coded sum of the cumulants that the relation
+    solves for ``first`` and for ``second``, each a state followed by the
+    relation's further states, on one scale for all of them."""
+    first[0]._check_compatible(second[0])
+    scale, coded = _scaled(*first, *second)
+    K = len(first[0].alphabet)
+    x = _solve(relation, K, *coded[:len(first)])
+    y = _solve(relation, K, *coded[len(first):])
+    return scale, [list(map(add, a, b)) for a, b in zip(x, y)]
 
 
 def convolve_monotone(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
     """Monotone convolution is the convolution product of the characters:
     ``sum_S phi1(w_S) prod phi2(run)`` over all position sets S."""
     phi1._check_compatible(phi2)
-    return _evaluate(_convolution, phi1, phi2)
+    return _apply(_evaluate, _convolution, MomentTable, phi1, phi2)
 
 
 def convolve_cfree(p1: StatePair, p2: StatePair) -> StatePair:
-    """c-free convolution: psi-free cumulants and c-free cumulants both add."""
-    p1.phi._check_compatible(p2.phi)
-    kappa_psi = free_cumulants(p1.psi) + free_cumulants(p2.psi)
-    psi = moments_from_free(kappa_psi)
-    r = cfree_cumulants(p1) + cfree_cumulants(p2)
-    phi = moments_from_cfree(r, psi)
-    return StatePair(phi, psi)
+    """c-free convolution: psi-free cumulants and c-free cumulants both
+    add, so psi is the free convolution of the psis."""
+    psi = convolve_free(p1.psi, p2.psi)
+    scale, r = _cumulant_sum(_first_block, (p1.phi, p1.psi), (p2.phi, p2.psi))
+    return StatePair(moments_from_cfree(_table(CumulantTable, p1.phi, scale, r), psi), psi)

@@ -64,8 +64,11 @@ from typing import Iterable, Iterator
 
 from . import coalgebra
 from .errors import DomainError
-from .tables import ONE, CumulantTable, MomentTable, ValueTable, words_over, words_up_to
-from .words import UNIT, BarWord, Word
+from .tables import CumulantTable, MomentTable, ValueTable
+from .words import UNIT, BarWord, Word, words_over, words_up_to
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def barwords_up_to(alphabet: Iterable[str], max_degree: int) -> Iterator[BarWord]:
@@ -231,16 +234,16 @@ class _Unit(Functional):
 
 
 class _TableFunctional(Functional):
-    """A node read from a table: ``den(d) = D^d`` with D the lcm of the
-    table's denominators, so each word's value scales to an integer once,
-    when the node is built."""
+    """A node read from a table: ``den(d) = D^d`` with D the table's base,
+    the lcm of its denominators, so each word's value is the table's coded
+    integer."""
 
     def __init__(self, table: ValueTable):
         super().__init__()
         self.table = table
-        self._base = base = lcm(*(v.denominator for v in table.values.values()))
-        self._words = {w: v.numerator * (base ** len(w.letters) // v.denominator)
-                       for w, v in table.values.items()}
+        self._base = table.base
+        self._words = dict(zip(words_up_to(table.alphabet, table.max_len),
+                               itertools.chain.from_iterable(table.coded)))
 
     def _word_num(self, w: Word) -> int:
         value = self._words.get(w)

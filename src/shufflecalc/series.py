@@ -27,6 +27,8 @@ from weakref import proxy
 from . import coalgebra
 from .errors import DomainError
 from .functionals import (
+    ONE,
+    ZERO,
     Functional,
     _Product,
     _Sum,
@@ -37,7 +39,6 @@ from .functionals import (
     inverse,
     unit,
 )
-from .tables import ONE, ZERO
 from .words import UNIT
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]

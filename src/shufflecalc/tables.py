@@ -1,100 +1,168 @@
-"""Word-value tables: exact scalars, word enumeration, and the moment and
-cumulant tables that the CLI reads and writes.
+"""Word-value tables: exact scalars, and the moment and cumulant tables that
+the CLI reads and writes.
 
-A table holds one ``Fraction`` per word of length 1..max_len over its
-alphabet.  Tables are plain data: the integer kernel in ``cumulants``, the
-partition oracles and the bar-word engine in ``functionals`` all read them,
-and this module imports none of those layers.
+A table holds one exact rational per word of length 1..max_len over its
+alphabet, in coded form: the sorted alphabet, ``max_len``, one base D, the
+lcm of the reduced denominators of its values, and per word length n one
+list of ``int``s, the values times ``D^n``.  A word's place in the list of
+its length is its code, the base-K number whose digits are the places of
+its letters in the sorted alphabet (K letters), first letter most
+significant, so each list runs in ``itertools.product`` order.
+
+``from_json`` validates straight into the coded form and ``to_json`` writes
+from it, with one ``gcd`` per value each way, and the kernel in
+``cumulants`` computes on the lists; none of them builds a ``Fraction`` or
+a ``Word``.  The ``Word -> Fraction`` mapping ``values`` is a view built on
+first use, for library callers: the bar-word engine's tests, the partition
+oracles, the verify suites.  This module imports ``fractions`` and
+``words`` only inside the functions that build one of them (the view, the
+dict constructor, ``random``, ``parse_scalar`` and the error path of
+``from_json``), so a process that reads, transforms and writes tables loads
+neither.  Tables
+are plain data: this module imports none of the layers that read them.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from fractions import Fraction
-from typing import Iterable, Iterator
+from collections.abc import Iterable
+from itertools import islice, product, repeat
+from math import gcd, lcm
+from numbers import Rational
+from operator import add, floordiv, mul
 
 from .errors import DomainError, TruncationError, quoted
-from .words import Word
 
-Scalar = Fraction
+# A table value is an exact rational; the ``values`` view holds Fractions.
+Scalar = Rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# The scalar strings a table accepts, numerator and denominator as groups.
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_scalar(obj) -> Fraction:
-    """Accept ints and strings of the form ``[+-]?digits(/digits)?``; no
-    decimals, exponents, underscores or surrounding space."""
+def _rational(obj) -> tuple[int, int]:
+    """The numerator and positive denominator, not reduced, of a scalar:
+    an int, or a string ``[+-]?digits(/digits)?``; no decimals, exponents,
+    underscores or surrounding space."""
     if isinstance(obj, bool):
         raise DomainError(f"not a scalar: {quoted(obj)}")
     if isinstance(obj, int):
-        return Fraction(obj)
+        return obj, 1
     if isinstance(obj, str):
-        if _SCALAR.fullmatch(obj) is None:
-            raise DomainError(f"malformed scalar {quoted(obj)}")
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"malformed scalar {quoted(obj)}") from exc
+        match = _SCALAR.fullmatch(obj)
+        if match is not None:
+            num, den = match.groups()
+            try:
+                # int() refuses more digits than sys.get_int_max_str_digits()
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                pass
+            else:
+                if den:
+                    return num, den
+        raise DomainError(f"malformed scalar {quoted(obj)}")
     raise DomainError(f"not a scalar: {quoted(obj)}")
 
 
-def format_scalar(q: Fraction) -> str:
+def parse_scalar(obj) -> Scalar:
+    """The ``Fraction`` of a scalar that a table accepts."""
+    from fractions import Fraction
+
+    return Fraction(*_rational(obj))
+
+
+def format_scalar(q: Scalar) -> str:
+    return _format(q.numerator, q.denominator)
+
+
+def _format(num: int, den: int) -> str:
+    """``"num/den"``, or ``"num"`` when den is 1, as ``str`` of the
+    ``Fraction`` with these lowest terms."""
     try:
-        return str(q)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         # str(int) refuses more digits than sys.get_int_max_str_digits();
         # count them from the bit length (log10(2) = 0.30103).
-        bits = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+        bits = max(abs(num).bit_length(), den.bit_length())
         raise DomainError(
             f"a result has about {int(bits * 0.30103)} digits, more than "
             "this Python converts to a string"
         ) from None
 
 
-def words_over(alphabet: Iterable[str], length: int) -> Iterator[Word]:
-    for combo in itertools.product(sorted(alphabet), repeat=length):
-        yield Word(combo)
-
-
-def words_up_to(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:
-    alphabet = sorted(alphabet)
-    for n in range(1, max_len + 1):
-        yield from words_over(alphabet, n)
+def _letters(alphabet: Iterable[str], max_len: int) -> tuple[str, ...]:
+    letters = tuple(sorted(set(alphabet)))
+    if not letters:
+        raise DomainError("alphabet must be nonempty")
+    if max_len < 1:
+        raise DomainError("max_len must be >= 1")
+    return letters
 
 
 class ValueTable:
-    """A total mapping Word -> Scalar for all words of length <= max_len,
-    held in ``words_up_to`` order (by length, then by letters), which is
-    also the order of its JSON form.
+    """A total mapping from the words of length 1..max_len over an alphabet
+    to exact rationals.  ``coded[n]`` lists the values of the words of
+    length n times ``base**n``, in code order; ``coded[0]`` is empty.
 
     JSON form: ``{"alphabet": ["a","b"], "max_len": N,
     "values": {"a": "1/2", "a.b": "-2/3", ...}}``
     with words as dot-joined letter names and scalars as ``"p/q"`` strings
-    (on input, JSON integers and the strings ``parse_scalar`` accepts).
+    in lowest terms (on input, JSON integers and any string of the
+    ``_SCALAR`` grammar).
     """
 
-    def __init__(self, alphabet: Iterable[str], max_len: int, values: dict[Word, Fraction]):
-        self.alphabet = tuple(sorted(set(alphabet)))
-        if not self.alphabet:
-            raise DomainError("alphabet must be nonempty")
-        if max_len < 1:
-            raise DomainError("max_len must be >= 1")
-        self.max_len = max_len
-        self.values = {}
-        for w in words_up_to(self.alphabet, max_len):
+    def __init__(self, alphabet: Iterable[str], max_len: int, values: dict):
+        """The table of a ``Word -> Scalar`` dict holding exactly the words
+        of length 1..max_len; the dict, in ``words_up_to`` order, seeds the
+        ``values`` view."""
+        from .words import words_up_to
+
+        letters = _letters(alphabet, max_len)
+        ordered = {}
+        for w in words_up_to(letters, max_len):
             if w not in values:
                 raise DomainError(f"table is missing a value for {quoted(w.dotted())}")
-            self.values[w] = values[w]
-        if len(self.values) != len(values):
-            extra = set(values) - self.values.keys()
+            ordered[w] = values[w]
+        if len(ordered) != len(values):
+            extra = set(values) - ordered.keys()
             raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
+        self.alphabet, self.max_len, self._values = letters, max_len, ordered
+        self.base = lcm(*{v.denominator for v in ordered.values()})
+        items = iter(ordered.values())
+        self.coded = [[]] + [[v.numerator * (self.base**n // v.denominator)
+                              for v in islice(items, len(letters) ** n)]
+                             for n in range(1, max_len + 1)]
 
-    def lookup(self, w: Word) -> Fraction:
+    @classmethod
+    def _from_fractions(cls, letters: tuple[str, ...], max_len: int, nums: list, dens: list):
+        """The table whose word of length n and code i has the value
+        ``nums[n][i] / dens[n][i]``; ``dens[n]`` is a list of positive ints
+        or the ``repeat`` of one.  One ``gcd`` per value gives its reduced
+        denominator, and the base is their lcm."""
+        table = cls.__new__(cls)
+        table.alphabet, table.max_len, table._values = letters, max_len, None
+        table.base = base = lcm(*set().union(*(map(floordiv, dens[n], map(gcd, nums[n], dens[n]))
+                                               for n in range(1, max_len + 1))))
+        # exact: each reduced denominator divides base, hence base**n
+        table.coded = [[]] + [list(map(floordiv, map(mul, nums[n], repeat(base**n)), dens[n]))
+                              for n in range(1, max_len + 1)]
+        return table
+
+    @property
+    def values(self) -> dict:
+        """The ``Word -> Fraction`` mapping in ``words_up_to`` order (by
+        length, then by letters), built on first use."""
+        if self._values is None:
+            from fractions import Fraction
+
+            from .words import words_up_to
+
+            fractions = (Fraction(v, self.base**n)
+                         for n in range(1, self.max_len + 1) for v in self.coded[n])
+            self._values = dict(zip(words_up_to(self.alphabet, self.max_len), fractions))
+        return self._values
+
+    def lookup(self, w) -> Scalar:
         try:
             return self.values[w]
         except KeyError:
@@ -108,16 +176,23 @@ class ValueTable:
             isinstance(other, ValueTable)
             and self.alphabet == other.alphabet
             and self.max_len == other.max_len
-            and self.values == other.values
+            and self.base == other.base
+            and self.coded == other.coded
         )
 
     def __add__(self, other: "ValueTable"):
+        """``a / B^n + b / C^n = (a C^n + b B^n) / (BC)^n``, reduced."""
         self._check_compatible(other)
-        values = {w: v + other.values[w] for w, v in self.values.items()}
-        return type(self)(self.alphabet, self.max_len, values)
+        B, C = self.base, other.base
+        nums = [list(map(add, map(mul, a, repeat(C**n)), map(mul, b, repeat(B**n))))
+                for n, (a, b) in enumerate(zip(self.coded, other.coded))]
+        return type(self)._from_fractions(self.alphabet, self.max_len, nums,
+                                          [repeat((B * C) ** n) for n in range(self.max_len + 1)])
 
     def __neg__(self):
-        return type(self)(self.alphabet, self.max_len, {w: -v for w, v in self.values.items()})
+        return type(self)._from_fractions(self.alphabet, self.max_len,
+                                          [[-v for v in values] for values in self.coded],
+                                          [repeat(self.base**n) for n in range(self.max_len + 1)])
 
     def _check_compatible(self, other: "ValueTable") -> None:
         if self.alphabet != other.alphabet or self.max_len != other.max_len:
@@ -127,11 +202,13 @@ class ValueTable:
             )
 
     def to_json(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "max_len": self.max_len,
-            "values": {w.dotted(): format_scalar(v) for w, v in self.values.items()},
-        }
+        values = {}
+        for n in range(1, self.max_len + 1):
+            scale, coded = self.base**n, self.coded[n]
+            names = map(".".join, product(self.alphabet, repeat=n))
+            for name, num, g in zip(names, coded, map(gcd, coded, repeat(scale))):
+                values[name] = _format(num // g, scale // g)
+        return {"alphabet": list(self.alphabet), "max_len": self.max_len, "values": values}
 
     @classmethod
     def from_json(cls, obj) -> "ValueTable":
@@ -150,22 +227,51 @@ class ValueTable:
             raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
         if not isinstance(raw, dict):
             raise DomainError("malformed table JSON: values must be an object")
+        letters = tuple(sorted(alphabet))
+        # Each length has a word, so a domain of len(raw) words has
+        # max_len <= len(raw); that bound comes before the sizes.
+        sizes = [len(letters) ** n for n in range(max_len + 1)] if 1 <= max_len <= len(raw) else []
+        if letters and sizes and sum(sizes[1:]) == len(raw):
+            index = {name: (n, i) for n in range(1, max_len + 1)
+                     for i, name in enumerate(map(".".join, product(letters, repeat=n)))}
+            nums, dens = [[0] * size for size in sizes], [[1] * size for size in sizes]
+            for key, value in raw.items():
+                place = index.get(key)
+                if place is None:
+                    break
+                n, i = place
+                try:
+                    nums[n][i], dens[n][i] = _rational(value)
+                except DomainError as exc:
+                    raise DomainError(f"table entry {quoted(key)}: {exc}") from None
+            else:
+                return cls._from_fractions(letters, max_len, nums, dens)
+        # The keys are not the header's domain: read the entries into Words,
+        # in order, for the dict constructor to name what is wrong.
+        from .words import Word
+
         values = {}
-        for k, v in raw.items():
+        for key, value in raw.items():
             try:
-                values[Word.parse(k)] = parse_scalar(v)
+                values[Word.parse(key)] = parse_scalar(value)
             except DomainError as exc:
-                raise DomainError(f"table entry {quoted(k)}: {exc}") from None
+                raise DomainError(f"table entry {quoted(key)}: {exc}") from None
         return cls(alphabet, max_len, values)
 
     @classmethod
     def zeros(cls, alphabet: Iterable[str], max_len: int) -> "ValueTable":
-        return cls(alphabet, max_len, {w: ZERO for w in words_up_to(alphabet, max_len)})
+        letters = _letters(alphabet, max_len)
+        nums = [[0] * len(letters) ** n for n in range(max_len + 1)]
+        return cls._from_fractions(letters, max_len, nums, [repeat(1)] * (max_len + 1))
 
     @classmethod
     def random(cls, alphabet: Iterable[str], max_len: int, rng) -> "ValueTable":
         """Seeded random rational values: numerators in [-9, 9], denominators
         in [1, 9]."""
+        from fractions import Fraction
+
+        from .words import words_up_to
+
         values = {
             w: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for w in words_up_to(alphabet, max_len)

@@ -23,6 +23,8 @@ from . import coalgebra, cumulants, partitions, series
 from .coalgebra import TensorSum
 from .errors import DomainError
 from .functionals import (
+    ONE,
+    ZERO,
     Functional,
     barwords_up_to,
     character,
@@ -37,8 +39,8 @@ from .functionals import (
     prelie,
     unit,
 )
-from .tables import ONE, ZERO, CumulantTable, MomentTable, words_up_to
-from .words import UNIT, BarWord
+from .tables import CumulantTable, MomentTable
+from .words import UNIT, BarWord, words_up_to
 
 
 @dataclass

@@ -18,7 +18,8 @@ thread.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import product
 
 from .errors import DomainError, quoted
 
@@ -143,6 +144,20 @@ class BarWord:
 
 
 UNIT = BarWord()
+
+
+def words_over(alphabet: Iterable[str], length: int) -> Iterator[Word]:
+    """The words of one length over the alphabet, in ``itertools.product``
+    order over its sorted letters."""
+    for letters in product(sorted(alphabet), repeat=length):
+        yield Word(letters)
+
+
+def words_up_to(alphabet: Iterable[str], max_len: int) -> Iterator[Word]:
+    """The words of length 1..max_len: by length, then by letters."""
+    alphabet = sorted(alphabet)
+    for n in range(1, max_len + 1):
+        yield from words_over(alphabet, n)
 
 
 def subword(w: Word, positions: Iterable[int]):

@@ -3,9 +3,11 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import shufflecalc
 from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants, tables
-from shufflecalc.cli import main
+from shufflecalc.cli import _dump_json, main
+from shufflecalc.errors import DomainError, quoted
+from shufflecalc.words import Word, words_up_to
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus"
 
@@ -225,7 +229,8 @@ def test_truncation_is_checked_before_any_value_is_parsed(tmp_path, monkeypatch,
     def forbidden(obj):
         pytest.fail(f"the scalar {obj!r} was parsed before the truncation check")
 
-    monkeypatch.setattr(tables, "parse_scalar", forbidden)
+    # the table reader parses each value with tables._rational
+    monkeypatch.setattr(tables, "_rational", forbidden)
     argv = [arg.format(small=small) for arg in argv] + ["--input", str(src)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -278,11 +283,11 @@ PROPERTY_COMMANDS = st.sampled_from(
 )
 
 
-def arbitrary_table(draw, alphabet, max_len):
-    """A complete table on the shared header, with up to two of its fields
-    or entries replaced by arbitrary JSON, a field dropped, or the whole
-    object arbitrary JSON."""
-    values = {w.dotted(): draw(VALUES) for w in tables.words_up_to(alphabet, max_len)}
+def arbitrary_table(draw, alphabet, max_len, scalars=VALUES):
+    """A complete table on the shared header, with values drawn from
+    ``scalars`` and up to two of its fields or entries replaced by
+    arbitrary JSON, a field dropped, or the whole object arbitrary JSON."""
+    values = {w.dotted(): draw(scalars) for w in words_up_to(alphabet, max_len)}
     table = {"alphabet": alphabet, "max_len": max_len, "values": values}
     for change in draw(CHANGES):
         if change == "field":
@@ -322,6 +327,142 @@ def test_arbitrary_json_input_exits_0_or_2_without_traceback(tmp_path_factory, d
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# The Fraction/Word table reader and writer that the coded ones replaced,
+# kept as the reference they are held to: every value, every error line
+# and every byte written must agree.
+
+def reference_scalar(obj) -> Fraction:
+    if isinstance(obj, bool):
+        raise DomainError(f"not a scalar: {quoted(obj)}")
+    if isinstance(obj, int):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", obj) is None:
+            raise DomainError(f"malformed scalar {quoted(obj)}")
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"malformed scalar {quoted(obj)}") from exc
+    raise DomainError(f"not a scalar: {quoted(obj)}")
+
+
+def reference_read(obj):
+    """``(alphabet, max_len, {Word: Fraction})`` in ``words_up_to`` order."""
+    try:
+        alphabet, max_len, raw = obj["alphabet"], obj["max_len"], obj["values"]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed table JSON: {exc}") from exc
+    if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
+        raise DomainError("malformed table JSON: alphabet must be a list of strings")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError("malformed table JSON: alphabet letters must be distinct, "
+                          f"got {quoted(alphabet)}")
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
+    if not isinstance(raw, dict):
+        raise DomainError("malformed table JSON: values must be an object")
+    values = {}
+    for k, v in raw.items():
+        try:
+            values[Word.parse(k)] = reference_scalar(v)
+        except DomainError as exc:
+            raise DomainError(f"table entry {quoted(k)}: {exc}") from None
+    alphabet = tuple(sorted(set(alphabet)))
+    if not alphabet:
+        raise DomainError("alphabet must be nonempty")
+    if max_len < 1:
+        raise DomainError("max_len must be >= 1")
+    ordered = {}
+    for w in words_up_to(alphabet, max_len):
+        if w not in values:
+            raise DomainError(f"table is missing a value for {quoted(w.dotted())}")
+        ordered[w] = values[w]
+    if len(ordered) != len(values):
+        extra = set(values) - ordered.keys()
+        raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
+    return alphabet, max_len, ordered
+
+
+def reference_write(alphabet, max_len, values) -> dict:
+    return {"alphabet": list(alphabet), "max_len": max_len,
+            "values": {w.dotted(): str(v) for w, v in values.items()}}
+
+
+def _outcome(read, obj):
+    try:
+        return read(obj), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+# Non-reduced and signed spellings, two malformed ones, and values that
+# are all zero.
+READER_VALUES = VALUES | st.sampled_from(["2/4", "-0", "+3", "007", "-6/4", "+0/7", "-007/014",
+                                           "1/0", "1.5"])
+ZERO_VALUES = st.sampled_from([0, "0", "-0", "+0", "0/7", "000"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coded_reader_and_writer_match_the_reference(data):
+    """The coded ``from_json`` reads the values and reports the error line
+    of the reference reader, and ``to_json`` writes its bytes, for single
+    tables and both pair shapes."""
+    draw = data.draw
+    alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    max_len = draw(st.integers(1, 3))
+    scalars = draw(st.sampled_from([READER_VALUES, ZERO_VALUES]))
+    parts = draw(st.sampled_from([(), ("phi", "psi"), ("cumulants", "psi")]))
+    if parts:
+        obj = {part: arbitrary_table(draw, alphabet, max_len, scalars) for part in parts}
+    else:
+        obj = arbitrary_table(draw, alphabet, max_len, scalars)
+    obj = json.loads(json.dumps(obj))
+    if parts == ("phi", "psi"):
+        got, error = _outcome(StatePair.from_json, obj)
+        expected, expected_error = _outcome(lambda o: [reference_read(o[p]) for p in parts], obj)
+        if expected and expected[0][:2] != expected[1][:2]:
+            (a1, n1, _), (a2, n2, _) = expected
+            expected, expected_error = None, (f"incompatible tables: alphabet/max_len "
+                                              f"({quoted(a1)}, {n1}) vs ({quoted(a2)}, {n2})")
+        got = got and [got.phi, got.psi]
+    else:
+        tables_json = [obj[p] for p in parts] if parts else [obj]
+        got, error = _outcome(lambda objs: [CumulantTable.from_json(o) for o in objs], tables_json)
+        expected, expected_error = _outcome(lambda objs: [reference_read(o) for o in objs],
+                                            tables_json)
+    assert error == expected_error
+    if got is None:
+        return
+    for table, (alphabet, max_len, values) in zip(got, expected):
+        assert (table.alphabet, table.max_len) == (alphabet, max_len)
+        assert list(table.values.items()) == list(values.items())
+        assert _dump_json(table.to_json()) == _dump_json(reference_write(alphabet, max_len, values))
+        # a table built from the reference's dict is the same table
+        assert type(table)(alphabet, max_len, values) == table
+
+
+@pytest.mark.parametrize("alphabet, max_len, values", [
+    (["a", "b"], 3, {}),
+    (["a"], 0, {}),
+    ([], 1, {}),
+    ([], 0, {"a": "1"}),
+    (["a"], 100000000, {"a": "1"}),
+    (["a"], 2, {"a": "1", "a.a": "1/0", "a..a": "1"}),
+    (["a"], 2, {"a..a": "1", "a": "1/0"}),
+    (["b", "a"], 1, {"b": "-0/4", "a": "+6/4"}),
+], ids=["no-values", "max_len-0", "no-letters", "no-letters-max_len-0", "deep-header",
+        "bad-scalar-first", "bad-key-first", "unsorted-alphabet"])
+def test_coded_reader_matches_the_reference_on_edge_tables(alphabet, max_len, values):
+    obj = {"alphabet": alphabet, "max_len": max_len, "values": values}
+    got, error = _outcome(CumulantTable.from_json, obj)
+    expected, expected_error = _outcome(reference_read, obj)
+    assert error == expected_error
+    if got is not None:
+        assert list(got.values.items()) == list(expected[2].items())
+        assert _dump_json(got.to_json()) == _dump_json(reference_write(*expected))
 
 
 class TestConvolve:

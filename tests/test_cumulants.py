@@ -42,7 +42,7 @@ from shufflecalc import (
     unit_state,
 )
 from shufflecalc import cumulants, partitions
-from shufflecalc.tables import words_up_to
+from shufflecalc.words import words_up_to
 from shufflecalc.verify import VerifyConfig, run_checks
 from fractions import Fraction
 from math import factorial

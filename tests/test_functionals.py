@@ -26,7 +26,8 @@ from shufflecalc import (
     unit,
 )
 from shufflecalc.functionals import barwords_up_to, functionals_agree
-from shufflecalc.tables import ValueTable, format_scalar, parse_scalar, words_up_to
+from shufflecalc.tables import ValueTable, format_scalar, parse_scalar
+from shufflecalc.words import words_up_to
 from test_series import LIE_SIDE, _guarded_nodes
 
 

@@ -5,6 +5,8 @@ from its home module on first use.  The kernel subcommands (``transform``,
 ``convolve``, ``enumerate``) must run without loading the bar-word engine
 or the verify suites, and each loads only its own layer: ``cumulants`` for
 ``transform`` and ``convolve``, ``partitions`` for ``enumerate``.
+``transform`` and ``convolve`` keep their tables in coded integers from
+input to output, so they load neither ``fractions`` nor ``words``.
 """
 
 import ast
@@ -107,13 +109,18 @@ def test_package_import_is_lazy_and_submodules_still_import():
     assert json.loads(proc.stdout) == [["shufflecalc"], "shufflecalc.coalgebra"]
 
 
-@pytest.mark.parametrize("argv, other_layer", [
-    (["transform", "--to", "free", "--input", "{a}"], "shufflecalc.partitions"),
+# What a process that reads, transforms and writes coded tables never
+# builds, so never imports.
+NOT_ON_TABLE_PATH = {"fractions", "decimal", "shufflecalc.words"}
+
+
+@pytest.mark.parametrize("argv, other_layer, coded", [
+    (["transform", "--to", "free", "--input", "{a}"], "shufflecalc.partitions", True),
     (["convolve", "--kind", "free", "--input", "{a}", "--input2", "{b}"],
-     "shufflecalc.partitions"),
-    (["enumerate", "--family", "nc", "--n", "4"], "shufflecalc.cumulants"),
+     "shufflecalc.partitions", True),
+    (["enumerate", "--family", "nc", "--n", "4"], "shufflecalc.cumulants", False),
 ], ids=["transform", "convolve", "enumerate"])
-def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, other_layer):
+def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, other_layer, coded):
     for name, seed in (("a", 1), ("b", 2)):
         table = MomentTable.random(["a", "b"], 3, random.Random(seed))
         (tmp_path / f"{name}.json").write_text(json.dumps(table.to_json()))
@@ -134,10 +141,16 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, oth
     # each kernel subcommand loads its own layer and not the other one
     assert other_layer not in modules
 
+    if coded:
+        assert sorted(NOT_ON_TABLE_PATH & set(modules)) == []
+
     baseline = _run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
     assert baseline.returncode == 0, baseline.stderr
-    if "dataclasses" not in json.loads(baseline.stdout):
+    bare = json.loads(baseline.stdout)
+    if "dataclasses" not in bare:
         assert "dataclasses" not in modules
+    if coded and "typing" not in bare:
+        assert "typing" not in modules
 
 
 def _defined_functions(module):

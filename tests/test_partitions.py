@@ -32,8 +32,8 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
-from shufflecalc.tables import words_over, words_up_to
 from shufflecalc.partitions import family_blocks, family_count, json_lines
+from shufflecalc.words import words_over, words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 

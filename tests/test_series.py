@@ -45,7 +45,7 @@ from shufflecalc.functionals import (
     prelie,
 )
 from shufflecalc.series import bernoulli
-from shufflecalc.tables import words_up_to
+from shufflecalc.words import words_up_to
 
 ALPHABET = ["a", "b"]
 N = 4
