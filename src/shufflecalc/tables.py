@@ -16,10 +16,10 @@ a ``Word``.  The ``Word -> Fraction`` mapping ``values`` is a view built on
 first use, for library callers: the bar-word engine's tests, the partition
 oracles, the verify suites.  This module imports ``fractions`` and
 ``words`` only inside the functions that build one of them (the view, the
-dict constructor, ``random``, ``parse_scalar`` and the error path of
-``from_json``), so a process that reads, transforms and writes tables loads
-neither.  Tables
-are plain data: this module imports none of the layers that read them.
+dict constructor, ``random``, ``parse_scalar``, ``Scalar`` and, for a key
+outside the header's domain, ``from_json``), so a process that reads,
+transforms and writes well-formed tables loads neither.  Tables are plain
+data: this module imports none of the layers that read them.
 """
 
 from __future__ import annotations
@@ -33,11 +33,20 @@ from operator import add, floordiv, mul
 
 from .errors import DomainError, TruncationError, quoted
 
-# A table value is an exact rational; the ``values`` view holds Fractions.
-Scalar = Rational
-
 # The scalar strings a table accepts, numerator and denominator as groups.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def __getattr__(name: str):
+    """``Scalar``, the type of the values in a table's ``values`` view, is
+    ``fractions.Fraction``; it is bound on first use, so that reading and
+    writing tables does not import ``fractions``."""
+    global Scalar
+    if name != "Scalar":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction as Scalar
+
+    return Scalar
 
 
 def _rational(obj) -> tuple[int, int]:
@@ -64,15 +73,11 @@ def _rational(obj) -> tuple[int, int]:
     raise DomainError(f"not a scalar: {quoted(obj)}")
 
 
-def parse_scalar(obj) -> Scalar:
+def parse_scalar(obj) -> Rational:
     """The ``Fraction`` of a scalar that a table accepts."""
     from fractions import Fraction
 
     return Fraction(*_rational(obj))
-
-
-def format_scalar(q: Scalar) -> str:
-    return _format(q.numerator, q.denominator)
 
 
 def _format(num: int, den: int) -> str:
@@ -90,13 +95,29 @@ def _format(num: int, den: int) -> str:
         ) from None
 
 
-def _letters(alphabet: Iterable[str], max_len: int) -> tuple[str, ...]:
+def _letters(alphabet: Iterable[str], max_len: int, names=None) -> tuple[str, ...]:
+    """The sorted letters of the domain of a table, the words of length
+    1..max_len over ``alphabet``.  Raises what a walk over the domain in
+    ``words_up_to`` order meets first: an empty alphabet, ``max_len < 1``,
+    a letter name that ``Word`` refuses (each checked when its one-letter
+    word is reached), or, given ``names``, the dotted names of the words a
+    table has values for, a word whose name is not among them."""
     letters = tuple(sorted(set(alphabet)))
     if not letters:
         raise DomainError("alphabet must be nonempty")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    for n in range(1, max_len + 1 if names is not None else 2):
+        for word in product(letters, repeat=n):
+            if n == 1 and (not isinstance(word[0], str) or not word[0] or "." in word[0]):
+                raise DomainError(f"invalid letter name: {quoted(word[0])}")
+            if names is not None and ".".join(word) not in names:
+                raise DomainError(f"table is missing a value for {quoted('.'.join(word))}")
     return letters
+
+
+def _out_of_domain(words) -> DomainError:
+    return DomainError(f"table has out-of-domain entries: {quoted(sorted(words)[:3])}")
 
 
 class ValueTable:
@@ -112,41 +133,39 @@ class ValueTable:
     """
 
     def __init__(self, alphabet: Iterable[str], max_len: int, values: dict):
-        """The table of a ``Word -> Scalar`` dict holding exactly the words
-        of length 1..max_len; the dict, in ``words_up_to`` order, seeds the
-        ``values`` view."""
+        """The table of a ``Word -> Rational`` dict holding exactly the
+        words of length 1..max_len; the dict, in ``words_up_to`` order,
+        seeds the ``values`` view."""
         from .words import words_up_to
 
-        letters = _letters(alphabet, max_len)
-        ordered = {}
-        for w in words_up_to(letters, max_len):
-            if w not in values:
-                raise DomainError(f"table is missing a value for {quoted(w.dotted())}")
-            ordered[w] = values[w]
+        letters = _letters(alphabet, max_len, {w.dotted() for w in values})
+        ordered = {w: values[w] for w in words_up_to(letters, max_len)}
         if len(ordered) != len(values):
-            extra = set(values) - ordered.keys()
-            raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
-        self.alphabet, self.max_len, self._values = letters, max_len, ordered
-        self.base = lcm(*{v.denominator for v in ordered.values()})
+            raise _out_of_domain(set(values) - ordered.keys())
         items = iter(ordered.values())
-        self.coded = [[]] + [[v.numerator * (self.base**n // v.denominator)
-                              for v in islice(items, len(letters) ** n)]
+        chunks = [[]] + [list(islice(items, len(letters) ** n)) for n in range(1, max_len + 1)]
+        self._code(letters, max_len, [[v.numerator for v in chunk] for chunk in chunks],
+                   [[v.denominator for v in chunk] for chunk in chunks], ordered)
+
+    def _code(self, letters: tuple[str, ...], max_len: int, nums: list, dens: list,
+              values: dict | None = None) -> "ValueTable":
+        """Make this the table whose word of length n and code i has the
+        value ``nums[n][i] / dens[n][i]``; ``dens[n]`` is a list of positive
+        ints or the ``repeat`` of one.  One ``gcd`` per value gives its
+        reduced denominator, and the base is their lcm.  ``values``, if
+        given, seeds the ``values`` view."""
+        self.alphabet, self.max_len, self._values = letters, max_len, values
+        self.base = base = lcm(*set().union(*(map(floordiv, dens[n], map(gcd, nums[n], dens[n]))
+                                              for n in range(1, max_len + 1))))
+        # exact: each reduced denominator divides base, hence base**n
+        self.coded = [[]] + [list(map(floordiv, map(mul, nums[n], repeat(base**n)), dens[n]))
                              for n in range(1, max_len + 1)]
+        return self
 
     @classmethod
     def _from_fractions(cls, letters: tuple[str, ...], max_len: int, nums: list, dens: list):
-        """The table whose word of length n and code i has the value
-        ``nums[n][i] / dens[n][i]``; ``dens[n]`` is a list of positive ints
-        or the ``repeat`` of one.  One ``gcd`` per value gives its reduced
-        denominator, and the base is their lcm."""
-        table = cls.__new__(cls)
-        table.alphabet, table.max_len, table._values = letters, max_len, None
-        table.base = base = lcm(*set().union(*(map(floordiv, dens[n], map(gcd, nums[n], dens[n]))
-                                               for n in range(1, max_len + 1))))
-        # exact: each reduced denominator divides base, hence base**n
-        table.coded = [[]] + [list(map(floordiv, map(mul, nums[n], repeat(base**n)), dens[n]))
-                              for n in range(1, max_len + 1)]
-        return table
+        """The table of ``_code``, built without a ``values`` view."""
+        return cls.__new__(cls)._code(letters, max_len, nums, dens)
 
     @property
     def values(self) -> dict:
@@ -162,7 +181,7 @@ class ValueTable:
             self._values = dict(zip(words_up_to(self.alphabet, self.max_len), fractions))
         return self._values
 
-    def lookup(self, w) -> Scalar:
+    def lookup(self, w) -> Rational:
         try:
             return self.values[w]
         except KeyError:
@@ -227,36 +246,41 @@ class ValueTable:
             raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
         if not isinstance(raw, dict):
             raise DomainError("malformed table JSON: values must be an object")
-        letters = tuple(sorted(alphabet))
-        # Each length has a word, so a domain of len(raw) words has
-        # max_len <= len(raw); that bound comes before the sizes.
-        sizes = [len(letters) ** n for n in range(max_len + 1)] if 1 <= max_len <= len(raw) else []
-        if letters and sizes and sum(sizes[1:]) == len(raw):
+        try:
+            letters = _letters(alphabet, max_len)
+        except DomainError:
+            letters = ()  # reported after the entries, as the dict constructor does
+        # The keys can cover the domain only if its K^max_len longest words
+        # number at most len(raw); the bound on max_len comes first, so that
+        # no power is taken of a deep header.
+        index = {}
+        if letters and max_len <= len(raw) and len(letters) ** max_len <= len(raw):
             index = {name: (n, i) for n in range(1, max_len + 1)
                      for i, name in enumerate(map(".".join, product(letters, repeat=n)))}
-            nums, dens = [[0] * size for size in sizes], [[1] * size for size in sizes]
-            for key, value in raw.items():
-                place = index.get(key)
-                if place is None:
-                    break
-                n, i = place
-                try:
-                    nums[n][i], dens[n][i] = _rational(value)
-                except DomainError as exc:
-                    raise DomainError(f"table entry {quoted(key)}: {exc}") from None
-            else:
-                return cls._from_fractions(letters, max_len, nums, dens)
-        # The keys are not the header's domain: read the entries into Words,
-        # in order, for the dict constructor to name what is wrong.
-        from .words import Word
-
-        values = {}
+        sizes = [len(letters) ** n for n in range(max_len + 1)] if index else []
+        nums, dens, extra = [[0] * size for size in sizes], [[1] * size for size in sizes], []
         for key, value in raw.items():
+            place = index.get(key)
             try:
-                values[Word.parse(key)] = parse_scalar(value)
+                num, den = _rational(value)
+                if place is not None:
+                    n, i = place
+                    nums[n][i], dens[n][i] = num, den
+                else:
+                    # not a word of the header's domain: a Word, or the
+                    # entry error that names why the key is none
+                    from .words import Word
+
+                    extra.append(Word.parse(key))
             except DomainError as exc:
                 raise DomainError(f"table entry {quoted(key)}: {exc}") from None
-        return cls(alphabet, max_len, values)
+        if index and not extra and len(raw) == len(index):
+            return cls._from_fractions(letters, max_len, nums, dens)
+        # Every entry is well formed but the keys are not the domain: the
+        # walk over it names the first missing word; if none is missing,
+        # some key is a word outside it.
+        _letters(alphabet, max_len, raw)
+        raise _out_of_domain(extra)
 
     @classmethod
     def zeros(cls, alphabet: Iterable[str], max_len: int) -> "ValueTable":

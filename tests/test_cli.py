@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -287,7 +288,8 @@ def arbitrary_table(draw, alphabet, max_len, scalars=VALUES):
     """A complete table on the shared header, with values drawn from
     ``scalars`` and up to two of its fields or entries replaced by
     arbitrary JSON, a field dropped, or the whole object arbitrary JSON."""
-    values = {w.dotted(): draw(scalars) for w in words_up_to(alphabet, max_len)}
+    values = {".".join(w): draw(scalars)
+              for n in range(1, max_len + 1) for w in product(sorted(alphabet), repeat=n)}
     table = {"alphabet": alphabet, "max_len": max_len, "values": values}
     for change in draw(CHANGES):
         if change == "field":
@@ -350,6 +352,11 @@ def reference_scalar(obj) -> Fraction:
 
 def reference_read(obj):
     """``(alphabet, max_len, {Word: Fraction})`` in ``words_up_to`` order."""
+    alphabet, max_len, raw = reference_header(obj)
+    return reference_table(alphabet, max_len, reference_entries(raw))
+
+
+def reference_header(obj):
     try:
         alphabet, max_len, raw = obj["alphabet"], obj["max_len"], obj["values"]
     except (KeyError, TypeError) as exc:
@@ -363,12 +370,21 @@ def reference_read(obj):
         raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
     if not isinstance(raw, dict):
         raise DomainError("malformed table JSON: values must be an object")
+    return alphabet, max_len, raw
+
+
+def reference_entries(raw) -> dict:
     values = {}
     for k, v in raw.items():
         try:
             values[Word.parse(k)] = reference_scalar(v)
         except DomainError as exc:
             raise DomainError(f"table entry {quoted(k)}: {exc}") from None
+    return values
+
+
+def reference_table(alphabet, max_len, values):
+    """The checks of the dict constructor on a ``{Word: Fraction}`` dict."""
     alphabet = tuple(sorted(set(alphabet)))
     if not alphabet:
         raise DomainError("alphabet must be nonempty")
@@ -397,11 +413,21 @@ def _outcome(read, obj):
         return None, str(exc)
 
 
+def drop_an_entry(draw, table):
+    """The table, or, when it has values, the table without one of them."""
+    values = table.get("values") if isinstance(table, dict) else None
+    if isinstance(values, dict) and values and draw(st.booleans()):
+        del values[draw(st.sampled_from(sorted(values)))]
+    return table
+
+
 # Non-reduced and signed spellings, two malformed ones, and values that
 # are all zero.
 READER_VALUES = VALUES | st.sampled_from(["2/4", "-0", "+3", "007", "-6/4", "+0/7", "-007/014",
                                            "1/0", "1.5"])
 ZERO_VALUES = st.sampled_from([0, "0", "-0", "+0", "0/7", "000"])
+# Letter names that a Word refuses; a header holding one is read to an error.
+BAD_LETTERS = st.sampled_from(["", "a.a", "b.c", "c."])
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,17 +435,30 @@ ZERO_VALUES = st.sampled_from([0, "0", "-0", "+0", "0/7", "000"])
 def test_coded_reader_and_writer_match_the_reference(data):
     """The coded ``from_json`` reads the values and reports the error line
     of the reference reader, and ``to_json`` writes its bytes, for single
-    tables and both pair shapes."""
+    tables and both pair shapes; and the dict constructor reports the
+    reference's error line on the entries of a single table."""
     draw = data.draw
     alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        alphabet.append(draw(BAD_LETTERS))
     max_len = draw(st.integers(1, 3))
     scalars = draw(st.sampled_from([READER_VALUES, ZERO_VALUES]))
     parts = draw(st.sampled_from([(), ("phi", "psi"), ("cumulants", "psi")]))
     if parts:
-        obj = {part: arbitrary_table(draw, alphabet, max_len, scalars) for part in parts}
+        obj = {part: drop_an_entry(draw, arbitrary_table(draw, alphabet, max_len, scalars))
+               for part in parts}
     else:
-        obj = arbitrary_table(draw, alphabet, max_len, scalars)
+        obj = drop_an_entry(draw, arbitrary_table(draw, alphabet, max_len, scalars))
     obj = json.loads(json.dumps(obj))
+    if not parts:
+        try:
+            header, entries = reference_header(obj), reference_entries(obj["values"])
+        except DomainError:
+            pass
+        else:
+            built = _outcome(lambda v: CumulantTable(header[0], header[1], v), entries)
+            assert built[1] == _outcome(lambda v: reference_table(header[0], header[1], v),
+                                        entries)[1]
     if parts == ("phi", "psi"):
         got, error = _outcome(StatePair.from_json, obj)
         expected, expected_error = _outcome(lambda o: [reference_read(o[p]) for p in parts], obj)
@@ -453,8 +492,16 @@ def test_coded_reader_and_writer_match_the_reference(data):
     (["a"], 2, {"a": "1", "a.a": "1/0", "a..a": "1"}),
     (["a"], 2, {"a..a": "1", "a": "1/0"}),
     (["b", "a"], 1, {"b": "-0/4", "a": "+6/4"}),
+    ([""], 1, {"": "1"}),
+    ([""], 1, {}),
+    (["a", "a.a"], 1, {"a": "1", "a.a": "2"}),
+    (["a.a", "b"], 1, {"b": "1"}),
+    (["a", "b.c"], 2, {"b.c": "1"}),
+    (["a", "b.c"], 1, {"a": "1", "b.c": "x"}),
 ], ids=["no-values", "max_len-0", "no-letters", "no-letters-max_len-0", "deep-header",
-        "bad-scalar-first", "bad-key-first", "unsorted-alphabet"])
+        "bad-scalar-first", "bad-key-first", "unsorted-alphabet", "empty-letter",
+        "empty-letter-no-values", "dotted-letter", "dotted-letter-first",
+        "missing-before-dotted-letter", "bad-scalar-before-dotted-letter"])
 def test_coded_reader_matches_the_reference_on_edge_tables(alphabet, max_len, values):
     obj = {"alphabet": alphabet, "max_len": max_len, "values": values}
     got, error = _outcome(CumulantTable.from_json, obj)

@@ -58,12 +58,15 @@ ENGINE = {"shufflecalc.functionals", "shufflecalc.coalgebra", "shufflecalc.serie
 
 
 def _top_level_names(module) -> set[str]:
-    """Names that a module binds by its own def, class or assignment."""
+    """Names that a module binds by its own def, class or assignment, or
+    on first use by a ``global`` statement in its ``__getattr__``."""
     tree = ast.parse(Path(module.__file__).read_text())
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+            if node.name == "__getattr__":
+                names.update(*(g.names for g in ast.walk(node) if isinstance(g, ast.Global)))
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
     return names
