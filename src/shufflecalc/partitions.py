@@ -14,12 +14,13 @@ forest; block classes and tree factorials derive from that forest.
 
 ``json_lines`` streams the lines of ``enumerate`` without building a block
 tuple or a ``SetPartition``.  It runs the recursion of ``_nc_blocks`` on
-text: a record of a sub-range holds the text of its blocks and of their
-parents and its block count, and is made once per call for each range,
-index of its first block and parent of its top-level blocks, the values
-that fix the parents text.  A partition's record costs two string joins
-per gap of its first block; the classes, parents and tree factorial text
-is made once per distinct forest.  The lines are the text that
+records of text: a record of a partition of a range is the text of its
+blocks and its shape, which writes each block as ``"("``, the shapes of the
+blocks nested in it and ``")"``, in block order.  A shape does not depend
+on where its range sits, so each sub-range's records are made once per
+call.  The last gap of each first block of [1..n] is streamed straight into
+lines, and the classes, parents and tree factorial text is read off each
+distinct shape once, by one stack scan.  The lines are the text that
 ``json.dumps`` with sorted keys gives; there is no per-partition dict.
 
 The sum oracles run in integers.  For the words of one length, each sum
@@ -27,7 +28,8 @@ keeps its distinct blocks and, per partition, the block indices and an
 integer weight over one common denominator (signs and inverse tree
 factorials).  A word's distinct block values are looked up once and scaled
 to integers over ``D^|B|``, D the lcm of their denominators, so every
-partition's product lies over ``D^n``; one ``Fraction`` is built per word.
+partition's product lies over ``D^n``; one ``Fraction`` is built per word,
+and only there is ``fractions`` imported, so ``enumerate`` never loads it.
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series`` or the kernel in ``cumulants``; cross-checking them is the point.
@@ -35,9 +37,9 @@ These evaluators deliberately share no code with the shuffle engine in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
+from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, quoted
@@ -53,16 +55,28 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_hash")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        if not _is_int(n) or n < 0:
+            raise DomainError(f"n must be a nonnegative integer, got {quoted(n)}")
+        try:
+            blocks = [tuple(block) for block in blocks]
+        except TypeError:
+            raise DomainError("blocks must be an iterable of iterables of integers") from None
+        for block in blocks:
+            for x in block:
+                if not _is_int(x):
+                    raise DomainError(f"block elements must be integers, got {quoted(x)}")
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen: set[int] = set()
         for block in blocks:
             if not block:
                 raise DomainError("blocks must be nonempty")
-            for x in block:
+            for i, x in enumerate(block):
                 if x in seen:
-                    raise DomainError(f"element {x} appears in two blocks")
+                    where = "twice in one block" if i and block[i - 1] == x else "in two blocks"
+                    raise DomainError(f"element {x} appears {where}")
                 seen.add(x)
-        if seen != set(range(1, n + 1)):
+        # the length test first, so that no set of a huge n is built
+        if len(seen) != n or seen != set(range(1, n + 1)):
             raise DomainError(f"blocks do not partition [1..{n}]")
         self.n = n
         self.blocks = blocks
@@ -123,6 +137,10 @@ class SetPartition:
 
     def to_json(self) -> list:
         return [list(b) for b in self.blocks]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_order(n: int) -> None:
@@ -210,60 +228,89 @@ def enumerate_nc_irreducible(n: int) -> list[SetPartition]:
     return [SetPartition._canonical(n, blocks) for blocks in family_blocks("nc-irr", n)]
 
 
-def _forest_json(parents: Sequence[int | None]) -> str:
+def _forest_json(shape: str) -> str:
     """The "classes", "parents" and "tree_factorial" members of a
-    ``json_lines`` details object, for one nesting forest."""
-    classes = '", "'.join(_classes(parents))
-    numbers = ", ".join(["-1" if p is None else str(p) for p in parents])
-    return (f'"classes": ["{classes}"], "parents": [{numbers}], '
-            f'"tree_factorial": {_forest_factorial(parents)}')
+    ``json_lines`` details object, read off a shape by one stack scan: a
+    block's parent is the open block when it opens, and its subtree holds
+    the blocks opened from it to its close."""
+    parents: list[int] = []
+    stack: list[int] = []
+    factorial = 1
+    for c in shape:
+        if c == "(":
+            parents.append(stack[-1] if stack else -1)
+            stack.append(len(parents) - 1)
+        else:
+            factorial *= len(parents) - stack.pop()
+    classes = '", "'.join(["outer" if p < 0 else "inner" for p in parents])
+    return (f'"classes": ["{classes}"], "parents": {parents}, '
+            f'"tree_factorial": {factorial}')
 
 
-# A text record of the partitions of a range: the text of their blocks and
-# of their parents, each entry led by ", ", and their block count.
-_Record = tuple[str, str, int]
+class _Forests(dict):
+    """Shape -> ``_forest_json(shape)``, each made on first lookup."""
+
+    def __missing__(self, shape: str) -> str:
+        self[shape] = text = _forest_json(shape)
+        return text
 
 
-def _nc_records(lo: int, hi: int, first: int, parent: str, memo: dict,
-                closed: bool = False) -> Iterator[list[_Record]]:
-    """The records of the non-crossing partitions of lo..hi, one list per
-    first block, in the order of ``_nc_blocks``.  Blocks are numbered from
-    ``first`` and ``parent`` is the parent of the top-level blocks; each
-    nonempty gap of the first block is a sub-range whose records come from
-    ``_nc_range``."""
+# A record of a partition of a range: the text of its blocks, each led by
+# ", " (the first, at the top level, by the line's lead), and its shape.  A
+# group is (heads, tails, close): its records are each head joined with
+# each tail, heads varying slowest, with ``close`` after the two shapes.
+_Group = tuple[list[tuple[str, str]], list[tuple[str, str]], str]
+
+
+def _nc_groups(lo: int, hi: int, lead: str, memo: dict,
+               closed: bool = False) -> Iterator[_Group]:
+    """The records of the non-crossing partitions of lo..hi, one group per
+    first block, in the order of ``_nc_blocks``; ``lead`` comes before the
+    first block's text.  The shape of a partition is ``"("``, the shapes of
+    the gaps inside its first block, ``")"`` and the shape of the gap after
+    it.  The tails are the records of the last gap, ``_nc_range``'s list, so
+    a group's records are not built here."""
     for block in _first_blocks(lo, hi, closed):
-        combos = [(f", {list(block)}", f", {parent}", 1)]
-        for a, b in zip(block, block[1:] + (hi + 1,)):
-            if b > a + 1:
-                # inside the first block its gaps nest under it; after its
-                # last member the blocks share its parent
-                top = str(first) if b <= hi else parent
-                combos = [(t + u, p + q, k + j) for t, p, k in combos
-                          for u, q, j in _nc_range(a + 1, b - 1, first + k, top, memo)]
-        yield combos
+        gaps = [(a + 1, b - 1) for a, b in zip(block, block[1:] + (hi + 1,)) if b > a + 1]
+        inner = len(gaps) - (block[-1] < hi)
+        heads = [(f"{lead}{list(block)}", "(" if inner else "()")]
+        # the first block closes after its last inner gap
+        for i, (a, b) in enumerate(gaps[:-1], 1):
+            close = ")" if i == inner else ""
+            heads = [(t + u, f"{s}{q}{close}") for t, s in heads for u, q in _nc_range(a, b, memo)]
+        if gaps:
+            yield heads, _nc_range(*gaps[-1], memo), ")" if inner == len(gaps) else ""
+        else:
+            yield heads, [("", "")], ""
 
 
-def _nc_range(lo: int, hi: int, first: int, parent: str, memo: dict) -> list[_Record]:
-    """All records of ``_nc_records(lo, hi, first, parent)``, made once per
-    call of ``json_lines``: the four values fix the parents text."""
-    key = (lo, hi, first, parent)
-    if key not in memo:
-        memo[key] = [r for combos in _nc_records(lo, hi, first, parent, memo) for r in combos]
-    return memo[key]
+def _nc_range(lo: int, hi: int, memo: dict) -> list[tuple[str, str]]:
+    """The records of the non-crossing partitions of lo..hi, made once per
+    call of ``json_lines``: a shape does not depend on where the range
+    sits, so the range fixes the records."""
+    records = memo.get((lo, hi))
+    if records is None:
+        records = memo[lo, hi] = [
+            (t + u, f"{s}{q}{close}")
+            for heads, tails, close in _nc_groups(lo, hi, ", ", memo)
+            for t, s in heads for u, q in tails]
+    return records
 
 
-def _interval_records(n: int) -> list[_Record]:
-    """The records of the interval partitions of [1..n], in the order of
-    ``_interval_blocks``: the last block [s..n] varies slowest, after the
-    partitions of [1..s-1]."""
-    prefixes: list[list[_Record]] = [[("", "", 0)]]
+def _interval_groups(n: int, lead: str) -> Iterator[_Group]:
+    """The records of the interval partitions of [1..n], one group per last
+    block [s..n], in the order of ``_interval_blocks``: the heads are the
+    records of the partitions of [1..s-1], led by ``lead``, and the tail is
+    the block, of shape ``"()"``."""
+    prefixes = [[(lead, "")]]
     for m in range(1, n + 1):
-        records: list[_Record] = []
-        for s in range(1, m + 1):
-            block = f", {list(range(s, m + 1))}"
-            records += [(t + block, p + ", -1", k + 1) for t, p, k in prefixes[s - 1]]
-        prefixes.append(records)
-    return prefixes[n]
+        groups = [(prefixes[s - 1], [(f"{', ' if s > 1 else ''}{list(range(s, m + 1))}", "()")], "")
+                  for s in range(1, m + 1)]
+        if m == n:
+            yield from groups
+        else:
+            prefixes.append([(t + u, shape + q) for heads, tails, _ in groups
+                             for t, shape in heads for u, q in tails])
 
 
 def json_lines(family: str, n: int, details: bool = False) -> Iterator[str]:
@@ -273,30 +320,23 @@ def json_lines(family: str, n: int, details: bool = False) -> Iterator[str]:
     ``json.dumps(..., sort_keys=True)`` writes it.
 
     The family and order are checked here; the lines come from the
-    returned iterator.  They are joined from text records built by the
-    recursion of ``_nc_blocks`` (for "boolean", from interval prefixes),
-    each sub-range's records once per call; the classes, parents and tree
-    factorial text is made once per distinct forest."""
+    returned iterator.  They are joined from records of blocks text and
+    shape, built by the recursion of ``_nc_blocks`` on ranges, each
+    sub-range's records once per call (for "boolean", from interval
+    prefixes); the last gap of each first block is streamed into lines.
+    The classes, parents and tree factorial text is made once per distinct
+    shape."""
     _check_family(family, n)
+    lead = '{"blocks": [' if details else "["
     if family == "boolean":
-        groups: Iterable[list[_Record]] = [_interval_records(n)]
+        groups = _interval_groups(n, lead)
     else:
-        groups = _nc_records(1, n, 0, "-1", {}, closed=family == "nc-irr")
-    return _lines(groups, details)
-
-
-def _lines(groups: Iterable[list[_Record]], details: bool) -> Iterator[str]:
-    forests: dict[str, str] = {}
-    for records in groups:
-        for blocks, parents, _ in records:
-            if not details:
-                yield f"[{blocks[2:]}]"
-                continue
-            forest = forests.get(parents)
-            if forest is None:
-                forest = forests[parents] = _forest_json(
-                    [None if p == "-1" else int(p) for p in parents[2:].split(", ")])
-            yield f'{{"blocks": [{blocks[2:]}], {forest}}}'
+        groups = _nc_groups(1, n, lead, {}, closed=family == "nc-irr")
+    if not details:
+        return (f"{t}{u}]" for heads, tails, _ in groups for t, _ in heads for u, _ in tails)
+    forests = _Forests()
+    return (f"{t}{u}], {forests[f'{s}{q}{close}']}}}"
+            for heads, tails, close in groups for t, s in heads for u, q in tails)
 
 
 def classify_blocks(p: SetPartition) -> list[str]:
@@ -381,7 +421,7 @@ def _terms(family: str, n: int, split: bool, signed: bool, tree: bool) -> tuple:
 
 
 def _partition_sum(family: str, w: Word, *tables: ValueTable,
-                   signed: bool = False, tree: bool = False) -> Fraction:
+                   signed: bool = False, tree: bool = False) -> Rational:
     """The weighted sum over the partitions of ``family`` on the positions
     of w of the product of the block values, the one-table sums reading
     ``tables[0]`` and the two-table sums ``tables[0]`` on outer blocks and
@@ -389,6 +429,8 @@ def _partition_sum(family: str, w: Word, *tables: ValueTable,
     once and scaled to an integer over ``D^|B|``, D the lcm of their
     denominators, so every product lies over ``D^n`` and the sum runs in
     integers; one ``Fraction`` is built per word."""
+    from fractions import Fraction
+
     n = len(w)
     blocks, rows, den = _terms(family, n, len(tables) > 1, signed, tree)
     letters = w.letters
@@ -402,61 +444,61 @@ def _partition_sum(family: str, w: Word, *tables: ValueTable,
     return Fraction(total, den * powers[n])
 
 
-def free_moment_sum(kappa: CumulantTable, w: Word) -> Fraction:
+def free_moment_sum(kappa: CumulantTable, w: Word) -> Rational:
     """sum over non-crossing partitions of the product of block cumulants."""
     return _partition_sum("nc", w, kappa)
 
 
-def boolean_moment_sum(beta: CumulantTable, w: Word) -> Fraction:
+def boolean_moment_sum(beta: CumulantTable, w: Word) -> Rational:
     """sum over interval partitions of the product of block cumulants."""
     return _partition_sum("boolean", w, beta)
 
 
-def monotone_moment_sum(rho: CumulantTable, w: Word) -> Fraction:
+def monotone_moment_sum(rho: CumulantTable, w: Word) -> Rational:
     """sum over non-crossing partitions, weighted by the inverse tree
     factorial of the nesting forest."""
     return _partition_sum("nc", w, rho, tree=True)
 
 
-def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Fraction:
+def cfree_moment_sum(R: CumulantTable, kappa_psi: CumulantTable, w: Word) -> Rational:
     """sum over non-crossing partitions: outer blocks weighted by the c-free
     cumulants, inner blocks by the free cumulants of the second state."""
     return _partition_sum("nc", w, R, kappa_psi)
 
 
-def boolean_from_free_sum(kappa: CumulantTable, w: Word) -> Fraction:
+def boolean_from_free_sum(kappa: CumulantTable, w: Word) -> Rational:
     """Boolean cumulant from free cumulants: sum over irreducible
     non-crossing partitions of the product of block cumulants."""
     return _partition_sum("nc-irr", w, kappa)
 
 
-def free_from_boolean_sum(beta: CumulantTable, w: Word) -> Fraction:
+def free_from_boolean_sum(beta: CumulantTable, w: Word) -> Rational:
     """Free cumulant from boolean cumulants: the same sum with sign
     (-1)^(#blocks - 1)."""
     return _partition_sum("nc-irr", w, beta, signed=True)
 
 
-def boolean_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
+def boolean_from_monotone_sum(rho: CumulantTable, w: Word) -> Rational:
     """Boolean cumulant from monotone cumulants: sum over irreducible
     non-crossing partitions of the product of block cumulants, weighted by
     the inverse tree factorial of the nesting forest."""
     return _partition_sum("nc-irr", w, rho, tree=True)
 
 
-def free_from_monotone_sum(rho: CumulantTable, w: Word) -> Fraction:
+def free_from_monotone_sum(rho: CumulantTable, w: Word) -> Rational:
     """Free cumulant from monotone cumulants: the same sum with sign
     (-1)^(#blocks - 1)."""
     return _partition_sum("nc-irr", w, rho, signed=True, tree=True)
 
 
-def adjoint_sum_lower(mu: CumulantTable, psi: MomentTable, w: Word) -> Fraction:
+def adjoint_sum_lower(mu: CumulantTable, psi: MomentTable, w: Word) -> Rational:
     """Subset-sum form of the lower adjoint action: sum over position sets S
     containing 1 and n of mu(a_S) times the product of psi over the connected
     components of the complement."""
     return _partition_sum("adjoint", w, mu, psi)
 
 
-def adjoint_sum_upper(mu: CumulantTable, tau: CumulantTable, w: Word) -> Fraction:
+def adjoint_sum_upper(mu: CumulantTable, tau: CumulantTable, w: Word) -> Rational:
     """Signed irreducible non-crossing sum for the upper adjoint action: the
     unique outer block takes mu, inner blocks take the boolean cumulants tau,
     with sign (-1)^(#blocks - 1)."""

@@ -6,7 +6,8 @@ from its home module on first use.  The kernel subcommands (``transform``,
 or the verify suites, and each loads only its own layer: ``cumulants`` for
 ``transform`` and ``convolve``, ``partitions`` for ``enumerate``.
 ``transform`` and ``convolve`` keep their tables in coded integers from
-input to output, so they load neither ``fractions`` nor ``words``.
+input to output, so they load neither ``fractions`` nor ``words``;
+``enumerate`` builds its lines from text and loads no ``fractions``.
 """
 
 import ast
@@ -144,6 +145,8 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, oth
     # each kernel subcommand loads its own layer and not the other one
     assert other_layer not in modules
 
+    # no kernel subcommand builds a Fraction
+    assert sorted({"fractions", "decimal"} & set(modules)) == []
     if coded:
         assert sorted(NOT_ON_TABLE_PATH & set(modules)) == []
 

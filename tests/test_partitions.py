@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import shufflecalc
 from shufflecalc import (
     CumulantTable,
     DomainError,
@@ -37,6 +42,8 @@ from shufflecalc.words import words_over, words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
+SRC = str(Path(shufflecalc.__file__).resolve().parent.parent)
+
 FAMILIES = {"nc": enumerate_nc, "boolean": enumerate_boolean,
             "nc-irr": enumerate_nc_irreducible}
 
@@ -53,6 +60,27 @@ class TestSetPartition:
             SetPartition(3, [[1, 2], [2, 3]])
         with pytest.raises(DomainError):
             SetPartition(2, [[1, 2], []])
+
+    @pytest.mark.parametrize("n, blocks, message", [
+        (-1, [], "n must be a nonnegative integer, got -1"),
+        ("2", [[1, 2]], "n must be a nonnegative integer, got '2'"),
+        (True, [[1]], "n must be a nonnegative integer, got True"),
+        (2, [[True, 2]], "block elements must be integers, got True"),
+        (2, [[1.0, 2]], "block elements must be integers, got 1.0"),
+        (2, [["1", 2]], "block elements must be integers, got '1'"),
+        (2, [1, 2], "blocks must be an iterable of iterables of integers"),
+        (2, [[1, 1, 2]], "element 1 appears twice in one block"),
+        (2, [[2], [1, 2]], "element 2 appears in two blocks"),
+        (10**12, [[1]], r"blocks do not partition \[1..1000000000000\]"),
+    ], ids=["negative-n", "str-n", "bool-n", "bool-element", "float-element",
+            "str-element", "int-block", "repeat-in-block", "repeat-across-blocks", "huge-n"])
+    def test_validation_names_the_fault(self, n, blocks, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SetPartition(n, blocks)
+
+    def test_empty_partition(self):
+        p = SetPartition(0, [])
+        assert p.blocks == () and p.to_json() == [] and p.is_noncrossing()
 
     def test_noncrossing_detection(self):
         assert SetPartition(4, [[1, 4], [2, 3]]).is_noncrossing()
@@ -155,8 +183,9 @@ class TestNesting:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_json_lines_match_json_dumps_of_the_single_readers(self, family):
-        # the memoized text records and the per-forest text against the
-        # element scan of each reader and json.dumps
+        # the per-range records of blocks text and shape, and the text read
+        # off each shape, against the element scan of each reader and
+        # json.dumps
         for n in range(1, 11):
             members = FAMILIES[family](n)
             assert list(json_lines(family, n)) == [json.dumps(p.to_json()) for p in members]
@@ -166,6 +195,39 @@ class TestNesting:
                 "parents": [-1 if q is None else q for q in nesting_forest(p)],
                 "tree_factorial": tree_factorial(p),
             }, sort_keys=True) for p in members]
+
+    def test_json_lines_keep_no_state(self):
+        # the record memo and the forest table live only as long as the
+        # iterator: a first call in a fresh process, consumed whole and
+        # dropped, leaves the traced heap where it was.  A full collection
+        # also empties the interpreter's free lists, which would otherwise
+        # keep the freed record tuples.
+        code = (
+            "import gc, tracemalloc\n"
+            "from shufflecalc.partitions import json_lines\n"
+            "list(json_lines('nc', 3, details=True))\n"
+            "gc.collect()\n"
+            "tracemalloc.start()\n"
+            "before = tracemalloc.get_traced_memory()[0]\n"
+            "lines = list(json_lines('nc', 10, details=True))\n"
+            "assert len(lines) == 16796\n"
+            "del lines\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0] - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 64 * 1024
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_interleaved_iterators_give_the_same_lines(self, family):
+        expected = list(json_lines(family, 9, details=True))
+        first, second = json_lines(family, 9, details=True), json_lines(family, 9, details=True)
+        pairs = list(zip(first, second))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == expected
+        assert next(first, None) is None and next(second, None) is None
 
     @pytest.mark.parametrize("family", ["nc", "nc-irr", "boolean"])
     def test_closed_form_counts_match_the_generated_blocks(self, family):
