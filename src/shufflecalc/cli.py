@@ -49,9 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="dump partition families")
     p.add_argument("--family", required=True, choices=["nc", "boolean", "nc-irr"])
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--counts", action="store_true", help="print a JSON count summary only")
-    p.add_argument("--details", action="store_true",
-                   help="annotate each partition with block classes, nesting forest and tree factorial")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--counts", action="store_true", help="print a JSON count summary only")
+    output.add_argument("--details", action="store_true",
+                        help="annotate each partition with block classes, nesting forest and "
+                             "tree factorial")
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("verify", help="run the named identity suites")

@@ -9,15 +9,18 @@ its length is its code, the base-K number whose digits are the places of
 its letters in the sorted alphabet (K letters), first letter most
 significant, so each list runs in ``itertools.product`` order.
 
-``from_json`` validates straight into the coded form and ``to_json`` writes
-from it, with one ``gcd`` per value each way, and the kernel in
-``cumulants`` computes on the lists; none of them builds a ``Fraction`` or
-a ``Word``.  The ``Word -> Fraction`` mapping ``values`` is a view built on
-first use, for library callers: the bar-word engine's tests, the partition
-oracles, the verify suites.  This module imports ``fractions`` and
-``words`` only inside the functions that build one of them (the view, the
-dict constructor, ``random``, ``parse_scalar``, ``Scalar`` and, for a key
-outside the header's domain, ``from_json``), so a process that reads,
+``_read`` is the one reader of a table's entries: ``from_json`` reads a
+JSON table through it, after checking the JSON shape, and the dict
+constructor reads a ``Word -> Rational`` dict through it, under the dotted
+names of its words.  ``_read`` validates straight into the coded form,
+``to_json`` writes from it with one ``gcd`` per value each way, ``random``
+draws straight into it, and the kernel in ``cumulants`` computes on the
+lists; none of them builds a ``Fraction`` or a ``Word``.  The
+``Word -> Fraction`` mapping ``values`` is a view built on first use, for
+library callers: the bar-word engine's tests, the partition oracles, the
+verify suites.  This module imports ``fractions`` and ``words`` only inside
+the code that builds one of them: the view, ``Scalar``, and ``_read`` on a
+key outside the header's domain.  So a process that reads, draws,
 transforms and writes well-formed tables loads neither.  Tables are plain
 data: this module imports none of the layers that read them.
 """
@@ -25,8 +28,8 @@ data: this module imports none of the layers that read them.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
-from itertools import islice, product, repeat
+from collections.abc import Iterable, Sequence
+from itertools import product, repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import add, floordiv, mul
@@ -50,13 +53,12 @@ def __getattr__(name: str):
 
 
 def _rational(obj) -> tuple[int, int]:
-    """The numerator and positive denominator, not reduced, of a scalar:
-    an int, or a string ``[+-]?digits(/digits)?``; no decimals, exponents,
-    underscores or surrounding space."""
+    """The numerator and positive denominator, not reduced, of a scalar: a
+    ``numbers.Rational`` other than a bool, or a string
+    ``[+-]?digits(/digits)?``; no decimals, exponents, underscores or
+    surrounding space."""
     if isinstance(obj, bool):
         raise DomainError(f"not a scalar: {quoted(obj)}")
-    if isinstance(obj, int):
-        return obj, 1
     if isinstance(obj, str):
         match = _SCALAR.fullmatch(obj)
         if match is not None:
@@ -70,14 +72,9 @@ def _rational(obj) -> tuple[int, int]:
                 if den:
                     return num, den
         raise DomainError(f"malformed scalar {quoted(obj)}")
+    if isinstance(obj, Rational):
+        return obj.numerator, obj.denominator
     raise DomainError(f"not a scalar: {quoted(obj)}")
-
-
-def parse_scalar(obj) -> Rational:
-    """The ``Fraction`` of a scalar that a table accepts."""
-    from fractions import Fraction
-
-    return Fraction(*_rational(obj))
 
 
 def _format(num: int, den: int) -> str:
@@ -116,8 +113,47 @@ def _letters(alphabet: Iterable[str], max_len: int, names=None) -> tuple[str, ..
     return letters
 
 
-def _out_of_domain(words) -> DomainError:
-    return DomainError(f"table has out-of-domain entries: {quoted(sorted(words)[:3])}")
+def _read(alphabet: Sequence[str], max_len: int, raw: dict) -> tuple:
+    """The ``(letters, max_len, nums, dens)`` of ``_code`` for the table
+    whose header is ``alphabet`` and ``max_len`` and whose entries map
+    dotted word names to scalars.  Raises the first malformed entry, naming
+    its key; then what ``_letters`` meets on a walk over the domain; then,
+    when every word of the domain has a value, the out-of-domain keys."""
+    try:
+        letters = _letters(alphabet, max_len)
+    except DomainError:
+        letters = ()  # reported after the entries
+    # The keys can cover the domain only if its K^max_len longest words
+    # number at most len(raw); the bound on max_len comes first, so that
+    # no power is taken of a deep header.
+    index = {}
+    if letters and max_len <= len(raw) and len(letters) ** max_len <= len(raw):
+        index = {name: (n, i) for n in range(1, max_len + 1)
+                 for i, name in enumerate(map(".".join, product(letters, repeat=n)))}
+    sizes = [len(letters) ** n for n in range(max_len + 1)] if index else []
+    nums, dens, extra = [[0] * size for size in sizes], [[1] * size for size in sizes], []
+    for key, value in raw.items():
+        place = index.get(key)
+        try:
+            num, den = _rational(value)
+            if place is not None:
+                n, i = place
+                nums[n][i], dens[n][i] = num, den
+            else:
+                # not a word of the header's domain: a Word, or the entry
+                # error that names why the key is none
+                from .words import Word
+
+                extra.append(Word.parse(key))
+        except DomainError as exc:
+            raise DomainError(f"table entry {quoted(key)}: {exc}") from None
+    if index and not extra and len(raw) == len(index):
+        return letters, max_len, nums, dens
+    # Every entry is well formed but the keys are not the domain: the walk
+    # over it names the first missing word; if none is missing, some key is
+    # a word outside it.
+    _letters(alphabet, max_len, raw)
+    raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
 
 
 class ValueTable:
@@ -134,27 +170,16 @@ class ValueTable:
 
     def __init__(self, alphabet: Iterable[str], max_len: int, values: dict):
         """The table of a ``Word -> Rational`` dict holding exactly the
-        words of length 1..max_len; the dict, in ``words_up_to`` order,
-        seeds the ``values`` view."""
-        from .words import words_up_to
+        words of length 1..max_len, read as ``from_json`` reads its
+        entries."""
+        self._code(*_read(tuple(alphabet), max_len, {w.dotted(): v for w, v in values.items()}))
 
-        letters = _letters(alphabet, max_len, {w.dotted() for w in values})
-        ordered = {w: values[w] for w in words_up_to(letters, max_len)}
-        if len(ordered) != len(values):
-            raise _out_of_domain(set(values) - ordered.keys())
-        items = iter(ordered.values())
-        chunks = [[]] + [list(islice(items, len(letters) ** n)) for n in range(1, max_len + 1)]
-        self._code(letters, max_len, [[v.numerator for v in chunk] for chunk in chunks],
-                   [[v.denominator for v in chunk] for chunk in chunks], ordered)
-
-    def _code(self, letters: tuple[str, ...], max_len: int, nums: list, dens: list,
-              values: dict | None = None) -> "ValueTable":
+    def _code(self, letters: tuple[str, ...], max_len: int, nums: list, dens: list) -> "ValueTable":
         """Make this the table whose word of length n and code i has the
-        value ``nums[n][i] / dens[n][i]``; ``dens[n]`` is a list of positive
-        ints or the ``repeat`` of one.  One ``gcd`` per value gives its
-        reduced denominator, and the base is their lcm.  ``values``, if
-        given, seeds the ``values`` view."""
-        self.alphabet, self.max_len, self._values = letters, max_len, values
+        value ``nums[n][i] / dens[n][i]``; ``dens[n]`` is a sequence of
+        positive ints or the ``repeat`` of one.  One ``gcd`` per value gives
+        its reduced denominator, and the base is their lcm."""
+        self.alphabet, self.max_len, self._values = letters, max_len, None
         self.base = base = lcm(*set().union(*(map(floordiv, dens[n], map(gcd, nums[n], dens[n]))
                                               for n in range(1, max_len + 1))))
         # exact: each reduced denominator divides base, hence base**n
@@ -164,7 +189,7 @@ class ValueTable:
 
     @classmethod
     def _from_fractions(cls, letters: tuple[str, ...], max_len: int, nums: list, dens: list):
-        """The table of ``_code``, built without a ``values`` view."""
+        """The table of ``_code``."""
         return cls.__new__(cls)._code(letters, max_len, nums, dens)
 
     @property
@@ -246,41 +271,7 @@ class ValueTable:
             raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
         if not isinstance(raw, dict):
             raise DomainError("malformed table JSON: values must be an object")
-        try:
-            letters = _letters(alphabet, max_len)
-        except DomainError:
-            letters = ()  # reported after the entries, as the dict constructor does
-        # The keys can cover the domain only if its K^max_len longest words
-        # number at most len(raw); the bound on max_len comes first, so that
-        # no power is taken of a deep header.
-        index = {}
-        if letters and max_len <= len(raw) and len(letters) ** max_len <= len(raw):
-            index = {name: (n, i) for n in range(1, max_len + 1)
-                     for i, name in enumerate(map(".".join, product(letters, repeat=n)))}
-        sizes = [len(letters) ** n for n in range(max_len + 1)] if index else []
-        nums, dens, extra = [[0] * size for size in sizes], [[1] * size for size in sizes], []
-        for key, value in raw.items():
-            place = index.get(key)
-            try:
-                num, den = _rational(value)
-                if place is not None:
-                    n, i = place
-                    nums[n][i], dens[n][i] = num, den
-                else:
-                    # not a word of the header's domain: a Word, or the
-                    # entry error that names why the key is none
-                    from .words import Word
-
-                    extra.append(Word.parse(key))
-            except DomainError as exc:
-                raise DomainError(f"table entry {quoted(key)}: {exc}") from None
-        if index and not extra and len(raw) == len(index):
-            return cls._from_fractions(letters, max_len, nums, dens)
-        # Every entry is well formed but the keys are not the domain: the
-        # walk over it names the first missing word; if none is missing,
-        # some key is a word outside it.
-        _letters(alphabet, max_len, raw)
-        raise _out_of_domain(extra)
+        return cls._from_fractions(*_read(alphabet, max_len, raw))
 
     @classmethod
     def zeros(cls, alphabet: Iterable[str], max_len: int) -> "ValueTable":
@@ -290,17 +281,16 @@ class ValueTable:
 
     @classmethod
     def random(cls, alphabet: Iterable[str], max_len: int, rng) -> "ValueTable":
-        """Seeded random rational values: numerators in [-9, 9], denominators
-        in [1, 9]."""
-        from fractions import Fraction
-
-        from .words import words_up_to
-
-        values = {
-            w: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            for w in words_up_to(alphabet, max_len)
-        }
-        return cls(alphabet, max_len, values)
+        """Seeded random rational values, drawn in code order: numerators in
+        [-9, 9], denominators in [1, 9]."""
+        letters = _letters(alphabet, max_len)
+        nums, dens = [[]], [[]]
+        for n in range(1, max_len + 1):
+            num, den = zip(*[(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(len(letters) ** n)])
+            nums.append(num)
+            dens.append(den)
+        return cls._from_fractions(letters, max_len, nums, dens)
 
 
 class MomentTable(ValueTable):

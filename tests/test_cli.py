@@ -180,6 +180,19 @@ def test_long_bad_input_is_echoed_short(tmp_path, capsys, key, value, named):
     assert named in err and "chars)" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "1/" + "1" * 5000],
+                         ids=["numerator", "denominator"])
+def test_scalar_beyond_the_int_string_limit_exits_2(tmp_path, capsys, int_str_limit, value):
+    # in the grammar, but with more digits than int() converts
+    src = tmp_path / "in.json"
+    write_json(src, {"alphabet": ["a"], "max_len": 1, "values": {"a": value}})
+    assert main(["transform", "--to", "free", "--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: table entry 'a': malformed scalar '{value[:39]}... "
+                   f"({len(value) + 2} chars)\n")
+
+
 def test_line_break_in_bad_input_is_echoed_escaped(tmp_path, capsys):
     src = tmp_path / "in.json"
     write_json(src, {"alphabet": ["a"], "max_len": 1, "values": {"a": "1", "\n": "0"}})
@@ -568,6 +581,14 @@ class TestEnumerate:
     def test_out_of_range_exits_2(self):
         assert main(["enumerate", "--family", "nc", "--n", "0", "--counts"]) == 2
 
+    def test_counts_and_details_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--family", "nc", "--n", "5", "--counts", "--details"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --details: not allowed with argument --counts" in err
+
     def test_out_of_range_lines_write_nothing(self, capsys):
         # the order is checked before the first line is written
         assert main(["enumerate", "--family", "nc", "--n", "15", "--details"]) == 2
@@ -693,6 +714,16 @@ def test_stdout_matches_recorded_corpus(case):
                           cwd=CORPUS, env=env, capture_output=True, check=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (CORPUS / f"{case}.out").read_bytes()
+
+
+def test_stdin_input_matches_recorded_corpus():
+    src = str(Path(shufflecalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "shufflecalc.cli", "transform", "--to", "free",
+                           "--input", "-"], input=(CORPUS / "moments1.json").read_bytes(),
+                          env=env, capture_output=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (CORPUS / "transform-to-free.out").read_bytes()
 
 
 # SHA-256 of the stdout of every ``transform`` and ``convolve`` op at the

@@ -26,7 +26,7 @@ from shufflecalc import (
     unit,
 )
 from shufflecalc.functionals import barwords_up_to, functionals_agree
-from shufflecalc.tables import ValueTable, _format, parse_scalar
+from shufflecalc.tables import ValueTable, _format
 from shufflecalc.words import words_up_to
 from test_series import LIE_SIDE, _guarded_nodes
 
@@ -35,31 +35,37 @@ def B(*texts):
     return BarWord([Word(t) for t in texts])
 
 
+def read_scalar(obj):
+    """The value that a one-word JSON table with the entry ``obj`` holds."""
+    table = ValueTable.from_json({"alphabet": ["a"], "max_len": 1, "values": {"a": obj}})
+    return table.values[Word("a")]
+
+
 class TestScalars:
     def test_parse_fraction_strings(self):
-        assert parse_scalar("2/3") == Fraction(2, 3)
-        assert parse_scalar("-7") == Fraction(-7)
-        assert parse_scalar(4) == Fraction(4)
+        assert read_scalar("2/3") == Fraction(2, 3)
+        assert read_scalar("-7") == Fraction(-7)
+        assert read_scalar(4) == Fraction(4)
 
     def test_rejects_junk(self):
         for bad in ("1.5x", "1/0", None, True, 1.5):
             with pytest.raises(DomainError):
-                parse_scalar(bad)
+                read_scalar(bad)
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "1_000", " 7 ", "7\n", "1e2000000",
                                      "+-1", "1/-2", "1/+2", "/2", "1/", "", "\u0663"])
     def test_rejects_forms_outside_the_grammar(self, bad):
         with pytest.raises(DomainError):
-            parse_scalar(bad)
+            read_scalar(bad)
 
     def test_accepts_the_grammar(self):
-        assert parse_scalar("+3") == 3
-        assert parse_scalar("-0012/0030") == Fraction(-2, 5)
-        assert parse_scalar(10**30) == 10**30
+        assert read_scalar("+3") == 3
+        assert read_scalar("-0012/0030") == Fraction(-2, 5)
+        assert read_scalar(10**30) == 10**30
 
     def test_format_roundtrip(self):
         q = Fraction(-3, 7)
-        assert parse_scalar(_format(q.numerator, q.denominator)) == q
+        assert read_scalar(_format(q.numerator, q.denominator)) == q
 
 
 class TestWordEnumeration:
@@ -90,6 +96,21 @@ class TestValueTable:
             ValueTable([], 2, {})
         with pytest.raises(DomainError):
             ValueTable(["a"], 0, {})
+
+    @pytest.mark.parametrize("value", [0.5, True, "x"], ids=repr)
+    def test_rejects_values_that_are_not_rationals(self, value):
+        values = dict.fromkeys(words_up_to(["a", "b"], 2), Fraction(1))
+        values[Word("ab")] = value
+        with pytest.raises(DomainError) as exc:
+            ValueTable(["a", "b"], 2, values)
+        kind = "malformed scalar" if isinstance(value, str) else "not a scalar:"
+        assert str(exc.value) == f"table entry 'a.b': {kind} {value!r}"
+
+    def test_alphabet_may_be_any_iterable(self):
+        assert ValueTable(iter("ba"), 1, {Word("a"): 1, Word("b"): 2}).alphabet == ("a", "b")
+        # a refused table walks its domain again, to name the first missing word
+        with pytest.raises(DomainError, match="missing a value for 'a'"):
+            ValueTable(iter("a"), 1, {})
 
     def test_lookup_beyond_truncation(self):
         t = ValueTable.zeros(["a"], 2)

@@ -6,7 +6,8 @@ from its home module on first use.  The kernel subcommands (``transform``,
 or the verify suites, and each loads only its own layer: ``cumulants`` for
 ``transform`` and ``convolve``, ``partitions`` for ``enumerate``.
 ``transform`` and ``convolve`` keep their tables in coded integers from
-input to output, so they load neither ``fractions`` nor ``words``;
+input to output, so they load neither ``fractions`` nor ``words``, and
+neither does drawing a random table;
 ``enumerate`` builds its lines from text and loads no ``fractions``.
 """
 
@@ -157,6 +158,19 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, oth
         assert "dataclasses" not in modules
     if coded and "typing" not in bare:
         assert "typing" not in modules
+
+
+def test_random_tables_load_neither_fractions_nor_words():
+    code = (
+        "import json, random, sys\n"
+        "from shufflecalc.tables import MomentTable\n"
+        "table = MomentTable.random(['a', 'b'], 3, random.Random(1))\n"
+        "json.dumps(table.to_json())\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(NOT_ON_TABLE_PATH & set(json.loads(proc.stdout))) == []
 
 
 def _defined_functions(module):

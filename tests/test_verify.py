@@ -1,22 +1,23 @@
 """Failure paths of the verify suites.
 
-A suite that never fails proves little, so every check that compares
-against an oracle or the engine is made to fail here, and the detail line
-each suite reports is held to a recorded table.  The engine comparisons
-are also counted per suite: a check whose failure lines are built but never
-yielded would still pass every suite, and only its missing comparison
-shows it.
+A suite that never fails proves little, so every failure line of every
+suite is forced here, and the detail line each suite reports is held to a
+recorded value.  The engine comparisons are also counted per suite: a
+check whose failure lines are built but never yielded would still pass
+every suite, and only its missing comparison shows it.
 """
 
 from __future__ import annotations
 
 import functools
+from types import SimpleNamespace
 
 import pytest
 
-from shufflecalc import cumulants, partitions, series, verify
+from shufflecalc import coalgebra, cumulants, partitions, series, verify
+from shufflecalc.coalgebra import TensorSum
 from shufflecalc.verify import VerifyConfig, check_names, run_checks
-from shufflecalc.words import UNIT
+from shufflecalc.words import UNIT, BarWord, Word
 
 CONFIG = VerifyConfig(("a", "b"), 3)
 
@@ -134,3 +135,106 @@ def test_corrupted_cfree_reconstruction_fails_its_suites(monkeypatch):
         "cfree-degenerations": "boolean degeneration fails",
         "cfree-oracle": "moments_from_cfree does not invert cfree_cumulants",
     }
+
+
+def _replace_for_verify(monkeypatch, module, **functions):
+    """Let verify read ``module`` with ``functions`` in place of its own,
+    while the engine and the kernel keep reading the module itself."""
+    monkeypatch.setattr(verify, module.__name__.rpartition(".")[2],
+                        SimpleNamespace(**{**vars(module), **functions}))
+
+
+@pytest.mark.parametrize("corrupted, line", [
+    (lambda b: True, "counterexample word 'a'"),
+    (lambda b: len(b.factors) > 1, "counterexample BarWord(a|a)"),
+], ids=["word", "bar-word"])
+def test_noncoassociative_triples_fail_coassociativity_alone(monkeypatch, corrupted, line):
+    triples = verify._triples
+    monkeypatch.setattr(verify, "_triples",
+                        lambda b, left: {} if left and corrupted(b) else triples(b, left))
+    assert _failures(run_checks(CONFIG)) == {"coassociativity": line}
+
+
+COPRODUCTS = ("coproduct", "half_coproduct_left", "half_coproduct_right")
+
+
+def test_doubled_coproduct_fails_counit_alone(monkeypatch):
+    """Twice the coproduct, split into twice its halves, is still
+    coassociative and graded, but not counital."""
+    _replace_for_verify(monkeypatch, coalgebra, **{
+        name: functools.partial(lambda fn, b: 2 * fn(b), getattr(coalgebra, name))
+        for name in COPRODUCTS})
+    assert _failures(run_checks(CONFIG)) == {"counit": "counterexample BarWord(a)"}
+
+
+def test_doubled_right_half_fails_half_coproduct_split_alone(monkeypatch):
+    half_right = coalgebra.half_coproduct_right
+    _replace_for_verify(monkeypatch, coalgebra, half_coproduct_right=lambda b: 2 * half_right(b))
+    assert _failures(run_checks(CONFIG)) == {"half-coproduct-split": "counterexample BarWord(a)"}
+
+
+def test_transported_coproduct_fails_grading_alone(monkeypatch):
+    """The coproduct and its halves transported along the bijection of
+    bar-words that swaps a and a.a are still coassociative, counital and
+    split, but not graded."""
+    a, aa = BarWord.of(Word("a")), BarWord.of(Word("aa"))
+    swap = {a: aa, aa: a}
+
+    def transported(fn, b):
+        return TensorSum((swap.get(l, l), swap.get(r, r), c)
+                         for l, r, c in fn(swap.get(b, b)).items())
+
+    _replace_for_verify(monkeypatch, coalgebra, **{
+        name: functools.partial(transported, getattr(coalgebra, name)) for name in COPRODUCTS})
+    assert _failures(run_checks(CONFIG)) == {
+        "coproduct-grading": "counterexample BarWord(a): BarWord(a.a) (x) BarWord(a.a)"}
+
+
+def test_prelie_product_outside_the_lie_algebra_fails_its_suite_alone(monkeypatch):
+    monkeypatch.setattr(verify, "is_infinitesimal", lambda *args: False)
+    assert _failures(run_checks(CONFIG)) == {
+        "prelie-identity": "pre-Lie product left the Lie algebra"}
+
+
+@pytest.mark.parametrize("convolution, line", [
+    ("convolve_free", "free degeneration fails"),
+    ("convolve_monotone", "monotone degeneration fails"),
+])
+def test_corrupted_convolution_fails_its_degeneration_alone(monkeypatch, convolution, line):
+    # convolve_cfree keeps reading the kernel's own convolutions
+    original = getattr(cumulants, convolution)
+    _replace_for_verify(monkeypatch, cumulants, **{convolution: lambda *args: -original(*args)})
+    assert _failures(run_checks(CONFIG)) == {"cfree-degenerations": line}
+
+
+def test_nonadditive_psi_cumulants_fail_cfree_additivity_alone(monkeypatch):
+    """Free cumulants that are wrong only on the psi of a c-free
+    convolution fail the psi check, after the c-free cumulants pass."""
+    convolve_cfree, free_cumulants = cumulants.convolve_cfree, cumulants.free_cumulants
+    convolved = []
+
+    def recorded(p1, p2):
+        out = convolve_cfree(p1, p2)
+        convolved.append(out.psi)
+        return out
+
+    def corrupted(phi):
+        kappa = free_cumulants(phi)
+        return -kappa if any(phi is psi for psi in convolved) else kappa
+
+    _replace_for_verify(monkeypatch, cumulants, convolve_cfree=recorded,
+                        free_cumulants=corrupted)
+    assert _failures(run_checks(CONFIG)) == {
+        "cfree-additivity": "psi free cumulants are not additive"}
+
+
+@pytest.mark.parametrize("family, corrupted, line", [
+    ("enumerate_nc", lambda nc: nc[1:], "|NC_1| != Catalan(1)"),
+    ("enumerate_boolean", lambda bools: bools + bools[:1], "|B_1| != 2^0"),
+    # NC_n with its first partition replaced by its last: the count holds
+    ("enumerate_nc", lambda nc: nc[-1:] + nc[1:], "B_2 not inside NC_2"),
+], ids=["nc-count", "boolean-count", "boolean-inside-nc"])
+def test_corrupted_enumeration_fails_nc_counts_alone(monkeypatch, family, corrupted, line):
+    original = getattr(partitions, family)
+    _replace_for_verify(monkeypatch, partitions, **{family: lambda n: corrupted(original(n))})
+    assert _failures(run_checks(CONFIG)) == {"nc-counts": line}
