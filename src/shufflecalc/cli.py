@@ -3,72 +3,186 @@ verification suites.
 
 All numeric output is exact-rational strings; identical configurations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input errors.
+failure, 2 usage or input errors, each reported as one ``error: ...`` line
+on stderr.
+
+Every call is a fresh process, so this module imports only what each
+subcommand runs.  The command line is read from the ``_COMMANDS`` table
+(no ``argparse``); ``transform`` and ``convolve`` load the kernel in
+``cumulants`` and ``tables``, ``enumerate`` loads only ``enumeration``,
+and only ``verify`` loads the bar-word engine.  ``json`` is imported by
+the two functions that read and write it, so ``enumerate`` never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import islice
+from types import SimpleNamespace
 
 from .errors import ShuffleCalcError, DomainError, quoted
 
 MAX_TRUNCATION = 12
 # The cumulant kinds of transform and convolve; each names the functions
 # cumulants.<kind>_cumulants, moments_from_<kind> and convolve_<kind>.
-_KINDS = ["free", "boolean", "monotone", "cfree"]
+_KINDS = ("free", "boolean", "monotone", "cfree")
 # Lines joined into one write by ``enumerate``.
 _LINES_PER_WRITE = 1024
 
+_USAGE = """\
+usage: shufflecalc {transform,convolve,enumerate,verify} [OPTIONS]
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shufflecalc",
-        description="Exact cumulant calculus on the word Hopf algebra.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+Exact cumulant calculus on the word Hopf algebra.
 
-    p = sub.add_parser("transform", help="convert between moment and cumulant tables")
-    p.add_argument("--input", required=True, help="input table JSON path ('-' for stdin)")
-    p.add_argument("--output", default="-", help="output path (default stdout)")
-    direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--to", choices=_KINDS, help="moments -> cumulants of this kind")
-    direction.add_argument("--from", dest="from_", metavar="FROM", choices=_KINDS,
-                           help="cumulants of this kind -> moments")
+  transform   convert between moment and cumulant tables
+  convolve    convolve two states or state pairs
+  enumerate   dump partition families
+  verify      run the named identity suites
 
-    p = sub.add_parser("convolve", help="convolve two states or state pairs")
-    p.add_argument("--kind", required=True, choices=_KINDS)
-    p.add_argument("--input", required=True)
-    p.add_argument("--input2", required=True)
-    p.add_argument("--output", default="-")
+Run 'shufflecalc COMMAND --help' for the options of a command.
+"""
+# Each subcommand: its options, the pair of options of which at most one
+# may be given (with True, exactly one) and its ``--help`` text.  An option
+# maps to (kind, default): a kind is "flag", "int", "str", "list" (a
+# repeatable str) or a tuple of choices, and a default of ... marks a
+# required option.  The destination of "--max-len" is "max_len", and of
+# "--from" "from_".
+_COMMANDS = {
+    "transform": ({
+        "--input": ("str", ...),
+        "--to": (_KINDS, None),
+        "--from": (_KINDS, None),
+        "--output": ("str", "-"),
+    }, ("--to", "--from", True), """\
+usage: shufflecalc transform --input PATH (--to KIND | --from KIND) [--output PATH]
 
-    p = sub.add_parser("enumerate", help="dump partition families")
-    p.add_argument("--family", required=True, choices=["nc", "boolean", "nc-irr"])
-    p.add_argument("--n", required=True, type=int)
-    output = p.add_mutually_exclusive_group()
-    output.add_argument("--counts", action="store_true", help="print a JSON count summary only")
-    output.add_argument("--details", action="store_true",
-                        help="annotate each partition with block classes, nesting forest and "
-                             "tree factorial")
-    p.add_argument("--output", default="-")
+Convert between moment and cumulant tables.
 
-    p = sub.add_parser("verify", help="run the named identity suites")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alphabet", default="a,b", help="comma-separated letter names")
-    p.add_argument("--only", action="append", default=None,
-                   help="run only these checks (repeatable or comma-separated)")
-    p.add_argument("--corrupt-oracle", action="store_true",
-                   help="self-test: corrupt the free oracle so verification must fail")
-    p.add_argument("--output", default="-")
-    return parser
+  --input PATH   input table JSON ('-' for stdin)
+  --to KIND      moments -> cumulants of this kind
+  --from KIND    cumulants of this kind -> moments
+  --output PATH  output path (default '-', stdout)
+
+KIND is one of {free,boolean,monotone,cfree}.
+"""),
+    "convolve": ({
+        "--kind": (_KINDS, ...),
+        "--input": ("str", ...),
+        "--input2": ("str", ...),
+        "--output": ("str", "-"),
+    }, None, """\
+usage: shufflecalc convolve --kind KIND --input PATH --input2 PATH [--output PATH]
+
+Convolve two states, or two state pairs for cfree.
+
+  --kind KIND     the cumulants that add: {free,boolean,monotone,cfree}
+  --input PATH    first table JSON ('-' for stdin)
+  --input2 PATH   second table JSON ('-' for stdin)
+  --output PATH   output path (default '-', stdout)
+"""),
+    "enumerate": ({
+        "--family": (("nc", "boolean", "nc-irr"), ...),
+        "--n": ("int", ...),
+        "--counts": ("flag", False),
+        "--details": ("flag", False),
+        "--output": ("str", "-"),
+    }, ("--counts", "--details", False), """\
+usage: shufflecalc enumerate --family FAMILY --n N [--counts | --details] [--output PATH]
+
+Print the partitions of a family, one JSON line each.
+
+  --family FAMILY  {nc,boolean,nc-irr}
+  --n N            the order, in [1, 14]
+  --counts         print a JSON count summary only
+  --details        annotate each partition with block classes, nesting
+                   forest and tree factorial
+  --output PATH    output path (default '-', stdout)
+"""),
+    "verify": ({
+        "--max-len": ("int", 4),
+        "--seed": ("int", 0),
+        "--alphabet": ("str", "a,b"),
+        "--only": ("list", None),
+        "--corrupt-oracle": ("flag", False),
+        "--output": ("str", "-"),
+    }, None, """\
+usage: shufflecalc verify [--max-len N] [--seed N] [--alphabet LETTERS] [--only NAMES]
+                          [--corrupt-oracle] [--output PATH]
+
+Run the identity suites; exit 1 if one fails.
+
+  --max-len N         truncation degree (default 4)
+  --seed N            random seed (default 0)
+  --alphabet LETTERS  comma-separated letter names (default a,b)
+  --only NAMES        run only these checks (repeatable or comma-separated)
+  --corrupt-oracle    self-test: corrupt the free oracle so verification must fail
+  --output PATH       output path (default '-', stdout)
+"""),
+}
+_HELP = ("-h", "--help")
+
+
+def _parse(argv: list[str]):
+    """The command line as a namespace of ``command`` and the destination
+    of each of its options, or the text to print for ``-h``/``--help``.
+    Options are ``--name value`` or ``--name=value``, in any order; a value
+    may start with ``-``, and a repeated option keeps its last value."""
+    names = ", ".join(_COMMANDS)
+    if not argv:
+        raise DomainError(f"missing subcommand: choose one of {names}")
+    command, *rest = argv
+    if command in _HELP:
+        return _USAGE
+    if command not in _COMMANDS:
+        raise DomainError(f"unknown subcommand {quoted(command)}: choose one of {names}")
+    options, exclusive, usage = _COMMANDS[command]
+    given: dict = {}
+    rest = iter(rest)
+    for arg in rest:
+        if arg in _HELP:
+            return usage
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            raise DomainError(f"unknown option {quoted(name)} for {command}")
+        kind = options[name][0]
+        if kind == "flag":
+            if eq:
+                raise DomainError(f"option {name} takes no value")
+            value = True
+        elif not eq:
+            value = next(rest, None)
+            if value is None:
+                raise DomainError(f"option {name} needs a value")
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainError(f"option {name} needs an integer, got {quoted(value)}") from None
+        elif kind == "list":
+            value = given.get(name, []) + [value]
+        elif isinstance(kind, tuple) and value not in kind:
+            raise DomainError(f"option {name} must be one of {', '.join(kind)}, "
+                              f"got {quoted(value)}")
+        given[name] = value
+    for name, (_, default) in options.items():
+        if default is ... and name not in given:
+            raise DomainError(f"option {name} is required")
+    if exclusive:
+        first, second, required = exclusive
+        if first in given and second in given:
+            raise DomainError(f"options {first} and {second} exclude each other")
+        if required and first not in given and second not in given:
+            raise DomainError(f"one of the options {first} and {second} is required")
+    values = {name[2:].replace("-", "_").replace("from", "from_"): given.get(name, default)
+              for name, (_, default) in options.items()}
+    return SimpleNamespace(command=command, **values)
 
 
 def _read_json(path: str):
+    import json
+
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -84,14 +198,28 @@ def _write_text(path: str, text: str) -> None:
     try:
         if path == "-":
             sys.stdout.write(text)
+            sys.stdout.flush()
         else:
             with open(path, "w") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
+        raise _cannot_write(path, exc) from exc
+
+
+def _cannot_write(path: str, exc: OSError) -> DomainError:
+    """The error for a failed write to ``path``.  The writers flush stdout,
+    so that a failed write to it is reported here; it is then closed, since
+    the text it still holds cannot be written, and the interpreter's flush
+    at exit would fail on it again."""
+    if path == "-":
+        with suppress(OSError):
+            sys.stdout.close()
+    return DomainError(f"cannot write {path}: {exc}")
 
 
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -155,14 +283,17 @@ def _check_headers(obj, *parts: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    from . import partitions
+    # Neither the partition oracles nor ``json``: the count object and the
+    # lines are written as the text that ``json.dumps`` gives.  Both are
+    # read off the module when the command runs, as in ``cmd_transform``.
+    from . import enumeration
 
     if args.counts:
-        count = partitions.family_count(args.family, args.n)
-        _write_text(args.output, _dump_json({"family": args.family, "n": args.n,
-                                             "count": count}))
+        count = enumeration.family_count(args.family, args.n)
+        _write_text(args.output, f'{{\n  "count": {count},\n  "family": "{args.family}",\n'
+                                 f'  "n": {args.n}\n}}\n')
         return 0
-    _write_lines(args.output, partitions.json_lines(args.family, args.n, args.details))
+    _write_lines(args.output, enumeration.json_lines(args.family, args.n, args.details))
     return 0
 
 
@@ -175,8 +306,9 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
         with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
             while chunk := list(islice(lines, _LINES_PER_WRITE)):
                 fh.write("\n".join(chunk) + "\n")
+            fh.flush()
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
+        raise _cannot_write(path, exc) from exc
 
 
 def cmd_verify(args) -> int:
@@ -213,16 +345,18 @@ def _check_truncation(n: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handler = {
         "transform": cmd_transform,
         "convolve": cmd_convolve,
         "enumerate": cmd_enumerate,
         "verify": cmd_verify,
-    }[args.command]
+    }
     try:
-        return handler(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):
+            _write_text("-", args)
+            return 0
+        return handler[args.command](args)
     except ShuffleCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ import re
 from collections.abc import Iterable, Sequence
 from itertools import product, repeat
 from math import gcd, lcm
-from numbers import Rational
 from operator import add, floordiv, mul
 
 from .errors import DomainError, TruncationError, quoted
@@ -56,9 +55,13 @@ def _rational(obj) -> tuple[int, int]:
     """The numerator and positive denominator, not reduced, of a scalar: a
     ``numbers.Rational`` other than a bool, or a string
     ``[+-]?digits(/digits)?``; no decimals, exponents, underscores or
-    surrounding space."""
+    surrounding space.  ``numbers`` is imported only for a value that is
+    neither a ``str`` nor an ``int``, which a well-formed JSON table never
+    holds."""
     if isinstance(obj, bool):
         raise DomainError(f"not a scalar: {quoted(obj)}")
+    if isinstance(obj, int):
+        return obj, 1
     if isinstance(obj, str):
         match = _SCALAR.fullmatch(obj)
         if match is not None:
@@ -72,6 +75,8 @@ def _rational(obj) -> tuple[int, int]:
                 if den:
                     return num, den
         raise DomainError(f"malformed scalar {quoted(obj)}")
+    from numbers import Rational
+
     if isinstance(obj, Rational):
         return obj.numerator, obj.denominator
     raise DomainError(f"not a scalar: {quoted(obj)}")
@@ -206,7 +211,8 @@ class ValueTable:
             self._values = dict(zip(words_up_to(self.alphabet, self.max_len), fractions))
         return self._values
 
-    def lookup(self, w) -> Rational:
+    def lookup(self, w):
+        """The value of the word ``w``, a ``Scalar``."""
         try:
             return self.values[w]
         except KeyError:

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import shufflecalc
 from shufflecalc import CumulantTable, MomentTable, StatePair, cumulants, free_cumulants, tables
-from shufflecalc.cli import _dump_json, main
+from shufflecalc.cli import _COMMANDS, _dump_json, main
+from shufflecalc.enumeration import family_count
 from shufflecalc.errors import DomainError, quoted
 from shufflecalc.words import Word, words_up_to
 
@@ -268,6 +269,110 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--to", "free", "--input", "{src}"],
+    ["enumerate", "--family", "nc", "--n", "9", "--details"],
+    ["enumerate", "--family", "nc", "--n", "3", "--counts"],
+    ["verify", "--max-len", "2", "--only", "counit"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv[:1] + argv[-1:]))
+def test_failed_write_to_buffered_stdout_exits_2(tmp_path, argv):
+    # with stdout buffered, as it is unless PYTHONUNBUFFERED is set, the
+    # write fails when the buffer is flushed, which must happen before the
+    # interpreter's own flush at exit
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = tmp_path / "in.json"
+    write_json(src, moments_json(1, max_len=2))
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflecalc.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "shufflecalc.cli",
+                               *(arg.format(src=src) for arg in argv)],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write -: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# Each usage error: its argv and a word its one error line must hold.
+USAGE_ERRORS = {
+    "no-subcommand": ([], "subcommand"),
+    "unknown-subcommand": (["frobnicate"], "'frobnicate'"),
+    "unknown-option": (["transform", "--to", "free", "--input", "x", "--bogus", "1"],
+                       "'--bogus'"),
+    "short-option": (["verify", "-x"], "'-x'"),
+    "missing-value": (["transform", "--to", "free", "--input"], "--input"),
+    "bad-choice": (["convolve", "--kind", "nope", "--input", "x", "--input2", "y"], "--kind"),
+    "bad-int": (["enumerate", "--family", "nc", "--n", "x"], "--n"),
+    "flag-with-value": (["enumerate", "--family", "nc", "--n=3", "--counts=yes"], "--counts"),
+    "missing-required": (["transform", "--to", "free"], "--input"),
+    "to-and-from": (["transform", "--to", "free", "--from", "free", "--input", "x"], "--from"),
+    "neither-to-nor-from": (["transform", "--input", "x"], "--to"),
+    "counts-and-details": (["enumerate", "--family", "nc", "--n", "3", "--counts",
+                            "--details"], "--details"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_are_one_line(capsys, case):
+    argv, named = USAGE_ERRORS[case]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_option_and_exits_0(capsys, command, flag):
+    assert main([command, flag] if command else [flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command is None:
+        assert all(name in out for name in _COMMANDS)
+        return
+    assert out.startswith(f"usage: shufflecalc {command}")
+    for name, (kind, _) in _COMMANDS[command][0].items():
+        assert name in out
+        if isinstance(kind, tuple):
+            assert "{" + ",".join(kind) + "}" in out
+
+
+def test_help_lists_the_options_argparse_had(capsys):
+    # the options and choices of the argparse parser this reader replaced
+    options = {
+        "transform": "--input --output --to --from",
+        "convolve": "--kind --input --input2 --output",
+        "enumerate": "--family --n --counts --details --output",
+        "verify": "--max-len --seed --alphabet --only --corrupt-oracle --output",
+    }
+    assert {c: sorted(o) for c, (o, _, _) in _COMMANDS.items()} == {
+        c: sorted(o.split()) for c, o in options.items()}
+    assert main(["enumerate", "--help"]) == 0
+    assert "{nc,boolean,nc-irr}" in capsys.readouterr().out
+    assert main(["convolve", "--help"]) == 0
+    assert "{free,boolean,monotone,cfree}" in capsys.readouterr().out
+
+
+def test_option_values_may_follow_an_equals_sign_or_start_with_a_dash(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    write_json(src, moments_json(1))
+    assert main(["transform", "--to", "free", "--input", str(src)]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["transform", f"--input={src}", "--to=free"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["verify", "--max-len", "2", "--only", "counit", "--seed", "-1"]) == 0
+    assert capsys.readouterr().out == "PASS counit\n"
+
+
+def test_prefixes_of_options_are_refused(capsys):
+    assert main(["verify", "--max", "2", "--only", "counit"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown option '--max' for verify\n"
 
 
 # Arbitrary input files for transform and convolve.  ``HUGE`` stands for a
@@ -582,12 +687,18 @@ class TestEnumerate:
         assert main(["enumerate", "--family", "nc", "--n", "0", "--counts"]) == 2
 
     def test_counts_and_details_exclude_each_other(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--family", "nc", "--n", "5", "--counts", "--details"])
-        assert exc.value.code == 2
+        assert main(["enumerate", "--family", "nc", "--n", "5", "--counts", "--details"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "argument --details: not allowed with argument --counts" in err
+        assert err == "error: options --counts and --details exclude each other\n"
+
+    def test_counts_are_the_json_dumps_text(self, capsys):
+        for family, n in product(["nc", "nc-irr", "boolean"], range(1, 15)):
+            assert main(["enumerate", "--family", family, "--n", str(n), "--counts"]) == 0
+            count = family_count(family, n)
+            expected = json.dumps({"family": family, "n": n, "count": count},
+                                  sort_keys=True, indent=2) + "\n"
+            assert capsys.readouterr().out == expected, (family, n)
 
     def test_out_of_range_lines_write_nothing(self, capsys):
         # the order is checked before the first line is written

@@ -4,11 +4,12 @@
 from its home module on first use.  The kernel subcommands (``transform``,
 ``convolve``, ``enumerate``) must run without loading the bar-word engine
 or the verify suites, and each loads only its own layer: ``cumulants`` for
-``transform`` and ``convolve``, ``partitions`` for ``enumerate``.
+``transform`` and ``convolve``, ``enumeration`` for ``enumerate``.
 ``transform`` and ``convolve`` keep their tables in coded integers from
-input to output, so they load neither ``fractions`` nor ``words``, and
-neither does drawing a random table;
-``enumerate`` builds its lines from text and loads no ``fractions``.
+input to output, so they load neither ``fractions``, ``numbers`` nor
+``words``, and neither does drawing a random table; ``enumerate`` builds
+its lines and its counts from text and loads neither the partition oracles,
+the table layer nor ``json``.  No subcommand loads ``argparse``.
 """
 
 import ast
@@ -117,6 +118,11 @@ def test_package_import_is_lazy_and_submodules_still_import():
 # What a process that reads, transforms and writes coded tables never
 # builds, so never imports.
 NOT_ON_TABLE_PATH = {"fractions", "decimal", "shufflecalc.words"}
+# What the command line reader replaced, and what ``argparse`` loaded.
+ARGPARSE = {"argparse", "gettext", "locale"}
+# What ``enumerate`` leaves to the other layers.
+NOT_ON_ENUMERATE_PATH = {"shufflecalc.partitions", "shufflecalc.tables", "shufflecalc.words",
+                         "json", "numbers"}
 
 
 @pytest.mark.parametrize("argv, other_layer, coded", [
@@ -124,18 +130,23 @@ NOT_ON_TABLE_PATH = {"fractions", "decimal", "shufflecalc.words"}
     (["convolve", "--kind", "free", "--input", "{a}", "--input2", "{b}"],
      "shufflecalc.partitions", True),
     (["enumerate", "--family", "nc", "--n", "4"], "shufflecalc.cumulants", False),
-], ids=["transform", "convolve", "enumerate"])
+    (["enumerate", "--family", "boolean", "--n", "4", "--counts"], "shufflecalc.cumulants",
+     False),
+], ids=["transform", "convolve", "enumerate", "enumerate-counts"])
 def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, other_layer, coded):
     for name, seed in (("a", 1), ("b", 2)):
         table = MomentTable.random(["a", "b"], 3, random.Random(seed))
         (tmp_path / f"{name}.json").write_text(json.dumps(table.to_json()))
     argv = [arg.format(a=tmp_path / "a.json", b=tmp_path / "b.json") for arg in argv]
+    # the modules are listed before this harness imports json to write them
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "from shufflecalc.cli import main\n"
         "code = main(sys.argv[2:])\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
         "with open(sys.argv[1], 'w') as fh:\n"
-        "    json.dump([code, sorted(sys.modules)], fh)\n"
+        "    json.dump([code, modules], fh)\n"
     )
     report = tmp_path / "modules.json"
     proc = _run_python(code, str(report), *argv, "--output", str(tmp_path / "out"))
@@ -151,13 +162,20 @@ def test_kernel_subcommands_import_neither_engine_nor_verify(tmp_path, argv, oth
     if coded:
         assert sorted(NOT_ON_TABLE_PATH & set(modules)) == []
 
-    baseline = _run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    baseline = _run_python("import sys; print(' '.join(sorted(sys.modules)))")
     assert baseline.returncode == 0, baseline.stderr
-    bare = json.loads(baseline.stdout)
+    bare = set(baseline.stdout.split())
     if "dataclasses" not in bare:
         assert "dataclasses" not in modules
     if coded and "typing" not in bare:
         assert "typing" not in modules
+    # a module that a bare interpreter loads anyway is no cost of the CLI
+    assert sorted((ARGPARSE & set(modules)) - bare) == []
+    if coded:
+        assert sorted(({"numbers"} & set(modules)) - bare) == []
+    else:
+        assert "shufflecalc.enumeration" in modules
+        assert sorted((NOT_ON_ENUMERATE_PATH & set(modules)) - bare) == []
 
 
 def test_random_tables_load_neither_fractions_nor_words():

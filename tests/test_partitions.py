@@ -37,7 +37,8 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
-from shufflecalc.partitions import family_blocks, family_count, json_lines
+from shufflecalc.enumeration import family_count, json_lines
+from shufflecalc.partitions import family_blocks
 from shufflecalc.words import words_over, words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -204,7 +205,7 @@ class TestNesting:
         # keep the freed record tuples.
         code = (
             "import gc, tracemalloc\n"
-            "from shufflecalc.partitions import json_lines\n"
+            "from shufflecalc.enumeration import json_lines\n"
             "list(json_lines('nc', 3, details=True))\n"
             "gc.collect()\n"
             "tracemalloc.start()\n"
