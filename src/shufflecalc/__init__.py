@@ -26,7 +26,7 @@ _EXPORTS = {
         "reduced_half_left",
         "reduced_half_right",
     ),
-    "tables": ("Scalar", "MomentTable", "CumulantTable"),
+    "tables": ("MomentTable", "CumulantTable"),
     "functionals": (
         "Functional",
         "character",

@@ -28,6 +28,8 @@ MAX_TRUNCATION = 12
 # The cumulant kinds of transform and convolve; each names the functions
 # cumulants.<kind>_cumulants, moments_from_<kind> and convolve_<kind>.
 _KINDS = ("free", "boolean", "monotone", "cfree")
+# The members of a state pair's JSON object.
+_PAIR = ("phi", "psi")
 # Lines joined into one write by ``enumerate``.
 _LINES_PER_WRITE = 1024
 
@@ -223,63 +225,55 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _read_tables(path: str, classes: tuple, members: tuple[str, ...] = ()) -> list:
+    """The tables of the JSON input at ``path``: the whole of it as
+    ``classes[0]``, or its ``members`` as the ``classes`` in turn.  Checked
+    in order: the JSON, the members, each table's ``max_len`` (a missing or
+    malformed one is left to ``from_json``), then the values."""
+    obj = _read_json(path)
+    if not members:
+        objs = [obj]
+    elif isinstance(obj, dict) and all(member in obj for member in members):
+        objs = [obj[member] for member in members]
+    else:
+        raise DomainError(f"{path}: expected a JSON object with members "
+                          + " and ".join(map(repr, members)))
+    for table in objs:
+        n = table.get("max_len") if isinstance(table, dict) else None
+        if isinstance(n, int) and not isinstance(n, bool):
+            _check_truncation(n)
+    return [cls.from_json(table) for cls, table in zip(classes, objs)]
+
+
 def cmd_transform(args) -> int:
     from . import cumulants
-    from .cumulants import StatePair
     from .tables import CumulantTable, MomentTable
 
     # Each op is read off the module when the command runs, so that a
     # rebinding of cumulants.<name> (as by a tracer) sees the call.
     op = getattr(cumulants, f"{args.to}_cumulants" if args.to else f"moments_from_{args.from_}")
-    obj = _read_json(args.input)
     if args.to == "cfree":
-        _check_headers(obj, "phi", "psi")
-        inputs = (StatePair.from_json(obj),)
+        inputs = [cumulants.StatePair(*_read_tables(args.input, (MomentTable,) * 2, _PAIR))]
     elif args.from_ == "cfree":
-        try:
-            r_obj, psi_obj = obj["cumulants"], obj["psi"]
-        except (KeyError, TypeError):
-            raise DomainError(
-                "--from cfree expects JSON {\"cumulants\": <table>, \"psi\": <table>}"
-            ) from None
-        _check_headers(obj, "cumulants", "psi")
-        inputs = (CumulantTable.from_json(r_obj), MomentTable.from_json(psi_obj))
+        inputs = _read_tables(args.input, (CumulantTable, MomentTable), ("cumulants", "psi"))
     else:
-        _check_headers(obj)
-        inputs = ((MomentTable if args.to else CumulantTable).from_json(obj),)
+        inputs = _read_tables(args.input, (MomentTable if args.to else CumulantTable,))
     _write_text(args.output, _dump_json(op(*inputs).to_json()))
     return 0
 
 
 def cmd_convolve(args) -> int:
     from . import cumulants
-    from .cumulants import StatePair
     from .tables import MomentTable
 
     op = getattr(cumulants, f"convolve_{args.kind}")
-    a = _read_json(args.input)
-    b = _read_json(args.input2)
-    parts = ("phi", "psi") if args.kind == "cfree" else ()
-    _check_headers(a, *parts)
-    _check_headers(b, *parts)
-    parse = StatePair.from_json if args.kind == "cfree" else MomentTable.from_json
-    _write_text(args.output, _dump_json(op(parse(a), parse(b)).to_json()))
+    members = _PAIR if args.kind == "cfree" else ()
+    inputs = []
+    for path in (args.input, args.input2):
+        tables = _read_tables(path, (MomentTable,) * 2, members)
+        inputs.append(cumulants.StatePair(*tables) if members else tables[0])
+    _write_text(args.output, _dump_json(op(*inputs).to_json()))
     return 0
-
-
-def _check_headers(obj, *parts: str) -> None:
-    """Refuse an out-of-range ``max_len`` in the header of each table of a
-    read input, ``obj`` itself or its ``parts``, before any of their values
-    are parsed.  A missing or malformed header is left for ``from_json`` to
-    report."""
-    if parts:
-        tables = [obj.get(part) for part in parts] if isinstance(obj, dict) else []
-    else:
-        tables = [obj]
-    for table in tables:
-        n = table.get("max_len") if isinstance(table, dict) else None
-        if isinstance(n, int) and not isinstance(n, bool):
-            _check_truncation(n)
 
 
 def cmd_enumerate(args) -> int:

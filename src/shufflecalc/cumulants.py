@@ -185,15 +185,9 @@ def _spread(values, inner: int, outer: int) -> list:
     """``values[code of w[a:b]]`` for every word w of length n, in code
     order, given ``inner = K^(n-b)`` and ``outer = K^a``: each value
     repeated ``inner`` times, the whole tiled ``outer`` times."""
-    values = list(values)
-    if inner > len(values):
-        spread = []
-        for v in values:
-            spread += [v] * inner
-    else:
-        spread = [0] * (len(values) * inner)
-        for r in range(inner):
-            spread[r::inner] = values
+    spread = []
+    for v in values:
+        spread += [v] * inner
     return spread * outer
 
 
@@ -357,13 +351,17 @@ def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
 
 
 def convolve_free(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
-    scale, kappa = _cumulant_sum(_first_block, (phi1,), (phi2,))
-    return _table(MomentTable, phi1, scale, _evaluate(_first_block, len(phi1.alphabet), kappa))
+    return _additive(_first_block, phi1, phi2)
 
 
 def convolve_boolean(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
-    scale, beta = _cumulant_sum(_boolean, (phi1,), (phi2,))
-    return _table(MomentTable, phi1, scale, _evaluate(_boolean, len(phi1.alphabet), beta))
+    return _additive(_boolean, phi1, phi2)
+
+
+def _additive(relation, phi1: MomentTable, phi2: MomentTable) -> MomentTable:
+    """The state whose cumulants under the relation are those of phi1 plus phi2."""
+    scale, x = _cumulant_sum(relation, (phi1,), (phi2,))
+    return _table(MomentTable, phi1, scale, _evaluate(relation, len(phi1.alphabet), x))
 
 
 def _cumulant_sum(relation, first: tuple, second: tuple):

@@ -206,8 +206,7 @@ class Functional:
     def _rescale(self, d: int) -> tuple:
         return 1, None
 
-    # Linear structure.  `*` between functionals is convolution; with a
-    # scalar it rescales.
+    # Linear structure.  `*` by a scalar rescales; `conv` is convolution.
     def __add__(self, other: "Functional") -> "Functional":
         return _Sum(((ONE, self), (ONE, other)))
 
@@ -218,12 +217,9 @@ class Functional:
         return _Sum(((-ONE, self),))
 
     def __mul__(self, other):
-        if isinstance(other, Functional):
-            return conv(self, other)
         return _Sum(((Fraction(other), self),))
 
-    def __rmul__(self, other):
-        return _Sum(((Fraction(other), self),))
+    __rmul__ = __mul__
 
 
 class _Unit(Functional):

@@ -47,6 +47,8 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 def bernoulli(m: int) -> Fraction:
     """Bernoulli numbers with the B_1 = -1/2 convention, by the standard
     recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    if m < 0:
+        raise DomainError(f"bernoulli requires m >= 0, got {m}")
     while len(_bernoulli_cache) <= m:
         k = len(_bernoulli_cache)
         total = sum(
@@ -165,7 +167,8 @@ def magnus_inverse(a: Functional) -> Functional:
 
 
 def sharp(a: Functional, b: Functional) -> Functional:
-    """Group-transported addition: ``a # b = a + E<(a) > b < E<(a)^{*-1}``;
+    """Group-transported addition: ``a # b = a + E<(a) > b < E<(a)^{*-1}``,
+    which is a plus the inverse adjoint action ``b_a`` (``ad_upper``);
     satisfies ``E<(a) * E<(b) = E<(a # b)``.
 
     Its right-exponential counterpart is ``x #> y = -((-y) # (-x))``, which
@@ -173,8 +176,7 @@ def sharp(a: Functional, b: Functional) -> Functional:
     """
     _require_lie(a, "sharp")
     _require_lie(b, "sharp")
-    ea = exp_left(a)
-    return a + half_left(half_right(ea, b), inverse(ea))
+    return a + ad_upper(a, b)
 
 
 def bch(x: Functional, y: Functional) -> Functional:

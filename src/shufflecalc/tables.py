@@ -1,5 +1,5 @@
-"""Word-value tables: exact scalars, and the moment and cumulant tables that
-the CLI reads and writes.
+"""Word-value tables: the moment and cumulant tables that the CLI reads and
+writes, with exact rational values.
 
 A table holds one exact rational per word of length 1..max_len over its
 alphabet, in coded form: the sorted alphabet, ``max_len``, one base D, the
@@ -19,10 +19,10 @@ lists; none of them builds a ``Fraction`` or a ``Word``.  The
 ``Word -> Fraction`` mapping ``values`` is a view built on first use, for
 library callers: the bar-word engine's tests, the partition oracles, the
 verify suites.  This module imports ``fractions`` and ``words`` only inside
-the code that builds one of them: the view, ``Scalar``, and ``_read`` on a
-key outside the header's domain.  So a process that reads, draws,
-transforms and writes well-formed tables loads neither.  Tables are plain
-data: this module imports none of the layers that read them.
+the code that builds one of them: the view, and ``_read`` on a key outside
+the header's domain.  So a process that reads, draws, transforms and writes
+well-formed tables loads neither.  Tables are plain data: this module
+imports none of the layers that read them.
 """
 
 from __future__ import annotations
@@ -37,18 +37,6 @@ from .errors import DomainError, TruncationError, quoted
 
 # The scalar strings a table accepts, numerator and denominator as groups.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def __getattr__(name: str):
-    """``Scalar``, the type of the values in a table's ``values`` view, is
-    ``fractions.Fraction``; it is bound on first use, so that reading and
-    writing tables does not import ``fractions``."""
-    global Scalar
-    if name != "Scalar":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction as Scalar
-
-    return Scalar
 
 
 def _rational(obj) -> tuple[int, int]:
@@ -212,7 +200,7 @@ class ValueTable:
         return self._values
 
     def lookup(self, w):
-        """The value of the word ``w``, a ``Scalar``."""
+        """The value of the word ``w``, a ``Fraction``."""
         try:
             return self.values[w]
         except KeyError:

@@ -156,8 +156,9 @@ def _coassociativity(config: VerifyConfig, rng):
         b = BarWord.of(w)
         if _triples(b, True) != _triples(b, False):
             yield f"counterexample word {w.dotted()!r}"
+    # A one-factor bar-word is the bar-word of a word checked above.
     for b in barwords_up_to(config.alphabet, min(config.max_len, 4)):
-        if _triples(b, True) != _triples(b, False):
+        if len(b.factors) != 1 and _triples(b, True) != _triples(b, False):
             yield f"counterexample {b!r}"
 
 

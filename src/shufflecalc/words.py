@@ -64,16 +64,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({'.'.join(self.letters)})"
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def to_json(self) -> list:
-        return list(self.letters)
-
-    @classmethod
-    def from_json(cls, obj: Sequence[str]) -> "Word":
-        return cls(obj)
-
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Parse the dot-joined form used as JSON table keys, e.g. ``"a.b.a"``."""
@@ -130,13 +120,6 @@ class BarWord:
             return other
         factors = self.factors + other.factors
         return _BARWORDS.get(factors) or BarWord(factors)
-
-    def to_json(self) -> list:
-        return [f.to_json() for f in self.factors]
-
-    @classmethod
-    def from_json(cls, obj) -> "BarWord":
-        return cls(Word.from_json(f) for f in obj)
 
     @classmethod
     def of(cls, word: Word) -> "BarWord":

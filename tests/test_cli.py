@@ -94,10 +94,13 @@ class TestTransform:
         assert main(["transform", "--input", str(tmp_path / "nope.json"),
                      "--to", "free"]) == 2
 
-    def test_cfree_from_requires_both_tables(self, tmp_path):
+    def test_cfree_from_requires_both_tables(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         write_json(src, moments_json(6))
         assert main(["transform", "--input", str(src), "--from", "cfree"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {src}: expected a JSON object with members 'cumulants' and 'psi'\n"
 
     @pytest.mark.parametrize("override", [
         {"max_len": "1"},
@@ -218,6 +221,27 @@ def test_truncation_is_checked_before_any_compute(tmp_path, monkeypatch, capsys,
     argv = [arg.format(src=src) for arg in argv] + ["--input", str(src)]
     assert main(argv) == 2
     assert "truncation degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, members", [
+    (["transform", "--to", "cfree", "--input", "{bad}"], ("phi", "psi")),
+    (["transform", "--from", "cfree", "--input", "{bad}"], ("cumulants", "psi")),
+    (["convolve", "--kind", "cfree", "--input", "{bad}", "--input2", "{good}"], ("phi", "psi")),
+    (["convolve", "--kind", "cfree", "--input", "{good}", "--input2", "{bad}"], ("phi", "psi")),
+], ids=["to-cfree", "from-cfree", "convolve-input", "convolve-input2"])
+@pytest.mark.parametrize("shape", ["list", "no-psi"])
+def test_pair_input_without_its_members_is_one_line(tmp_path, capsys, argv, members, shape):
+    """A pair-shaped input that is not an object, or lacks a member, is
+    refused with one line that names the input and both members."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    table = moments_json(17)
+    write_json(bad, [table, table] if shape == "list" else {members[0]: table})
+    write_json(good, {"phi": table, "psi": table})
+    assert main([arg.format(bad=bad, good=good) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {bad}: expected a JSON object with members "
+                   f"{members[0]!r} and {members[1]!r}\n")
 
 
 HUGE_HEADER = {"alphabet": ["a"], "max_len": 100000000, "values": {"a": "1"}}

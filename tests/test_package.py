@@ -38,7 +38,7 @@ EXPORTS = {
     "coalgebra": "TensorSum coproduct coproduct_word half_coproduct_left "
                  "half_coproduct_right reduced_coproduct reduced_half_left "
                  "reduced_half_right",
-    "tables": "Scalar MomentTable CumulantTable",
+    "tables": "MomentTable CumulantTable",
     "functionals": "Functional character infinitesimal unit conv half_left half_right "
                    "prelie inverse is_character is_infinitesimal materialize",
     "series": "exp_conv log_conv exp_left exp_right log_left log_right magnus "
@@ -61,15 +61,12 @@ ENGINE = {"shufflecalc.functionals", "shufflecalc.coalgebra", "shufflecalc.serie
 
 
 def _top_level_names(module) -> set[str]:
-    """Names that a module binds by its own def, class or assignment, or
-    on first use by a ``global`` statement in its ``__getattr__``."""
+    """Names that a module binds by its own def, class or assignment."""
     tree = ast.parse(Path(module.__file__).read_text())
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-            if node.name == "__getattr__":
-                names.update(*(g.names for g in ast.walk(node) if isinstance(g, ast.Global)))
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
     return names

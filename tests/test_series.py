@@ -78,6 +78,15 @@ def test_bernoulli_values():
     assert [bernoulli(m) for m in range(7)] == expected
 
 
+def test_bernoulli_refuses_a_negative_index():
+    """A negative index would read the cache from its end, so its value
+    would depend on which Bernoulli numbers were computed before."""
+    bernoulli(4)
+    for m in (-1, -5):
+        with pytest.raises(DomainError, match=f"got {m}$"):
+            bernoulli(m)
+
+
 class TestExponentialClosedForms:
     """Univariate word values of the three exponentials at low degree."""
 
@@ -306,7 +315,7 @@ class TestDomainChecks:
         for op in (exp_left, exp_right, exp_conv, magnus, magnus_inverse):
             with pytest.raises(DomainError):
                 op(phi)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sharp requires"):
             sharp(phi, phi)
         with pytest.raises(DomainError):
             ad_lower(phi, phi)
