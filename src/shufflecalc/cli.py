@@ -12,6 +12,12 @@ subcommand runs.  The command line is read from the ``_COMMANDS`` table
 ``cumulants`` and ``tables``, ``enumerate`` loads only ``enumeration``,
 and only ``verify`` loads the bar-word engine.  ``json`` is imported by
 the two functions that read and write it, so ``enumerate`` never loads it.
+
+A table-shaped input is read by ``_read_tables`` in one order: the JSON,
+its members, each table's header and degree, then the values.  The table
+and pair schema is checked in ``tables``; this module sees only the
+degree.  Every output goes through ``_write``, which reports a failed
+write as one line.
 """
 
 from __future__ import annotations
@@ -158,7 +164,12 @@ def _parse(argv: list[str]):
             if value is None:
                 raise DomainError(f"option {name} needs a value")
         if kind == "int":
+            # ASCII [+-]?[0-9]+ only: int() also takes "1_0", " 3" and
+            # non-ASCII digits
+            digits = value[1:] if value[:1] in ("+", "-") else value
             try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 value = int(value)
             except ValueError:
                 raise DomainError(f"option {name} needs an integer, got {quoted(value)}") from None
@@ -196,27 +207,34 @@ def _read_json(path: str):
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``path`` ('-' for stdout) and flush, so that a
+    failed write to stdout is reported here as one line; stdout is then
+    closed, since the text it still holds cannot be written, and the
+    interpreter's flush at exit would fail on it again."""
     try:
-        if path == "-":
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+        with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
     except OSError as exc:
-        raise _cannot_write(path, exc) from exc
+        if path == "-":
+            with suppress(OSError):
+                sys.stdout.close()
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-def _cannot_write(path: str, exc: OSError) -> DomainError:
-    """The error for a failed write to ``path``.  The writers flush stdout,
-    so that a failed write to it is reported here; it is then closed, since
-    the text it still holds cannot be written, and the interpreter's flush
-    at exit would fail on it again."""
-    if path == "-":
-        with suppress(OSError):
-            sys.stdout.close()
-    return DomainError(f"cannot write {path}: {exc}")
+def _write_text(path: str, text: str) -> None:
+    _write(path, (text,))
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a newline, ``_LINES_PER_WRITE`` lines per write,
+    so that a long iterator is neither held whole nor written line by line
+    (stdout may be unbuffered)."""
+    lines = iter(lines)
+    _write(path, ("\n".join(chunk) + "\n"
+                  for chunk in iter(lambda: list(islice(lines, _LINES_PER_WRITE)), [])))
 
 
 def _dump_json(obj) -> str:
@@ -228,20 +246,14 @@ def _dump_json(obj) -> str:
 def _read_tables(path: str, classes: tuple, members: tuple[str, ...] = ()) -> list:
     """The tables of the JSON input at ``path``: the whole of it as
     ``classes[0]``, or its ``members`` as the ``classes`` in turn.  Checked
-    in order: the JSON, the members, each table's ``max_len`` (a missing or
-    malformed one is left to ``from_json``), then the values."""
+    in order: the JSON, the members, each table's header and degree, then
+    the values."""
+    from .tables import _header, _members
+
     obj = _read_json(path)
-    if not members:
-        objs = [obj]
-    elif isinstance(obj, dict) and all(member in obj for member in members):
-        objs = [obj[member] for member in members]
-    else:
-        raise DomainError(f"{path}: expected a JSON object with members "
-                          + " and ".join(map(repr, members)))
+    objs = _members(obj, members, path) if members else [obj]
     for table in objs:
-        n = table.get("max_len") if isinstance(table, dict) else None
-        if isinstance(n, int) and not isinstance(n, bool):
-            _check_truncation(n)
+        _check_truncation(_header(table)[1])
     return [cls.from_json(table) for cls, table in zip(classes, objs)]
 
 
@@ -291,20 +303,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write each line and a newline, ``_LINES_PER_WRITE`` lines per write,
-    so that a long iterator is neither held whole nor written line by line
-    (stdout may be unbuffered)."""
-    lines = iter(lines)
-    try:
-        with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
-            while chunk := list(islice(lines, _LINES_PER_WRITE)):
-                fh.write("\n".join(chunk) + "\n")
-            fh.flush()
-    except OSError as exc:
-        raise _cannot_write(path, exc) from exc
-
-
 def cmd_verify(args) -> int:
     # The suites run the bar-word engine; only this subcommand imports it.
     from .verify import VerifyConfig, run_checks
@@ -323,13 +321,8 @@ def cmd_verify(args) -> int:
         corrupt=args.corrupt_oracle,
     )
     results = run_checks(config, only=only)
-    lines = []
-    for result in results:
-        if result.passed:
-            lines.append(f"PASS {result.name}")
-        else:
-            lines.append(f"FAIL {result.name}: {result.detail}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_lines(args.output, (f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}"
+                               for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -339,18 +332,12 @@ def _check_truncation(n: int) -> None:
 
 
 def main(argv=None) -> int:
-    handler = {
-        "transform": cmd_transform,
-        "convolve": cmd_convolve,
-        "enumerate": cmd_enumerate,
-        "verify": cmd_verify,
-    }
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):
             _write_text("-", args)
             return 0
-        return handler[args.command](args)
+        return globals()[f"cmd_{args.command}"](args)
     except ShuffleCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

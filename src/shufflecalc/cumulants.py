@@ -58,7 +58,7 @@ from math import comb, factorial, lcm
 from operator import add, floordiv, mul, sub
 
 from .errors import DomainError
-from .tables import CumulantTable, MomentTable, ValueTable
+from .tables import CumulantTable, MomentTable, ValueTable, _members
 
 FREE = "free"
 BOOLEAN = "boolean"
@@ -88,10 +88,7 @@ class StatePair:
 
     @classmethod
     def from_json(cls, obj) -> "StatePair":
-        try:
-            phi, psi = obj["phi"], obj["psi"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed state pair JSON: {exc}") from exc
+        phi, psi = _members(obj, ("phi", "psi"), "malformed state pair JSON")
         return cls(MomentTable.from_json(phi), MomentTable.from_json(psi))
 
 

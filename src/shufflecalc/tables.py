@@ -9,13 +9,18 @@ its length is its code, the base-K number whose digits are the places of
 its letters in the sorted alphabet (K letters), first letter most
 significant, so each list runs in ``itertools.product`` order.
 
-``_read`` is the one reader of a table's entries: ``from_json`` reads a
-JSON table through it, after checking the JSON shape, and the dict
-constructor reads a ``Word -> Rational`` dict through it, under the dotted
-names of its words.  ``_read`` validates straight into the coded form,
-``to_json`` writes from it with one ``gcd`` per value each way, ``random``
-draws straight into it, and the kernel in ``cumulants`` computes on the
-lists; none of them builds a ``Fraction`` or a ``Word``.  The
+This module owns the JSON schema of tables and state pairs.  ``_members``
+takes the named members of a JSON object, and refuses anything else with
+one line that names them.  ``_header`` checks a table's ``alphabet``,
+``max_len`` and ``values`` before any entry is read, so that the CLI can
+check each table's degree first.  ``_read`` is the one reader of a
+table's entries: ``from_json`` reads a JSON table through ``_header`` and
+``_read``, and the dict constructor reads a ``Word -> Rational`` dict
+through ``_read``, under the dotted names of its words.  ``_read``
+validates straight into the coded form, ``to_json`` writes from it with
+one ``gcd`` per value each way, ``random`` draws straight into it, and the
+kernel in ``cumulants`` computes on the lists; none of them builds a
+``Fraction`` or a ``Word``.  The
 ``Word -> Fraction`` mapping ``values`` is a view built on first use, for
 library callers: the bar-word engine's tests, the partition oracles, the
 verify suites.  This module imports ``fractions`` and ``words`` only inside
@@ -149,6 +154,33 @@ def _read(alphabet: Sequence[str], max_len: int, raw: dict) -> tuple:
     raise DomainError(f"table has out-of-domain entries: {quoted(sorted(extra)[:3])}")
 
 
+def _members(obj, names: Sequence[str], where: str) -> list:
+    """The members ``names`` of the JSON object ``obj``, in order; for
+    anything else, one line that names ``where`` and the members."""
+    if isinstance(obj, dict) and all(name in obj for name in names):
+        return [obj[name] for name in names]
+    *rest, last = map(repr, names)
+    raise DomainError(f"{where}: expected a JSON object with members {', '.join(rest)} and {last}")
+
+
+def _header(obj) -> tuple:
+    """The ``alphabet``, ``max_len`` and ``values`` of a JSON table, checked
+    as a list of distinct strings, an int other than a bool and an object;
+    the entries are left to ``_read``."""
+    alphabet, max_len, raw = _members(obj, ("alphabet", "max_len", "values"),
+                                      "malformed table JSON")
+    if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
+        raise DomainError("malformed table JSON: alphabet must be a list of strings")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError("malformed table JSON: alphabet letters must be distinct, "
+                          f"got {quoted(alphabet)}")
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
+    if not isinstance(raw, dict):
+        raise DomainError("malformed table JSON: values must be an object")
+    return alphabet, max_len, raw
+
+
 class ValueTable:
     """A total mapping from the words of length 1..max_len over an alphabet
     to exact rationals.  ``coded[n]`` lists the values of the words of
@@ -250,22 +282,7 @@ class ValueTable:
 
     @classmethod
     def from_json(cls, obj) -> "ValueTable":
-        try:
-            alphabet = obj["alphabet"]
-            max_len = obj["max_len"]
-            raw = obj["values"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed table JSON: {exc}") from exc
-        if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
-            raise DomainError("malformed table JSON: alphabet must be a list of strings")
-        if len(set(alphabet)) != len(alphabet):
-            raise DomainError("malformed table JSON: alphabet letters must be distinct, "
-                              f"got {quoted(alphabet)}")
-        if not isinstance(max_len, int) or isinstance(max_len, bool):
-            raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
-        if not isinstance(raw, dict):
-            raise DomainError("malformed table JSON: values must be an object")
-        return cls._from_fractions(*_read(alphabet, max_len, raw))
+        return cls._from_fractions(*_read(*_header(obj)))
 
     @classmethod
     def zeros(cls, alphabet: Iterable[str], max_len: int) -> "ValueTable":

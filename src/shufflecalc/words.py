@@ -182,7 +182,9 @@ def complement_components(w: Word, S: Iterable[int]) -> BarWord:
 def _check_positions(w: Word, positions: Sequence[int]) -> None:
     prev = 0
     for p in positions:
-        if not isinstance(p, int) or p < 1 or p > len(w):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise DomainError(f"positions must be integers, got {quoted(p)}")
+        if p < 1 or p > len(w):
             raise DomainError(f"position {p} out of range for word of length {len(w)}")
         if p <= prev:
             raise DomainError(f"positions must be strictly increasing, got {positions}")

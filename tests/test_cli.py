@@ -248,6 +248,37 @@ HUGE_HEADER = {"alphabet": ["a"], "max_len": 100000000, "values": {"a": "1"}}
 SMALL_TABLE = {"alphabet": ["a"], "max_len": 1, "values": {"a": "1"}}
 
 
+TABLE_MEMBERS = ("malformed table JSON: expected a JSON object with members "
+                 "'alphabet', 'max_len' and 'values'")
+
+
+@pytest.mark.parametrize("table", [[1], {}, {"alphabet": ["a"], "max_len": 1}],
+                         ids=["list", "empty", "no-values"])
+@pytest.mark.parametrize("argv, wrap", [
+    (["transform", "--to", "free"], lambda table: table),
+    (["transform", "--to", "cfree"], lambda table: {"phi": table, "psi": SMALL_TABLE}),
+], ids=["to", "to-cfree-phi"])
+def test_table_that_is_not_a_table_object_is_one_line(tmp_path, capsys, argv, wrap, table):
+    src = tmp_path / "in.json"
+    write_json(src, wrap(table))
+    assert main(argv + ["--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {TABLE_MEMBERS}\n"
+
+
+def test_every_header_is_checked_before_any_value(tmp_path, capsys):
+    """A pair whose phi has a malformed value and whose psi has a malformed
+    header is refused for psi's header."""
+    src = tmp_path / "pair.json"
+    write_json(src, {"phi": {**SMALL_TABLE, "values": {"a": "x"}},
+                     "psi": {**SMALL_TABLE, "max_len": "1"}})
+    assert main(["transform", "--to", "cfree", "--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed table JSON: max_len must be an integer, got '1'\n"
+
+
 @pytest.mark.parametrize("argv, table", [
     (["transform", "--to", "free"], HUGE_HEADER),
     (["transform", "--to", "cfree"], {"phi": SMALL_TABLE, "psi": HUGE_HEADER}),
@@ -331,6 +362,10 @@ USAGE_ERRORS = {
     "missing-value": (["transform", "--to", "free", "--input"], "--input"),
     "bad-choice": (["convolve", "--kind", "nope", "--input", "x", "--input2", "y"], "--kind"),
     "bad-int": (["enumerate", "--family", "nc", "--n", "x"], "--n"),
+    # int() would read these as 10, 3 and 3
+    "int-underscore": (["enumerate", "--family", "nc", "--n", "1_0", "--counts"], "'1_0'"),
+    "int-space": (["enumerate", "--family", "nc", "--n", " 3", "--counts"], "' 3'"),
+    "int-non-ascii": (["enumerate", "--family", "nc", "--n", "\u0663", "--counts"], "--n"),
     "flag-with-value": (["enumerate", "--family", "nc", "--n=3", "--counts=yes"], "--counts"),
     "missing-required": (["transform", "--to", "free"], "--input"),
     "to-and-from": (["transform", "--to", "free", "--from", "free", "--input", "x"], "--from"),
@@ -391,6 +426,15 @@ def test_option_values_may_follow_an_equals_sign_or_start_with_a_dash(tmp_path, 
     assert capsys.readouterr().out == spaced
     assert main(["verify", "--max-len", "2", "--only", "counit", "--seed", "-1"]) == 0
     assert capsys.readouterr().out == "PASS counit\n"
+
+
+def test_integer_options_may_be_signed(capsys):
+    assert main(["enumerate", "--family", "nc", "--n", "3", "--counts"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["enumerate", "--family", "nc", "--n", "+03", "--counts"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["enumerate", "--family", "nc", "--n", "-3", "--counts"]) == 2
+    assert capsys.readouterr().err == "error: order must be in [1, 14], got -3\n"
 
 
 def test_prefixes_of_options_are_refused(capsys):
@@ -499,10 +543,10 @@ def reference_read(obj):
 
 
 def reference_header(obj):
-    try:
-        alphabet, max_len, raw = obj["alphabet"], obj["max_len"], obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed table JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not {"alphabet", "max_len", "values"} <= obj.keys():
+        raise DomainError("malformed table JSON: expected a JSON object with members "
+                          "'alphabet', 'max_len' and 'values'")
+    alphabet, max_len, raw = obj["alphabet"], obj["max_len"], obj["values"]
     if not isinstance(alphabet, list) or not all(isinstance(x, str) for x in alphabet):
         raise DomainError("malformed table JSON: alphabet must be a list of strings")
     if len(set(alphabet)) != len(alphabet):

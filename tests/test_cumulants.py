@@ -221,6 +221,17 @@ class TestStatePair:
             StatePair.from_json({"phi": rand_moments(11).to_json()})
 
 
+@pytest.mark.parametrize("read, obj, where, members", [
+    (MomentTable.from_json, [1], "malformed table JSON", "'alphabet', 'max_len' and 'values'"),
+    (StatePair.from_json, [1], "malformed state pair JSON", "'phi' and 'psi'"),
+    (StatePair.from_json, {"phi": {}}, "malformed state pair JSON", "'phi' and 'psi'"),
+], ids=["table-list", "pair-list", "pair-without-psi"])
+def test_from_json_refuses_a_non_object_with_its_members(read, obj, where, members):
+    with pytest.raises(DomainError) as exc:
+        read(obj)
+    assert str(exc.value) == f"{where}: expected a JSON object with members {members}"
+
+
 class TestConditionallyFree:
     def test_explicit_degree_three_expansion(self):
         phi = rand_moments(12, alphabet=("a", "b", "c"), max_len=3)
@@ -408,7 +419,7 @@ def _package_imports(module) -> set[tuple[str, str]]:
 
 def test_cumulant_layer_and_oracles_stay_off_the_engine():
     names = {name for _, name in _package_imports(cumulants)}
-    assert names == {"DomainError", "CumulantTable", "MomentTable", "ValueTable"}
+    assert names == {"DomainError", "CumulantTable", "MomentTable", "ValueTable", "_members"}
     modules = {module or name for module, name in _package_imports(partitions)}
     assert not modules & {"series", "coalgebra", "cumulants"}
     for module in (cumulants, partitions):

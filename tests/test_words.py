@@ -99,6 +99,14 @@ class TestSubword:
             subword(Word("abc"), [4])
 
 
+@pytest.mark.parametrize("split", [subword, complement_components])
+@pytest.mark.parametrize("positions", [[True], [1, True], [1.0]], ids=["true", "1-true", "float"])
+def test_positions_must_be_integers(split, positions):
+    # bool is an int subclass; True would be read as position 1
+    with pytest.raises(DomainError, match="^positions must be integers, got "):
+        split(Word("ab"), positions)
+
+
 class TestComplementComponents:
     def test_interleaved_extraction(self):
         w = Word("abcdef")
