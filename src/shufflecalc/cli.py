@@ -305,14 +305,16 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     # The suites run the bar-word engine; only this subcommand imports it.
+    # The letters are checked before any suite runs, by the rule every
+    # table alphabet passes.
+    from .tables import _letters
     from .verify import VerifyConfig, run_checks
 
     alphabet = tuple(x for x in args.alphabet.split(",") if x)
-    if not alphabet:
-        raise DomainError("alphabet must contain at least one letter")
     if len(set(alphabet)) != len(alphabet):
         raise DomainError(f"alphabet letters must be distinct, got {quoted(args.alphabet)}")
     _check_truncation(args.max_len)
+    _letters(alphabet, args.max_len)
     only = None
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]

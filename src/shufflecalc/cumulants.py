@@ -40,11 +40,13 @@ onto the first-block sum.
 All of them are homogeneous in word length and run in ``int``: a table
 holds its values times ``D^|w|``, and ``_scaled`` brings the tables of one
 call to the base D that is the lcm of theirs, times ``|w|!`` for the
-monotone relation in both directions.  ``_table`` reads the result back
-with one ``gcd`` per value.  No ``Fraction`` or ``Word`` is built, so this
-module imports neither ``fractions`` nor ``words``.  The free, boolean and
-c-free convolutions add their solved cumulants in these integers, on one
-scale for all their inputs.  ``convert`` evaluates one relation and solves
+monotone relation in both directions.  It first checks that they share
+one domain: the one domain check of the operations here, made before any
+work (``StatePair`` checks its own two states).  ``_table`` reads the
+result back with one ``gcd`` per value.  No ``Fraction`` or ``Word`` is
+built, so this module imports neither ``fractions`` nor ``words``.  The
+free, boolean and c-free convolutions add their solved cumulants in these
+integers, on one scale for all their inputs.  ``convert`` evaluates one relation and solves
 another.  The paper's Lie-side form of the
 conversions (the pre-Lie Magnus pair and the adjoint actions) is
 evaluated on the bar-word engine by the ``cumulant-conversions`` verify
@@ -165,7 +167,10 @@ def _apply(step, relation, cls, table: ValueTable, *given: ValueTable):
 def _scaled(*tables: ValueTable, factorials: bool = False):
     """The tables' coded lists over one scale per word length n, ``D^n``,
     or ``n! D^n`` with ``factorials``, where D is the lcm of the tables'
-    bases; also the scales by length."""
+    bases; also the scales by length.  Every table is checked against the
+    first for its domain before any is scaled."""
+    for t in tables[1:]:
+        tables[0]._check_compatible(t)
     base = lcm(*(t.base for t in tables))
     scale = [(factorial(n) if factorials else 1) * base**n for n in range(tables[0].max_len + 1)]
     return scale, [[list(map(mul, coded, repeat(s // t.base**n))) for n, (coded, s)
@@ -343,7 +348,6 @@ def moments_from_cfree(R: CumulantTable, psi: MomentTable) -> MomentTable:
     """Reconstruct phi from c-free cumulants and the second state,
     ``Phi = E>(Psi^{*-1} > R < Psi)``: the first-block sum with
     ``gap = psi`` and ``tail = phi``."""
-    R._check_compatible(psi)
     return _apply(_evaluate, _first_block, MomentTable, R, psi)
 
 
@@ -365,7 +369,6 @@ def _cumulant_sum(relation, first: tuple, second: tuple):
     """The scales and the coded sum of the cumulants that the relation
     solves for ``first`` and for ``second``, each a state followed by the
     relation's further states, on one scale for all of them."""
-    first[0]._check_compatible(second[0])
     scale, coded = _scaled(*first, *second)
     K = len(first[0].alphabet)
     x = _solve(relation, K, *coded[:len(first)])
@@ -376,7 +379,6 @@ def _cumulant_sum(relation, first: tuple, second: tuple):
 def convolve_monotone(phi1: MomentTable, phi2: MomentTable) -> MomentTable:
     """Monotone convolution is the convolution product of the characters:
     ``sum_S phi1(w_S) prod phi2(run)`` over all position sets S."""
-    phi1._check_compatible(phi2)
     return _apply(_evaluate, _convolution, MomentTable, phi1, phi2)
 
 

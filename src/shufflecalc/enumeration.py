@@ -16,7 +16,8 @@ The lines are the text that ``json.dumps`` with sorted keys gives; there is
 no per-partition dict.
 
 The order check, the family check and the first-block generator live here
-too; ``partitions`` imports them back for its enumerators.
+too; ``partitions`` imports them back for its enumerators and for the rows
+of its adjoint sum.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import comb
 
-from .errors import DomainError, quoted
+from .errors import DomainError, is_int, quoted
 
 MAX_ORDER = 14
 
 
 def _check_order(n: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"order must be in [1, {MAX_ORDER}], got {n}")
+    """Refuse an order that is not an int in [1, MAX_ORDER]; a bool is no
+    order."""
+    if not is_int(n) or not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"order must be in [1, {MAX_ORDER}], got {quoted(n)}")
 
 
 def _first_blocks(lo: int, hi: int, closed: bool) -> Iterator[tuple[int, ...]]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that more
+than one module makes: ``is_int`` for integer arguments and ``quoted`` for
+echoing a value in an error line."""
 
 
 class ShuffleCalcError(Exception):
@@ -14,6 +16,11 @@ class TruncationError(DomainError):
 
 
 ECHO_LIMIT = 40
+
+
+def is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def quoted(value) -> str:

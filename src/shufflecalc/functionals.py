@@ -454,11 +454,20 @@ def prelie(f: Functional, g: Functional) -> Functional:
     return half_right(f, g) - half_left(g, f)
 
 
+def _require_lie(a: Functional, what: str) -> None:
+    if a(UNIT) != ZERO:
+        raise DomainError(f"{what} requires a functional vanishing on the unit")
+
+
+def _require_group(f: Functional, what: str) -> None:
+    if f(UNIT) != ONE:
+        raise DomainError(f"{what} requires a functional equal to 1 on the unit")
+
+
 def inverse(f: Functional) -> Functional:
     """Convolution inverse of a functional normalized to 1 on the unit: the
     solution of ``X = e + (e - f) * X``."""
-    if f(UNIT) != ONE:
-        raise DomainError("only functionals with value 1 on the unit are invertible")
+    _require_group(f, "inverse")
     return _Product(((1, coalgebra.coproduct, unit() - f, True),), None, low=1, on_unit=1)
 
 

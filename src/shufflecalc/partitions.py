@@ -14,8 +14,10 @@ forest; block classes and tree factorials derive from that forest.
 
 The lines and counts that ``enumerate`` prints come from ``enumeration``,
 which imports neither this module nor the table layer; the order and
-family checks (``MAX_ORDER`` included) and the first-block generator are
-imported from there.
+family checks and the first-block generator are imported from there.  The
+rows of the adjoint sum come from that generator too: each first block of
+NC_irr(n), the block S holding 1 and n, followed by one block per gap, so
+every partition sum refuses an order outside [1, 14] by one check.
 
 The sum oracles run in integers.  For the words of one length, each sum
 keeps its distinct blocks and, per partition, the block indices and an
@@ -36,8 +38,8 @@ from math import lcm, prod
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .enumeration import MAX_ORDER, _check_family, _first_blocks
-from .errors import DomainError, quoted
+from .enumeration import _check_family, _check_order, _first_blocks
+from .errors import DomainError, is_int, quoted
 from .tables import CumulantTable, MomentTable, ValueTable
 from .words import Word
 
@@ -48,7 +50,7 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_hash")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if not _is_int(n) or n < 0:
+        if not is_int(n) or n < 0:
             raise DomainError(f"n must be a nonnegative integer, got {quoted(n)}")
         try:
             blocks = [tuple(block) for block in blocks]
@@ -56,7 +58,7 @@ class SetPartition:
             raise DomainError("blocks must be an iterable of iterables of integers") from None
         for block in blocks:
             for x in block:
-                if not _is_int(x):
+                if not is_int(x):
                     raise DomainError(f"block elements must be integers, got {quoted(x)}")
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen: set[int] = set()
@@ -130,10 +132,6 @@ class SetPartition:
 
     def to_json(self) -> list:
         return [list(b) for b in self.blocks]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _nc_blocks(lo: int, hi: int, memo: dict, closed: bool = False) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -232,15 +230,11 @@ def _forest_factorial(parents: Sequence[int | None]) -> int:
 
 def _adjoint_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """The blocks of each partition of [1..n] into one block S holding 1 and
-    n and the runs of positions between consecutive members of S."""
-    if n == 1:
-        return [((1,),)]
-    out = []
-    for mask in range(1 << (n - 2)):
-        members = (1, *(x for x in range(2, n) if mask >> (x - 2) & 1), n)
-        runs = tuple(tuple(range(a + 1, b)) for a, b in zip(members, members[1:]) if b > a + 1)
-        out.append((members,) + runs)
-    return out
+    n and the runs of positions between consecutive members of S: each
+    first block of NC_irr(n), followed by one block per gap."""
+    _check_order(n)
+    return [(block,) + tuple(tuple(range(a + 1, b)) for a, b in zip(block, block[1:]) if b > a + 1)
+            for block in _first_blocks(1, n, closed=True)]
 
 
 # The oracles below go through the words of one length at a time, so the

@@ -13,8 +13,10 @@ the bar-word.  Each power is a split-product node (``functionals._Product``)
 of L with the power before it, with its own memo and denominators, made when
 a degree first needs it.  Group-side arguments must take the value 1 on the
 unit, Lie-side arguments the value 0; only these cheap normalizations are
-checked at construction (full character/infinitesimal checks are available
-via ``functionals.is_character`` / ``is_infinitesimal``).
+checked at construction, by ``functionals._require_group`` and
+``_require_lie``, which ``inverse`` shares (full character/infinitesimal
+checks are available via ``functionals.is_character`` /
+``is_infinitesimal``).
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from weakref import proxy
 from . import coalgebra
 from .errors import DomainError
 from .functionals import (
-    ONE,
     ZERO,
     Functional,
     _Product,
     _Sum,
+    _require_group,
+    _require_lie,
     conv,
     functionals_agree,
     half_left,
@@ -56,16 +59,6 @@ def bernoulli(m: int) -> Fraction:
         )
         _bernoulli_cache.append(-total / (k + 1))
     return _bernoulli_cache[m]
-
-
-def _require_lie(a: Functional, what: str) -> None:
-    if a(UNIT) != ZERO:
-        raise DomainError(f"{what} requires a functional vanishing on the unit")
-
-
-def _require_group(f: Functional, what: str) -> None:
-    if f(UNIT) != ONE:
-        raise DomainError(f"{what} requires a functional equal to 1 on the unit")
 
 
 class _Series(_Sum):

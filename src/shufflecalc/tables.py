@@ -38,7 +38,7 @@ from itertools import product, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul
 
-from .errors import DomainError, TruncationError, quoted
+from .errors import DomainError, TruncationError, is_int, quoted
 
 # The scalar strings a table accepts, numerator and denominator as groups.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -174,7 +174,7 @@ def _header(obj) -> tuple:
     if len(set(alphabet)) != len(alphabet):
         raise DomainError("malformed table JSON: alphabet letters must be distinct, "
                           f"got {quoted(alphabet)}")
-    if not isinstance(max_len, int) or isinstance(max_len, bool):
+    if not is_int(max_len):
         raise DomainError(f"malformed table JSON: max_len must be an integer, got {quoted(max_len)}")
     if not isinstance(raw, dict):
         raise DomainError("malformed table JSON: values must be an object")

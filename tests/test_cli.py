@@ -864,6 +864,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, line", [
+        # nc-counts reads no letter; the letters are checked before it runs
+        (["--alphabet", "a.b", "--only", "nc-counts"], "invalid letter name: 'a.b'"),
+        (["--alphabet", ","], "alphabet must be nonempty"),
+        # distinct letters, then the degree, then the letter names
+        (["--alphabet", "a.b,a.b", "--max-len", "0"],
+         "alphabet letters must be distinct, got 'a.b,a.b'"),
+        (["--alphabet", "a.b", "--max-len", "0"], "truncation degree must be in [1, 12], got 0"),
+    ], ids=["bad-letter", "no-letter", "repeated-first", "degree-before-names"])
+    def test_letters_are_checked_before_any_suite(self, capsys, argv, line):
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
 
 # Expected stdout per case, stored as ``<case>.out`` next to the inputs in
 # tests/data/cli_corpus (2 letters, max_len 4).  The files were recorded

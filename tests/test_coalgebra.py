@@ -177,6 +177,12 @@ class TestTensorSum:
         t = TensorSum([(B("c"), UNIT, 1)])
         assert terms(s.product(t)) == Counter({(B("a", "c"), B("b")): 1})
 
+    def test_product_drops_a_pair_whose_coefficients_cancel(self):
+        # (1 + a) (1 - a) = 1 - a|a: the two a-terms meet and cancel
+        s = TensorSum([(B("a"), UNIT, 1), (UNIT, UNIT, 1)])
+        t = TensorSum([(UNIT, UNIT, 1), (B("a"), UNIT, -1)])
+        assert terms(s.product(t)) == Counter({(UNIT, UNIT): 1, (B("a", "a"), UNIT): -1})
+
     def test_terms_are_canonically_ordered(self):
         s = coproduct_word(W("ab"))
         listed = s.terms()

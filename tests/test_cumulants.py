@@ -306,6 +306,30 @@ class TestConvolutions:
             convolve_free(rand_moments(28, max_len=3), rand_moments(29, max_len=4))
 
 
+def _two_domains(cls=MomentTable):
+    return (cls.random(("a", "b"), 3, random.Random(30)),
+            MomentTable.random(("a", "c"), 3, random.Random(31)))
+
+
+@pytest.mark.parametrize("op, inputs", [
+    (moments_from_cfree, lambda: _two_domains(CumulantTable)),
+    (convolve_monotone, _two_domains),
+    (convolve_free, _two_domains),
+    (convolve_boolean, _two_domains),
+    (convolve_cfree, lambda: tuple(StatePair(t, t) for t in _two_domains())),
+], ids=["moments-from-cfree", "monotone", "free", "boolean", "cfree"])
+def test_table_domains_are_checked_before_any_work(monkeypatch, op, inputs):
+    args = inputs()
+
+    def no_work(*_):
+        raise AssertionError("the kernel ran before the domain check")
+
+    monkeypatch.setattr(cumulants, "_solve", no_work)
+    monkeypatch.setattr(cumulants, "_evaluate", no_work)
+    with pytest.raises(DomainError, match=r"^incompatible tables: alphabet/max_len "):
+        op(*args)
+
+
 # --- the words-only kernel against the bar-word engine -------------------
 #
 # The engine expressions below are the definitions the kernel in

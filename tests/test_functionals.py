@@ -217,6 +217,11 @@ class TestInverse:
         with pytest.raises(DomainError):
             inverse(infinitesimal(cumulants_table))
 
+    def test_unit_value_is_checked_by_the_group_side_rule(self):
+        line = "^inverse requires a functional equal to 1 on the unit$"
+        with pytest.raises(DomainError, match=line):
+            inverse(2 * unit())
+
     def test_two_sided_inverse(self, moments):
         phi = character(moments)
         for side in (conv(phi, inverse(phi)), conv(inverse(phi), phi)):

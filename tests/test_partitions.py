@@ -38,7 +38,7 @@ from shufflecalc import (
     tree_factorial,
 )
 from shufflecalc.enumeration import family_count, json_lines
-from shufflecalc.partitions import family_blocks
+from shufflecalc.partitions import _adjoint_blocks, family_blocks
 from shufflecalc.words import words_over, words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -133,6 +133,17 @@ class TestEnumeration:
             enumerate_nc(0)
         with pytest.raises(DomainError):
             enumerate_nc(15)
+
+    @pytest.mark.parametrize("call, order", [
+        (lambda: enumerate_nc(True), "True"),
+        (lambda: family_count("nc", True), "True"),
+        (lambda: json_lines("nc", 2.0), "2.0"),
+        (lambda: family_blocks("boolean", "3"), "'3'"),
+    ], ids=["enumerate-bool", "count-bool", "lines-float", "blocks-str"])
+    def test_order_must_be_an_int_other_than_a_bool(self, call, order):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"order must be in [1, 14], got {order}"
 
 
 @given(st.integers(min_value=1, max_value=7))
@@ -388,6 +399,30 @@ class TestAdjointSums:
             Word("b")
         )
         assert adjoint_sum_upper(self.mu, self.tau, w) == expected
+
+    def test_lower_sum_refuses_an_order_above_14_before_any_work(self):
+        # the 15-letter word lies outside the tables' domain too; the order
+        # line comes first, before any lookup
+        with pytest.raises(DomainError, match=r"^order must be in \[1, 14\], got 15$"):
+            adjoint_sum_lower(self.mu, self.psi, Word("ab" * 7 + "a"))
+
+
+def _mask_adjoint_blocks(n):
+    """The adjoint rows as a walk over the masks of the inner positions 2..n-1
+    gives them: S is 1, the members of the mask and n, then the runs."""
+    if n == 1:
+        return [((1,),)]
+    out = []
+    for mask in range(1 << (n - 2)):
+        members = (1, *(x for x in range(2, n) if mask >> (x - 2) & 1), n)
+        runs = tuple(tuple(range(a + 1, b)) for a, b in zip(members, members[1:]) if b > a + 1)
+        out.append((members,) + runs)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_adjoint_rows_are_the_mask_walk_in_order(n):
+    assert _adjoint_blocks(n) == _mask_adjoint_blocks(n)
 
 
 def _mixed_table(cls, alphabet, max_len, seed):

@@ -68,6 +68,11 @@ class TestBarWord:
         with pytest.raises(DomainError):
             BarWord(["a"])
 
+    def test_rejects_an_unhashable_factor(self):
+        # the intern lookup cannot hash it; the factor check names the fault
+        with pytest.raises(DomainError, match="^BarWord factors must be nonempty Words$"):
+            BarWord([["a"]])
+
     def test_interned(self):
         b = BarWord([Word("ab"), Word("c")])
         assert b.concat(UNIT) is b
