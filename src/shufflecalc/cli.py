@@ -247,14 +247,28 @@ def _read_tables(path: str, classes: tuple, members: tuple[str, ...] = ()) -> li
     """The tables of the JSON input at ``path``: the whole of it as
     ``classes[0]``, or its ``members`` as the ``classes`` in turn.  Checked
     in order: the JSON, the members, each table's header and degree, then
-    the values."""
+    the values.  An error in a member's table starts with the member's
+    name."""
     from .tables import _header, _members
 
     obj = _read_json(path)
     objs = _members(obj, members, path) if members else [obj]
-    for table in objs:
-        _check_truncation(_header(table)[1])
-    return [cls.from_json(table) for cls, table in zip(classes, objs)]
+    names = members or ("",)
+    for name, table in zip(names, objs):
+        _in_member(name, lambda: _check_truncation(_header(table)[1]))
+    return [_in_member(name, lambda: cls.from_json(table))
+            for name, cls, table in zip(names, classes, objs)]
+
+
+def _in_member(name: str, read):
+    """``read()``, with the member ``name`` (if any) put before the line of
+    a ``DomainError`` it raises."""
+    try:
+        return read()
+    except DomainError as exc:
+        if not name:
+            raise
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def cmd_transform(args) -> int:

@@ -43,7 +43,13 @@ integer weights, so both give the same numerators.
   passes per left-leg degree over flat split indexes (``_split_sum``).  A
   degree holds thousands of split terms, where one bar-word holds about
   ten, too few for C-level passes to pay.  Lists, not memo entries, keep
-  the extra memory small.
+  the extra memory small.  As the point path skips a zero known leg,
+  ``_split_sum`` skips the terms that are 0 by the legs' values, read from
+  the lists and never from the type of a node (the checks exist to test
+  which nodes are infinitesimal): a left-leg degree where either leg's
+  list is all 0, the known leg's read first, and, where a leg's list is 0
+  on every multi-factor bar-word of its degree, as the Lie side's is, the
+  terms whose leg on that side has more than one factor.
 
 The caller picks the path by what it asks for; there is no switch.
 
@@ -57,7 +63,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import lcm
 from operator import add, mul, ne, sub
 from typing import Iterable, Iterator
@@ -100,13 +106,14 @@ class _Domain:
     """The domain of the exhaustive checks over one alphabet, one degree at
     a time: the bar-words of degree d in ``barwords_up_to`` order (the unit
     alone at d = 0), and for each split kind the index ``_split_sum``
-    reads.  Each part is built on first use and kept; ``_domain`` keeps the
-    domains of the last few alphabets."""
+    reads, with its restrictions to the terms whose legs can be nonzero.
+    Each part is built on first use and kept; ``_domain`` keeps the domains
+    of the last few alphabets."""
 
     def __init__(self, alphabet: tuple[str, ...]):
         self.alphabet = alphabet
         self._bars: dict[int, tuple[BarWord, ...]] = {}
-        self._indexes: dict[tuple, list] = {}
+        self._indexes: dict[tuple, list | tuple | None] = {}
 
     def bars(self, d: int) -> tuple[BarWord, ...]:
         bars = self._bars.get(d)
@@ -140,6 +147,32 @@ class _Domain:
                 if left else None
                 for left, right, coeffs, bounds in legs]
         return index
+
+    def start(self, values: list[int], n: int) -> int | None:
+        """None if the degree-n list ``values`` is all 0; else the position
+        from which on it can be nonzero: past its multi-factor bar-words if
+        it is 0 on all of them, else 0.  In ``_compositions`` order the
+        single-factor bar-words are the last ``K^n`` of a degree."""
+        multi = len(values) - len(self.alphabet) ** n
+        if any(islice(values, multi)):
+            return 0
+        return multi if any(islice(values, multi, None)) else None
+
+    def split_terms(self, split, d: int, k: int, left_start: int, right_start: int):
+        """The item ``split_index(split, d)[k]`` restricted to the terms whose
+        left leg sits at ``left_start`` or later in degree k and whose right
+        leg at ``right_start`` or later in degree d - k, in the same form;
+        None if no term is left.  Built once, by filtering the full item."""
+        key = (split, d, k, left_start, right_start)
+        if key not in self._indexes:
+            left, right, coeffs, bounds = self.split_index(split, d)[k]
+            keep = [l >= left_start and r >= right_start for l, r in zip(left, right)]
+            kept = list(accumulate(keep, initial=0))
+            self._indexes[key] = (
+                list(compress(left, keep)), list(compress(right, keep)),
+                None if coeffs is None else list(compress(coeffs, keep)),
+                list(map(kept.__getitem__, bounds))) if kept[-1] else None
+        return self._indexes[key]
 
 
 @lru_cache(maxsize=8)
@@ -387,31 +420,55 @@ class _Product(Functional):
         other = (self if self.other is None else self.other)._degree
         total = [0] * len(domain.bars(d))
         for (_, split, known, known_left), weights in zip(self.terms, self._scale(d)[1]):
-            left, right = (known._degree, other) if known_left else (other, known._degree)
-            total = _split_sum(domain, split, d, weights, left, right, total)
+            total = _split_sum(domain, split, d, weights, known._degree, other, known_left, total)
         return total
 
 
-def _split_sum(domain: _Domain, split, d: int, weights, left, right, total) -> list[int]:
+def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left: bool,
+               total) -> list[int]:
     """The batched ``_Product._num``: ``total`` plus, for every bar-word b of
-    degree d of the domain, ``sum coeff * weights[k] * left(domain, k)[l] *
-    right(domain, d - k)[r]`` over the ``(l, r, coeff)`` terms of
-    ``split(b)``, where k is the degree of l.  ``left`` and ``right`` give
-    the numerators of the two legs on one degree, as ``Functional._degree``
-    does.
+    degree d of the domain, ``sum coeff * weights[k] * left(k)[l] *
+    right(d - k)[r]`` over the ``(l, r, coeff)`` terms of ``split(b)``,
+    where k is the degree of l and ``left``, ``right`` are ``known``,
+    ``other`` if ``known_left`` and the other way round if not.  ``known``
+    and ``other`` give the numerators of a leg on one degree, as
+    ``Functional._degree`` does.
 
     The terms of one left-leg degree k are summed in a few C-level passes
     over ``domain.split_index``: gather both legs, multiply, take running
-    sums and subtract them at each bar-word's bounds.  A k whose weight is
-    0 is skipped and its legs are never read, which keeps a fixed point or
-    a series off its own values on degree d."""
+    sums and subtract them at each bar-word's bounds.  Terms that are 0 by
+    the legs' values are skipped, as the point path skips a zero known
+    leg:
+    - a k whose weight is 0 is skipped and its legs are never read, which
+      keeps a fixed point or a series off its own values on degree d;
+    - if the known leg's list is all 0, k is skipped without reading the
+      other leg; then if the other leg's list is all 0, k is skipped;
+    - if a leg's list is 0 on every multi-factor bar-word of its degree,
+      as an infinitesimal character's is, only the terms whose leg on that
+      side has one factor are summed (``domain.split_terms``)."""
     for k, terms in enumerate(domain.split_index(split, d)):
         weight = weights[k]
         if not weight or terms is None:
             continue
+        kdegree, odegree = (k, d - k) if known_left else (d - k, k)
+        kvalues = known(domain, kdegree)
+        kstart = domain.start(kvalues, kdegree)
+        if kstart is None:
+            continue
+        ovalues = other(domain, odegree)
+        ostart = domain.start(ovalues, odegree)
+        if ostart is None:
+            continue
+        if known_left:
+            left, right, lstart, rstart = kvalues, ovalues, kstart, ostart
+        else:
+            left, right, lstart, rstart = ovalues, kvalues, ostart, kstart
+        if lstart or rstart:
+            terms = domain.split_terms(split, d, k, lstart, rstart)
+            if terms is None:
+                continue
         lpos, rpos, coeffs, bounds = terms
-        products = map(mul, map(left(domain, k).__getitem__, lpos),
-                       map(right(domain, d - k).__getitem__, rpos))
+        products = map(mul, map(left.__getitem__, lpos), map(right.__getitem__, rpos))
         if coeffs is not None:
             products = map(mul, coeffs, products)
         sums = list(accumulate(products, initial=0))

@@ -27,7 +27,7 @@ from typing import Iterable
 from weakref import proxy
 
 from . import coalgebra
-from .errors import DomainError
+from .errors import DomainError, is_int, quoted
 from .functionals import (
     ZERO,
     Functional,
@@ -50,8 +50,8 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 def bernoulli(m: int) -> Fraction:
     """Bernoulli numbers with the B_1 = -1/2 convention, by the standard
     recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
-    if m < 0:
-        raise DomainError(f"bernoulli requires m >= 0, got {m}")
+    if not is_int(m) or m < 0:
+        raise DomainError(f"bernoulli requires an integer m >= 0, got {quoted(m)}")
     while len(_bernoulli_cache) <= m:
         k = len(_bernoulli_cache)
         total = sum(

@@ -254,17 +254,19 @@ TABLE_MEMBERS = ("malformed table JSON: expected a JSON object with members "
 
 @pytest.mark.parametrize("table", [[1], {}, {"alphabet": ["a"], "max_len": 1}],
                          ids=["list", "empty", "no-values"])
-@pytest.mark.parametrize("argv, wrap", [
-    (["transform", "--to", "free"], lambda table: table),
-    (["transform", "--to", "cfree"], lambda table: {"phi": table, "psi": SMALL_TABLE}),
+@pytest.mark.parametrize("argv, wrap, member", [
+    (["transform", "--to", "free"], lambda table: table, ""),
+    (["transform", "--to", "cfree"], lambda table: {"phi": table, "psi": SMALL_TABLE}, "phi: "),
 ], ids=["to", "to-cfree-phi"])
-def test_table_that_is_not_a_table_object_is_one_line(tmp_path, capsys, argv, wrap, table):
+def test_table_that_is_not_a_table_object_is_one_line(tmp_path, capsys, argv, wrap, member,
+                                                      table):
+    """The line names the member of a pair that is not a table."""
     src = tmp_path / "in.json"
     write_json(src, wrap(table))
     assert main(argv + ["--input", str(src)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {TABLE_MEMBERS}\n"
+    assert err == f"error: {member}{TABLE_MEMBERS}\n"
 
 
 def test_every_header_is_checked_before_any_value(tmp_path, capsys):
@@ -276,21 +278,42 @@ def test_every_header_is_checked_before_any_value(tmp_path, capsys):
     assert main(["transform", "--to", "cfree", "--input", str(src)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: malformed table JSON: max_len must be an integer, got '1'\n"
+    assert err == "error: psi: malformed table JSON: max_len must be an integer, got '1'\n"
 
 
-@pytest.mark.parametrize("argv, table", [
-    (["transform", "--to", "free"], HUGE_HEADER),
-    (["transform", "--to", "cfree"], {"phi": SMALL_TABLE, "psi": HUGE_HEADER}),
-    (["transform", "--from", "cfree"], {"cumulants": SMALL_TABLE, "psi": HUGE_HEADER}),
-    (["convolve", "--kind", "monotone", "--input2", "{small}"], HUGE_HEADER),
+@pytest.mark.parametrize("argv, pair, line", [
+    (["transform", "--from", "cfree"],
+     {"cumulants": {**SMALL_TABLE, "values": {"a": "x"}}, "psi": SMALL_TABLE},
+     "cumulants: table entry 'a': malformed scalar 'x'"),
+    (["transform", "--to", "cfree"],
+     {"phi": SMALL_TABLE, "psi": {**SMALL_TABLE, "values": {"a": "1", "b": "2"}}},
+     "psi: table has out-of-domain entries: [Word(b)]"),
+    (["transform", "--to", "cfree"],
+     {"phi": {**SMALL_TABLE, "values": {}}, "psi": SMALL_TABLE},
+     "phi: table is missing a value for 'a'"),
+], ids=["cumulants-entry", "psi-domain", "phi-missing"])
+def test_value_errors_in_a_pair_name_their_member(tmp_path, capsys, argv, pair, line):
+    src = tmp_path / "pair.json"
+    write_json(src, pair)
+    assert main(argv + ["--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("argv, table, member", [
+    (["transform", "--to", "free"], HUGE_HEADER, ""),
+    (["transform", "--to", "cfree"], {"phi": SMALL_TABLE, "psi": HUGE_HEADER}, "psi: "),
+    (["transform", "--from", "cfree"], {"cumulants": SMALL_TABLE, "psi": HUGE_HEADER}, "psi: "),
+    (["convolve", "--kind", "monotone", "--input2", "{small}"], HUGE_HEADER, ""),
     (["convolve", "--kind", "cfree", "--input2", "{small}"],
-     {"phi": HUGE_HEADER, "psi": SMALL_TABLE}),
+     {"phi": HUGE_HEADER, "psi": SMALL_TABLE}, "phi: "),
 ], ids=["to", "to-cfree", "from-cfree", "convolve", "convolve-cfree"])
 def test_truncation_is_checked_before_any_value_is_parsed(tmp_path, monkeypatch, capsys,
-                                                          argv, table):
+                                                          argv, table, member):
     """A table header's degree is refused before its values are read: the
-    error names the truncation, not a missing value."""
+    error names the truncation (and the member of a pair), not a missing
+    value."""
     src, small = tmp_path / "huge.json", tmp_path / "small.json"
     write_json(src, table)
     write_json(small, {"phi": SMALL_TABLE, "psi": SMALL_TABLE} if "cfree" in argv
@@ -305,7 +328,7 @@ def test_truncation_is_checked_before_any_value_is_parsed(tmp_path, monkeypatch,
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: truncation degree must be in [1, 12], got 100000000\n"
+    assert err == f"error: {member}truncation degree must be in [1, 12], got 100000000\n"
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])

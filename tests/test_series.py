@@ -3,7 +3,9 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import factorial
+from operator import add, mul, sub
 
 import pytest
 
@@ -34,7 +36,9 @@ from shufflecalc import (
     ad_upper,
     unit,
 )
+from shufflecalc import coalgebra, functionals
 from shufflecalc.functionals import (
+    _Product,
     _domain,
     barwords_up_to,
     functionals_agree,
@@ -45,6 +49,7 @@ from shufflecalc.functionals import (
     prelie,
 )
 from shufflecalc.series import bernoulli
+from shufflecalc.verify import VerifyConfig, run_checks
 from shufflecalc.words import words_up_to
 
 ALPHABET = ["a", "b"]
@@ -85,6 +90,15 @@ def test_bernoulli_refuses_a_negative_index():
     for m in (-1, -5):
         with pytest.raises(DomainError, match=f"got {m}$"):
             bernoulli(m)
+
+
+@pytest.mark.parametrize("m", [2.5, "3", True, None, Fraction(2)])
+def test_bernoulli_refuses_a_non_integer_index(m):
+    """Only an int other than a bool is an index: a float or a string would
+    escape as a bare TypeError, and True would read B_1."""
+    with pytest.raises(DomainError) as info:
+        bernoulli(m)
+    assert str(info.value) == f"bernoulli requires an integer m >= 0, got {m!r}"
 
 
 class TestExponentialClosedForms:
@@ -495,9 +509,46 @@ def _batched_nums(node, alphabet, degree):
     return [x for d in range(degree + 1) for x in node._degree(domain, d)]
 
 
+def _agreeing_tables(cls, alphabet, degree, rng):
+    """Two tables of ``cls`` whose values agree on the words of length up
+    to 2 and differ on every longer word."""
+    values = {w: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for w in words_up_to(alphabet, degree)}
+    shifted = {w: v + (Fraction(rng.randint(1, 9), rng.randint(1, 9)) if len(w) > 2 else 0)
+               for w, v in values.items()}
+    return cls(alphabet, degree, values), cls(alphabet, degree, shifted)
+
+
+def _skip_legs(alphabet, degree):
+    """Two legs whose degree lists the batch path skips by value:
+    ``zero_to_2``, a difference of infinitesimal characters, is 0 on every
+    bar-word of degree 1 and 2 and on every multi-factor bar-word, but not
+    on the words of degree 3; ``flat_at_3``, a difference of characters, is
+    0 on every multi-factor bar-word of degree 3 but not of degree 4."""
+    rng = random.Random(8000 + len(alphabet))
+    first, second = _agreeing_tables(CumulantTable, alphabet, degree, rng)
+    zero_to_2 = infinitesimal(first) - infinitesimal(second)
+    first, second = _agreeing_tables(MomentTable, alphabet, degree, rng)
+    return zero_to_2, character(first) - character(second)
+
+
+_SPLITS = {"conv": coalgebra.coproduct, "half_left": coalgebra.half_coproduct_left,
+           "half_right": coalgebra.half_coproduct_right}
+
+
+def _split_product(split, known, other, known_left):
+    """The one-term ``_Product`` that pairs ``known`` and ``other`` through
+    ``split``, the known leg on the left or the right."""
+    on_unit = None if split is coalgebra.coproduct else 0
+    return _Product(((1, split, known, known_left),), other, on_unit=on_unit)
+
+
 def _batch_cases(alphabet, degree):
     """The guarded nodes plus a sum with a zero part, the inverse, both
-    half-shuffles and ``E>``, whose known factor sits on the right."""
+    half-shuffles and ``E>``, whose known factor sits on the right; and the
+    two ``_skip_legs`` through each split, as the known leg on either side
+    and as the other leg, ``zero_to_2`` beside a character and
+    ``flat_at_3`` beside an infinitesimal character."""
     nodes = _guarded_nodes(alphabet, degree)
     rng = random.Random(7000 + len(alphabet))
     x = infinitesimal(CumulantTable.random(alphabet, degree, rng))
@@ -509,6 +560,15 @@ def _batch_cases(alphabet, degree):
         "half_right": half_right(x, f),
         "exp_right_alone": exp_right(x),
     })
+    zero_to_2, flat_at_3 = _skip_legs(alphabet, degree)
+    for leg, leg_name, partner in ((zero_to_2, "zero_to_2", f), (flat_at_3, "flat_at_3", x)):
+        for split_name, split in _SPLITS.items():
+            for known_left in (True, False):
+                side = "left" if known_left else "right"
+                nodes[f"{split_name}_{leg_name}_known_{side}"] = _split_product(
+                    split, leg, partner, known_left)
+                nodes[f"{split_name}_{leg_name}_other_known_{side}"] = _split_product(
+                    split, partner, leg, known_left)
     return nodes
 
 
@@ -522,6 +582,79 @@ def test_degree_batches_match_point_queries(alphabet, degree):
         expected = _lazy_nums(lazy[name], alphabet, degree)
         assert _batched_nums(batched[name], alphabet, degree) == expected, name
         assert any(expected[1:]), name
+
+
+@pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4)])
+def test_skip_legs_have_their_zero_patterns(alphabet, degree):
+    """Where the batch path finds each ``_skip_legs`` list to start: None for
+    an all-zero list, past the multi-factor bar-words for a flat one."""
+    domain = _domain(tuple(alphabet))
+    zero_to_2, flat_at_3 = _skip_legs(list(alphabet), degree)
+
+    def starts(node):
+        return [domain.start(node._degree(domain, d), d) for d in range(degree + 1)]
+
+    def multi(d):
+        return len(domain.bars(d)) - len(alphabet) ** d
+
+    assert starts(zero_to_2) == [None, None, None] + [multi(d) for d in range(3, degree + 1)]
+    assert starts(flat_at_3)[:5] == [None, None, None, multi(3), 0]
+
+
+def test_an_all_zero_known_leg_leaves_the_other_leg_unread():
+    """The batch path reads the known leg's degree list first and skips a
+    left-leg degree where it is all 0 without reading the other leg."""
+    alphabet = ["a", "b"]
+    domain = _domain(tuple(alphabet))
+    zero_to_2, _ = _skip_legs(alphabet, 4)
+    other = rand_char(91)
+    node = conv(zero_to_2, other)
+    assert not any(node._degree(domain, 2))
+    assert other._lists == {}
+    assert any(node._degree(domain, 3))
+    assert list(other._lists) == [(domain.alphabet, 0)]
+
+
+def _unfiltered_split_sum(domain, split, d, weights, left, right, total):
+    """``functionals._split_sum`` before terms were skipped by the legs'
+    values: every term of every k with a nonzero weight, with ``left`` and
+    ``right`` the two legs' degree lists."""
+    for k, terms in enumerate(domain.split_index(split, d)):
+        weight = weights[k]
+        if not weight or terms is None:
+            continue
+        lpos, rpos, coeffs, bounds = terms
+        products = map(mul, map(left(domain, k).__getitem__, lpos),
+                       map(right(domain, d - k).__getitem__, rpos))
+        if coeffs is not None:
+            products = map(mul, coeffs, products)
+        sums = list(accumulate(products, initial=0))
+        per_bar = map(sub, map(sums.__getitem__, islice(bounds, 1, None)),
+                      map(sums.__getitem__, bounds))
+        total = list(map(add, total, map(weight.__mul__, per_bar)))
+    return total
+
+
+def test_split_sums_match_the_unfiltered_sum_on_every_suite(monkeypatch):
+    """Every batch split sum that the 27 verify suites make over {a, b} up
+    to degree 3 equals the sum over all of its terms, and the suites
+    still pass; some of those sums skip terms by a flat leg."""
+    fast = functionals._split_sum
+    calls = []
+
+    def checked(domain, split, d, weights, known, other, known_left, total):
+        got = fast(domain, split, d, weights, known, other, known_left, total)
+        left, right = (known, other) if known_left else (other, known)
+        assert got == _unfiltered_split_sum(domain, split, d, weights, left, right, total)
+        calls.append(domain)
+        return got
+
+    monkeypatch.setattr(functionals, "_split_sum", checked)
+    _domain.cache_clear()  # so that the restricted indexes below are this run's
+    results = run_checks(VerifyConfig(("a", "b"), 3))
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 27 and calls
+    assert any(len(key) == 5 for key in calls[0]._indexes), "no term was skipped by a flat leg"
 
 
 def test_a_series_inside_a_sum_keeps_its_values():
