@@ -39,17 +39,20 @@ integer weights, so both give the same numerators.
   values.  So each node gives it all its numerators on one degree d of a
   ``_Domain`` (the bar-words of d and the split indexes over them) at once
   (``_degree``), kept as one list per degree beside the memo.  A parent
-  builds its list from its children's with a few ``map``/``accumulate``
-  passes per left-leg degree over flat split indexes (``_split_sum``).  A
-  degree holds thousands of split terms, where one bar-word holds about
-  ten, too few for C-level passes to pay.  Lists, not memo entries, keep
-  the extra memory small.  As the point path skips a zero known leg,
-  ``_split_sum`` skips the terms that are 0 by the legs' values, read from
-  the lists and never from the type of a node (the checks exist to test
-  which nodes are infinitesimal): a left-leg degree where either leg's
-  list is all 0, the known leg's read first, and, where a leg's list is 0
-  on every multi-factor bar-word of its degree, as the Lie side's is, the
-  terms whose leg on that side has more than one factor.
+  builds its list from its children's over flat split indexes
+  (``_split_sum``): per left-leg degree, a few C-level passes over its
+  terms (gather both legs, multiply, take running sums) and one gather of
+  those sums at the bar-words' bounds; per call, one difference per
+  bar-word.  A degree holds thousands of split terms, where one bar-word
+  holds about ten, too few for C-level passes to pay.  Lists, not memo
+  entries, keep the extra memory small.  As the point path skips a zero
+  known leg, ``_split_sum`` skips the terms that are 0 by the legs'
+  values, read from the lists and never from the type of a node (the
+  checks exist to test which nodes are infinitesimal): a left-leg degree
+  where either leg's list is all 0, the known leg's read first, and, where
+  a leg's list is 0 on every multi-factor bar-word of its degree, as the
+  Lie side's is, the terms whose leg on that side has more than one
+  factor.
 
 The caller picks the path by what it asks for; there is no switch.
 
@@ -65,11 +68,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice
 from math import lcm
-from operator import add, mul, ne, sub
+from operator import add, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator
 
 from . import coalgebra
-from .errors import DomainError
+from .errors import DomainError, is_int, quoted
 from .tables import CumulantTable, MomentTable, ValueTable
 from .words import UNIT, BarWord, Word, words_over, words_up_to
 
@@ -435,8 +438,12 @@ def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left
     ``Functional._degree`` does.
 
     The terms of one left-leg degree k are summed in a few C-level passes
-    over ``domain.split_index``: gather both legs, multiply, take running
-    sums and subtract them at each bar-word's bounds.  Terms that are 0 by
+    over ``domain.split_index``: fold ``weights[k]`` into the shorter leg's
+    list (a new list; the child's is never scaled), gather both legs,
+    multiply and take running sums S.  The sum over the i-th bar-word's
+    terms is ``S[bounds[i + 1]] - S[bounds[i]]``, so only ``S`` at
+    ``bounds`` is kept, added into ``marks`` across the k; the per-bar-word
+    differences are taken once per call, at the end.  Terms that are 0 by
     the legs' values are skipped, as the point path skips a zero known
     leg:
     - a k whose weight is 0 is skipped and its legs are never read, which
@@ -446,6 +453,7 @@ def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left
     - if a leg's list is 0 on every multi-factor bar-word of its degree,
       as an infinitesimal character's is, only the terms whose leg on that
       side has one factor are summed (``domain.split_terms``)."""
+    marks = None
     for k, terms in enumerate(domain.split_index(split, d)):
         weight = weights[k]
         if not weight or terms is None:
@@ -468,14 +476,28 @@ def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left
             if terms is None:
                 continue
         lpos, rpos, coeffs, bounds = terms
-        products = map(mul, map(left.__getitem__, lpos), map(right.__getitem__, rpos))
+        if weight != 1:
+            # folded into a new list, never the child's own
+            if len(left) <= len(right):
+                left = list(map(weight.__mul__, left))
+            else:
+                right = list(map(weight.__mul__, right))
+        products = map(mul, _gather(left, lpos), _gather(right, rpos))
         if coeffs is not None:
             products = map(mul, coeffs, products)
-        sums = list(accumulate(products, initial=0))
-        per_bar = map(sub, map(sums.__getitem__, islice(bounds, 1, None)),
-                      map(sums.__getitem__, bounds))
-        total = list(map(add, total, map(weight.__mul__, per_bar)))
-    return total
+        # bounds holds one more item than the bar-words, so at least two
+        at = itemgetter(*bounds)(list(accumulate(products, initial=0)))
+        marks = at if marks is None else list(map(add, marks, at))
+    if marks is None:
+        return total
+    return list(map(add, total, map(sub, islice(marks, 1, None), marks)))
+
+
+def _gather(values: list[int], positions: list[int]):
+    """``values`` at ``positions``, in order."""
+    if len(positions) == 1:
+        return (values[positions[0]],)
+    return itemgetter(*positions)(values)
 
 
 def unit() -> Functional:
@@ -521,6 +543,11 @@ def _require_group(f: Functional, what: str) -> None:
         raise DomainError(f"{what} requires a functional equal to 1 on the unit")
 
 
+def _require_degree(max_degree) -> None:
+    if not is_int(max_degree) or max_degree < 0:
+        raise DomainError(f"max_degree must be an integer >= 0, got {quoted(max_degree)}")
+
+
 def inverse(f: Functional) -> Functional:
     """Convolution inverse of a functional normalized to 1 on the unit: the
     solution of ``X = e + (e - f) * X``."""
@@ -532,6 +559,7 @@ def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> boo
     """Exhaustively check that f is a character on all bar-words of degree
     <= max_degree over the alphabet: that it agrees with the character of
     its own word values, which is 1 on the unit and multiplicative."""
+    _require_degree(max_degree)
     moments = materialize(f, alphabet, max(max_degree, 1), MomentTable)
     return functionals_agree(f, character(moments), alphabet, max_degree) is None
 
@@ -541,6 +569,7 @@ def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) ->
     bar-words of degree <= max_degree over the alphabet: that it agrees
     with the infinitesimal extension of its own word values, which vanishes
     on the unit and on proper bar-products."""
+    _require_degree(max_degree)
     cumulants = materialize(f, alphabet, max(max_degree, 1), CumulantTable)
     return functionals_agree(f, infinitesimal(cumulants), alphabet, max_degree) is None
 
@@ -563,6 +592,7 @@ def functionals_agree(
     else the first counterexample as (bar-word, f-value, g-value).  Values
     are compared one whole degree at a time, as cross-multiplied
     numerators, ``f.num(b) * g.den(d)`` against ``g.num(b) * f.den(d)``."""
+    _require_degree(max_degree)
     domain = _domain(tuple(sorted(alphabet)))
     for d in range(0 if include_unit else 1, max_degree + 1):
         fden, gden = f.den(d), g.den(d)

@@ -93,13 +93,16 @@ def _format(num: int, den: int) -> str:
 def _letters(alphabet: Iterable[str], max_len: int, names=None) -> tuple[str, ...]:
     """The sorted letters of the domain of a table, the words of length
     1..max_len over ``alphabet``.  Raises what a walk over the domain in
-    ``words_up_to`` order meets first: an empty alphabet, ``max_len < 1``,
-    a letter name that ``Word`` refuses (each checked when its one-letter
-    word is reached), or, given ``names``, the dotted names of the words a
-    table has values for, a word whose name is not among them."""
+    ``words_up_to`` order meets first: an empty alphabet, a ``max_len``
+    that is not an integer or is below 1, a letter name that ``Word``
+    refuses (each checked when its one-letter word is reached), or, given
+    ``names``, the dotted names of the words a table has values for, a word
+    whose name is not among them."""
     letters = tuple(sorted(set(alphabet)))
     if not letters:
         raise DomainError("alphabet must be nonempty")
+    if not is_int(max_len):
+        raise DomainError(f"max_len must be an integer, got {quoted(max_len)}")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
     for n in range(1, max_len + 1 if names is not None else 2):

@@ -24,6 +24,7 @@ from shufflecalc import (
     materialize,
     prelie,
     unit,
+    unit_state,
 )
 from shufflecalc.functionals import barwords_up_to, functionals_agree
 from shufflecalc.tables import ValueTable, _format
@@ -286,9 +287,54 @@ def test_materialize_freezes_word_values(moments):
     assert isinstance(table, MomentTable)
 
 
+_TABLE_MAKERS = {
+    "dict": lambda max_len: MomentTable(["a"], max_len, {Word("a"): Fraction(1)}),
+    "zeros": lambda max_len: MomentTable.zeros(["a"], max_len),
+    "random": lambda max_len: MomentTable.random(["a"], max_len, random.Random(0)),
+    "unit_state": lambda max_len: unit_state(["a"], max_len),
+}
+
+
+@pytest.mark.parametrize("max_len, line", [
+    *((m, f"max_len must be an integer, got {m!r}") for m in (2.5, "3", None, True)),
+    (0, "max_len must be >= 1"),
+])
+@pytest.mark.parametrize("make", _TABLE_MAKERS)
+def test_table_max_len_must_be_a_positive_integer(make, max_len, line):
+    with pytest.raises(DomainError) as err:
+        _TABLE_MAKERS[make](max_len)
+    assert str(err.value) == line
+
+
 def test_moment_and_cumulant_tables_are_value_tables():
     assert issubclass(MomentTable, ValueTable)
     assert issubclass(CumulantTable, ValueTable)
+
+
+_EXHAUSTIVE_CHECKS = {
+    "functionals_agree": lambda f, degree: functionals_agree(f, f, ["a", "b"], degree),
+    "is_character": lambda f, degree: is_character(f, ["a", "b"], degree),
+    "is_infinitesimal": lambda f, degree: is_infinitesimal(f, ["a", "b"], degree),
+}
+
+
+@pytest.mark.parametrize("degree", [2.5, True, -1, "2", None])
+@pytest.mark.parametrize("check", _EXHAUSTIVE_CHECKS)
+def test_exhaustive_checks_refuse_a_degree_that_is_no_natural_number(moments, check, degree):
+    """Before any work: a float or a bool no longer runs, and a negative
+    degree no longer passes every functional."""
+    with pytest.raises(DomainError) as err:
+        _EXHAUSTIVE_CHECKS[check](character(moments), degree)
+    assert str(err.value) == f"max_degree must be an integer >= 0, got {degree!r}"
+
+
+def test_exhaustive_checks_run_at_degree_0(moments):
+    f = character(moments)
+    assert functionals_agree(f, f + unit(), ["a", "b"], 0) == (UNIT, 1, 2)
+    assert is_character(f, ["a", "b"], 0)
+    assert not is_character(f + unit(), ["a", "b"], 0)
+    assert is_infinitesimal(f - unit(), ["a", "b"], 0)
+    assert not is_infinitesimal(f, ["a", "b"], 0)
 
 
 def reference_is_character(f, alphabet, max_degree):

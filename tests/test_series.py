@@ -572,7 +572,7 @@ def _batch_cases(alphabet, degree):
     return nodes
 
 
-@pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4)])
+@pytest.mark.parametrize("alphabet, degree", [("a", 7), ("ab", 5), ("abc", 4)])
 def test_degree_batches_match_point_queries(alphabet, degree):
     alphabet = list(alphabet)
     lazy = _batch_cases(alphabet, degree)
@@ -613,6 +613,32 @@ def test_an_all_zero_known_leg_leaves_the_other_leg_unread():
     assert other._lists == {}
     assert any(node._degree(domain, 3))
     assert list(other._lists) == [(domain.alphabet, 0)]
+
+
+@pytest.mark.parametrize("split_name", _SPLITS)
+@pytest.mark.parametrize("known_left", [True, False])
+def test_a_batch_leaves_its_legs_lists_unchanged(split_name, known_left):
+    """A split sum folds each weight into a new list: the children's degree
+    lists read the same after their parent's batch as before it.  The legs
+    have the bases 2 and 3, so the weights ``den(d) / (den_known(k) *
+    den_other(d - k))`` are other than 1 and -1."""
+    alphabet, degree = ["a", "b"], 4
+    domain = _domain(tuple(alphabet))
+    words = list(words_up_to(alphabet, degree))
+    known = character(MomentTable(alphabet, degree, {
+        w: Fraction(2 * i + 1, 2) for i, w in enumerate(words)}))
+    other = infinitesimal(CumulantTable(alphabet, degree, {
+        w: Fraction(3 * i + 1, 3) for i, w in enumerate(words)}))
+    node = _split_product(_SPLITS[split_name], known, other, known_left)
+    legs = (known, other)
+    for leg in legs:
+        for d in range(degree + 1):
+            leg._degree(domain, d)
+    before = [{key: list(values) for key, values in leg._lists.items()} for leg in legs]
+    for d in range(degree + 1):
+        node._degree(domain, d)
+    assert [leg._lists for leg in legs] == before
+    assert any(abs(w) > 1 for d in range(degree + 1) for w in node._scale(d)[1][0])
 
 
 def _unfiltered_split_sum(domain, split, d, weights, left, right, total):
