@@ -7,7 +7,8 @@ pairs the two legs of the coproduct or of a half-coproduct with a known
 factor and another node: that one node gives the convolution, both
 half-shuffles (and so the pre-Lie product, a sum of two), the fixed points
 of ``X = e + g . X`` behind the convolution inverse and the half-shuffle
-exponentials, and each power of the series in ``series``.
+exponentials, and each step ``L(H_{j+1})`` of the Horner chains by which
+``series`` evaluates its power series.
 
 The coproduct and both half-coproducts preserve degree, so every node is
 homogeneous: its values on the bar-words of degree d share one positive
@@ -73,7 +74,7 @@ from typing import Iterable, Iterator
 
 from . import coalgebra
 from .errors import DomainError, is_int, quoted
-from .tables import CumulantTable, MomentTable, ValueTable
+from .tables import CumulantTable, MomentTable, ValueTable, _letters
 from .words import UNIT, BarWord, Word, words_over, words_up_to
 
 ZERO = Fraction(0)
@@ -543,9 +544,14 @@ def _require_group(f: Functional, what: str) -> None:
         raise DomainError(f"{what} requires a functional equal to 1 on the unit")
 
 
-def _require_degree(max_degree) -> None:
+def _check_domain(alphabet: Iterable[str], max_degree) -> tuple[str, ...]:
+    """The sorted letters of an exhaustive check's domain, once max_degree
+    is an integer >= 0 and the alphabet passes what a table's alphabet
+    passes (``tables._letters``), each refused with one line before any
+    work."""
     if not is_int(max_degree) or max_degree < 0:
         raise DomainError(f"max_degree must be an integer >= 0, got {quoted(max_degree)}")
+    return _letters(alphabet, max(max_degree, 1))
 
 
 def inverse(f: Functional) -> Functional:
@@ -559,9 +565,9 @@ def is_character(f: Functional, alphabet: Iterable[str], max_degree: int) -> boo
     """Exhaustively check that f is a character on all bar-words of degree
     <= max_degree over the alphabet: that it agrees with the character of
     its own word values, which is 1 on the unit and multiplicative."""
-    _require_degree(max_degree)
-    moments = materialize(f, alphabet, max(max_degree, 1), MomentTable)
-    return functionals_agree(f, character(moments), alphabet, max_degree) is None
+    letters = _check_domain(alphabet, max_degree)
+    moments = materialize(f, letters, max(max_degree, 1), MomentTable)
+    return functionals_agree(f, character(moments), letters, max_degree) is None
 
 
 def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) -> bool:
@@ -569,9 +575,9 @@ def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) ->
     bar-words of degree <= max_degree over the alphabet: that it agrees
     with the infinitesimal extension of its own word values, which vanishes
     on the unit and on proper bar-products."""
-    _require_degree(max_degree)
-    cumulants = materialize(f, alphabet, max(max_degree, 1), CumulantTable)
-    return functionals_agree(f, infinitesimal(cumulants), alphabet, max_degree) is None
+    letters = _check_domain(alphabet, max_degree)
+    cumulants = materialize(f, letters, max(max_degree, 1), CumulantTable)
+    return functionals_agree(f, infinitesimal(cumulants), letters, max_degree) is None
 
 
 def materialize(f: Functional, alphabet: Iterable[str], max_len: int, cls=ValueTable):
@@ -592,8 +598,7 @@ def functionals_agree(
     else the first counterexample as (bar-word, f-value, g-value).  Values
     are compared one whole degree at a time, as cross-multiplied
     numerators, ``f.num(b) * g.den(d)`` against ``g.num(b) * f.den(d)``."""
-    _require_degree(max_degree)
-    domain = _domain(tuple(sorted(alphabet)))
+    domain = _domain(_check_domain(alphabet, max_degree))
     for d in range(0 if include_unit else 1, max_degree + 1):
         fden, gden = f.den(d), g.den(d)
         fnums, gnums = f._degree(domain, d), g._degree(domain, d)

@@ -7,11 +7,14 @@ series: they solve ``X = e + a < X`` and ``Y = e + Y > a`` directly, as the
 convolution inverse (``functionals.inverse``) solves ``X = e + (e - f) * X``.
 ``exp*``, ``log*`` and the Magnus pair are power series
 ``sum_m c_m L^m(seed)`` in a linear map L (right convolution by a
-known factor, or the pre-Lie product ``w |>``); each is one ``_Series`` node,
-a sum over the powers ``L^m(seed)``, which stops by grading at the degree of
-the bar-word.  Each power is a split-product node (``functionals._Product``)
-of L with the power before it, with its own memo and denominators, made when
-a degree first needs it.  Group-side arguments must take the value 1 on the
+known factor, or the pre-Lie product ``w |>``), each evaluated in Horner
+form: the series is the first node of a chain ``H_j = c_j seed +
+L(H_{j+1})``, the affine form of the fixed point ``X = seed + L(X)``.  Each
+``L(H_{j+1})`` is one split-product node (``functionals._Product``), and the
+chain stops by grading: ``H_j`` is only read below degree ``d - j + 1`` on
+a bar-word of degree d, and is made when a degree first needs it.  As L is
+linear, a degree costs the series one split pass per term of L, however
+many powers reach it.  Group-side arguments must take the value 1 on the
 unit, Lie-side arguments the value 0; only these cheap normalizations are
 checked at construction, by ``functionals._require_group`` and
 ``_require_lie``, which ``inverse`` shares (full character/infinitesimal
@@ -29,10 +32,12 @@ from weakref import proxy
 from . import coalgebra
 from .errors import DomainError, is_int, quoted
 from .functionals import (
+    ONE,
     ZERO,
     Functional,
     _Product,
     _Sum,
+    _check_domain,
     _require_group,
     _require_lie,
     conv,
@@ -62,35 +67,39 @@ def bernoulli(m: int) -> Fraction:
 
 
 class _Series(_Sum):
-    """``sum_m coeff(m) P_m``, where ``P_0 = seed`` and ``P_m = L(P_{m-1})``
-    for a linear map L.
+    """``sum_m coeff(m) L^m(seed)`` for a linear map L, as the Horner chain
+    node ``H_j = coeff(j) seed + L(H_{j+1})``; the series is ``H_0``.
 
     L is given as ``(sign, split, known, known_left)`` terms, as for a
-    ``_Product``; ``known is None`` stands for the series itself, read
-    through a weak proxy so that no power refers back to the series.  Every
-    known factor vanishes on the unit, so L raises the degree: P_m vanishes
-    below degree ``m + low``, where ``low`` is 1 if the seed vanishes on the
-    unit and 0 otherwise, and on a bar-word of degree d the series stops at
-    ``m = d - low``.  So the series is a sum whose parts at degree d are
-    ``coeff(m) P_m`` for ``m <= d - low``, and P_m is the ``_Product`` of L
-    with ``P_{m-1}`` whose known leg has degree ``1..d - (m - 1 + low)``,
-    made when a degree first needs it.  That range also keeps a series that
-    is its own known factor below its own ``den(d)``.
+    ``_Product``; ``known is None`` stands for the series ``H_0`` itself,
+    read through a weak proxy so that no chain node refers back to it.
+    Every known factor vanishes on the unit, so L raises the degree:
+    ``L^m(seed)`` vanishes below degree ``m + low``, where ``low`` is 1 if
+    the seed vanishes on the unit and 0 otherwise.  So ``L(H_{j+1})`` is
+    the ``_Product`` of L with ``H_{j+1}`` whose known leg has degree
+    ``1..d - low``, 0 below degree ``1 + low``, where ``H_j`` is
+    ``coeff(j) seed`` alone; ``tail`` holds it, made with ``H_{j+1}`` when a
+    degree of at least ``1 + low`` first needs it.  On a bar-word of degree
+    d, ``H_j`` is read below degree ``d - j + 1`` only, so the chain stops at
+    ``H_{d - low}``, and a series that is its own known factor is read below
+    its own ``den(d)``.
     """
 
-    def __init__(self, seed: Functional, coeff, step):
-        super().__init__(())
-        self.coeff = coeff
+    def __init__(self, seed: Functional, coeff, step, j: int = 0):
+        super().__init__(((coeff(j), seed),))
+        self.seed, self.coeff, self.j = seed, coeff, j
         self.step = tuple((sign, split, proxy(self) if known is None else known, known_left)
                           for sign, split, known, known_left in step)
-        self.powers = [seed]
+        self.tail = None
         self._low = 1 if seed(UNIT) == ZERO else 0
 
     def _parts(self, d: int):
-        powers, low = self.powers, self._low
-        while len(powers) < d + 1 - low:
-            powers.append(_Product(self.step, powers[-1], low=1, skip=len(powers) - 1 + low))
-        return [(self.coeff(m), powers[m]) for m in range(d + 1 - low)]
+        if d <= self._low:
+            return self.parts
+        if self.tail is None:
+            after = _Series(self.seed, self.coeff, self.step, self.j + 1)
+            self.tail = _Product(self.step, after, low=1, skip=self._low)
+        return self.parts + ((ONE, self.tail),)
 
 
 def _times(g: Functional):
@@ -200,6 +209,7 @@ def factorize_left(x: Functional, y: Functional, alphabet: Iterable[str], max_de
 
     Returns (ok, lhs, rhs, counterexample) with the witness functionals.
     """
+    alphabet = _check_domain(alphabet, max_degree)
     lhs = exp_left(x + y)
     rhs = conv(exp_left(x), exp_left(ad_lower(x, y)))
     bad = functionals_agree(lhs, rhs, alphabet, max_degree)
@@ -213,6 +223,7 @@ def factorize_right(x: Functional, y: Functional, alphabet: Iterable[str], max_d
     right product ``#>`` (see ``sharp``), and not ``x^{-y} # y = x + y``,
     which already fails at degree 3.
     """
+    alphabet = _check_domain(alphabet, max_degree)
     lhs = exp_right(x + y)
     rhs = conv(exp_right(ad_lower(-y, x)), exp_right(y))
     bad = functionals_agree(lhs, rhs, alphabet, max_degree)

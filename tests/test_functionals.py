@@ -14,6 +14,8 @@ from shufflecalc import (
     Word,
     character,
     conv,
+    factorize_left,
+    factorize_right,
     free_cumulants,
     half_left,
     half_right,
@@ -312,9 +314,15 @@ def test_moment_and_cumulant_tables_are_value_tables():
 
 
 _EXHAUSTIVE_CHECKS = {
-    "functionals_agree": lambda f, degree: functionals_agree(f, f, ["a", "b"], degree),
-    "is_character": lambda f, degree: is_character(f, ["a", "b"], degree),
-    "is_infinitesimal": lambda f, degree: is_infinitesimal(f, ["a", "b"], degree),
+    "functionals_agree": lambda f, degree, alphabet=("a", "b"):
+        functionals_agree(f, f, alphabet, degree),
+    "is_character": lambda f, degree, alphabet=("a", "b"): is_character(f, alphabet, degree),
+    "is_infinitesimal": lambda f, degree, alphabet=("a", "b"):
+        is_infinitesimal(f, alphabet, degree),
+    "factorize_left": lambda f, degree, alphabet=("a", "b"):
+        factorize_left(f - unit(), f - unit(), alphabet, degree),
+    "factorize_right": lambda f, degree, alphabet=("a", "b"):
+        factorize_right(f - unit(), f - unit(), alphabet, degree),
 }
 
 
@@ -326,6 +334,37 @@ def test_exhaustive_checks_refuse_a_degree_that_is_no_natural_number(moments, ch
     with pytest.raises(DomainError) as err:
         _EXHAUSTIVE_CHECKS[check](character(moments), degree)
     assert str(err.value) == f"max_degree must be an integer >= 0, got {degree!r}"
+
+
+@pytest.mark.parametrize("alphabet, line", [
+    ([], "alphabet must be nonempty"),
+    ((), "alphabet must be nonempty"),
+    (["a", "b.c"], "invalid letter name: 'b.c'"),
+    (["", "a"], "invalid letter name: ''"),
+    ([3], "invalid letter name: 3"),
+])
+@pytest.mark.parametrize("degree", [0, 3])
+@pytest.mark.parametrize("check", _EXHAUSTIVE_CHECKS)
+def test_exhaustive_checks_refuse_an_alphabet_no_table_has(moments, check, degree, alphabet,
+                                                           line):
+    """Before any work, by the rule table alphabets pass: an empty alphabet
+    no longer passes every pair of functionals."""
+    with pytest.raises(DomainError) as err:
+        _EXHAUSTIVE_CHECKS[check](character(moments), degree, alphabet)
+    assert str(err.value) == line
+
+
+def test_exhaustive_checks_read_a_repeated_letter_once(moments):
+    """On the domain of the letters, not on one with a letter twice."""
+    other = MomentTable.random(["a", "b"], 3, random.Random(7))
+    once = functionals_agree(character(moments), character(other), ["a"], 3)
+    assert once is not None
+    for alphabet in (["a", "a"], iter("aa")):
+        f, g = character(moments), character(other)
+        assert functionals_agree(f, g, alphabet, 3) == once
+        assert {letters for letters, _ in f._lists} == {("a",)}
+    f = character(moments)
+    assert is_character(f, ["a", "a"], 3) and not is_infinitesimal(f, ["a", "a"], 3)
 
 
 def test_exhaustive_checks_run_at_degree_0(moments):

@@ -3,6 +3,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice
 from math import factorial
 from operator import add, mul, sub
@@ -48,7 +49,7 @@ from shufflecalc.functionals import (
     is_infinitesimal,
     prelie,
 )
-from shufflecalc.series import bernoulli
+from shufflecalc.series import _Series, bernoulli
 from shufflecalc.verify import VerifyConfig, run_checks
 from shufflecalc.words import words_up_to
 
@@ -156,9 +157,9 @@ class TestInversePairs:
 
 class TestFixedPoints:
     """``E<``, ``E>`` and the inverse solve their fixed-point equations, and
-    ``exp*``, ``log*`` and the Magnus pair are power-series nodes; hold them
-    to the series they unfold into, built here from the binary products
-    alone."""
+    ``exp*``, ``log*`` and the Magnus pair are Horner chains; hold them to
+    the power series they unfold into, built here from the binary products
+    alone as towers of powers ``p_{n+1} = step(p_n)``."""
 
     @staticmethod
     def power_sum(first, step, degree, coeff=lambda n: 1):
@@ -171,32 +172,41 @@ class TestFixedPoints:
             power = step(power)
         return total
 
-    @pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4)])
-    def test_match_explicit_power_series(self, alphabet, degree):
-        alphabet = list(alphabet)
+    @classmethod
+    def cases(cls, alphabet, degree):
+        """``(name, node, reference)`` for every fixed point and series, on
+        fresh nodes over seeded tables."""
         a = rand_lie(30, alphabet, degree)
         f = rand_char(31, alphabet, degree)
         g = unit() + rand_lie(32, alphabet, degree)  # not multiplicative
-        left = unit() + self.power_sum(a, lambda p: half_left(a, p), degree)
-        right = unit() + self.power_sum(a, lambda p: half_right(p, a), degree)
-        assert agree(exp_left(a), left, alphabet, degree)
-        assert agree(exp_right(a), right, alphabet, degree)
+        power_sum = partial(cls.power_sum, degree=degree)
+        yield "exp_left", exp_left(a), unit() + power_sum(a, lambda p: half_left(a, p))
+        yield "exp_right", exp_right(a), unit() + power_sum(a, lambda p: half_right(p, a))
         by_factorial = lambda n: Fraction(1, factorial(n))
-        exp = unit() + self.power_sum(a, lambda p: conv(p, a), degree, by_factorial)
-        assert agree(exp_conv(a), exp, alphabet, degree)
-        for h in (f, g):
+        by_log = lambda n: Fraction((-1) ** (n - 1), n)
+        yield ("exp_conv", exp_conv(a),
+               unit() + power_sum(a, lambda p: conv(p, a), coeff=by_factorial))
+        for name, h in (("character", f), ("group-like", g)):
             x = h - unit()
-            neumann = unit() + self.power_sum(x, lambda p: conv(p, x), degree, lambda n: (-1) ** n)
-            assert agree(inverse(h), neumann, alphabet, degree)
-            log = self.power_sum(x, lambda p: conv(p, x), degree,
-                                 lambda n: Fraction((-1) ** (n - 1), n))
-            assert agree(log_conv(h), log, alphabet, degree)
-        inverse_magnus = self.power_sum(a, lambda p: prelie(a, p), degree, by_factorial)
-        assert agree(magnus_inverse(a), inverse_magnus, alphabet, degree)
+            yield (f"inverse of a {name}", inverse(h),
+                   unit() + power_sum(x, lambda p: conv(p, x), coeff=lambda n: (-1) ** n))
+            yield (f"log_conv of a {name}", log_conv(h),
+                   power_sum(x, lambda p: conv(p, x), coeff=by_log))
+        yield ("magnus_inverse", magnus_inverse(a),
+               power_sum(a, lambda p: prelie(a, p), coeff=by_factorial))
         w = magnus(a)
-        bernoulli_sum = self.power_sum(a, lambda p: prelie(w, p), degree,
-                                       lambda n: bernoulli(n - 1) / factorial(n - 1))
-        assert agree(w, bernoulli_sum, alphabet, degree)
+        yield "magnus", w, power_sum(a, lambda p: prelie(w, p),
+                                     coeff=lambda n: bernoulli(n - 1) / factorial(n - 1))
+
+    @pytest.mark.parametrize("alphabet, degree", [("a", 7), ("ab", 5), ("abc", 4)])
+    def test_match_explicit_power_series(self, alphabet, degree):
+        """By the exhaustive check, and by point queries on fresh nodes."""
+        alphabet = list(alphabet)
+        domain = [BarWord(), *barwords_up_to(alphabet, degree)]
+        for name, node, reference in self.cases(alphabet, degree):
+            assert agree(node, reference, alphabet, degree), name
+        for name, node, reference in self.cases(alphabet, degree):
+            assert [node(b) for b in domain] == [reference(b) for b in domain], name
 
     def test_nodes_are_freed_by_reference_counting(self):
         a, f = rand_lie(33), rand_char(34)
@@ -209,7 +219,7 @@ class TestFixedPoints:
                 node = make(arg)
                 for b in barwords_up_to(ALPHABET, N):
                     node(b)
-                refs = [weakref.ref(node)] + _unit_seed(make, node)
+                refs = [weakref.ref(node)] + _series_refs(make, node)
                 del node
                 assert [ref() for ref in refs] == [None] * len(refs), make.__name__
         finally:
@@ -232,20 +242,35 @@ class TestFixedPoints:
                 is_character(node, ALPHABET, N)
                 is_infinitesimal(node, ALPHABET, N)
                 refs = [weakref.ref(node), weakref.ref(other)]
-                refs += _unit_seed(make, node) + _unit_seed(make, other)
+                refs += _series_refs(make, node) + _series_refs(make, other)
                 del node, other
                 assert [ref() for ref in refs] == [None] * len(refs), make
         finally:
             gc.enable()
 
 
-def _unit_seed(make, node) -> list:
-    """A weak reference to the unit seed ``powers[0]`` of the two series
-    that start at the counit, which must be freed with its series."""
-    if make not in (exp_conv, log_conv):
+def _chain(series) -> list:
+    """The Horner chain ``H_0, H_1, ...`` of a series node, as far as it is
+    made: each ``H_{j+1}`` is the other leg of ``H_j``'s tail."""
+    chain = [series]
+    while chain[-1].tail is not None:
+        chain.append(chain[-1].tail.other)
+    return chain
+
+
+def _series_refs(make, node) -> list:
+    """Weak references to the chain nodes past ``H_0`` of the four series,
+    and to the unit seed of the two that start at the counit, all of which
+    must be freed with their series."""
+    if make not in (exp_conv, log_conv, magnus, magnus_inverse):
         return []
-    assert type(node.powers[0]) is type(unit())
-    return [weakref.ref(node.powers[0])]
+    chain = _chain(node)
+    assert len(chain) > 1
+    refs = [weakref.ref(h) for h in chain[1:]]
+    if make in (exp_conv, log_conv):
+        assert type(node.seed) is type(unit())
+        refs.append(weakref.ref(node.seed))
+    return refs
 
 
 class TestMagnus:
@@ -466,36 +491,35 @@ def test_cold_evaluation_order_keeps_values(monkeypatch):
 
 def test_memos_hold_integer_numerators():
     """Below ``__call__`` the engine runs in integers: every memo of every
-    node under the guarded ones holds ``int``s, the power nodes of every
+    node under the guarded ones holds ``int``s, the chain nodes of every
     series node included."""
     nodes = list(_guarded_nodes(["a", "b"], 3).values())
     for node in nodes:
         for b in barwords_up_to(["a", "b"], 3):
             node(b)
     seen = set()
-    power_values = 0
+    chain_values = 0
     while nodes:
         node = nodes.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         assert all(type(v) is int for v in node._memo.values()), node
+        if isinstance(node, _Series) and node.j:
+            chain_values += len(node._memo)
         fields = list(vars(node).values())
         while fields:
             value = fields.pop()
             if type(value) in weakref.ProxyTypes:
-                # a series read by its own powers, reached from its owner
+                # a series read by its own chain, reached from its owner
                 continue
             if isinstance(value, tuple):
                 fields.extend(value)
-            elif isinstance(value, list):
-                # a series' powers: the seed, then P_1, P_2, ...
-                fields.extend(value)
-                power_values += sum(len(power._memo) for power in value[1:])
             elif isinstance(value, Functional):
+                # a series' seed and tail, and the tail's other leg H_{j+1}
                 nodes.append(value)
     assert len(seen) > 30
-    assert power_values > 0
+    assert chain_values > 0
 
 
 def _lazy_nums(node, alphabet, degree):
@@ -684,8 +708,8 @@ def test_split_sums_match_the_unfiltered_sum_on_every_suite(monkeypatch):
 
 
 def test_a_series_inside_a_sum_keeps_its_values():
-    """A series node is a sum over its powers, made per degree; a sum that
-    holds one keeps it whole as a part, by point queries and by degree
+    """A series node is a sum of its seed and its tail, made per degree; a
+    sum that holds one keeps it whole as a part, by point queries and by degree
     batches alike."""
     a = rand_lie(41)
     domain = [BarWord(), *barwords_up_to(ALPHABET, 4)]
@@ -706,6 +730,29 @@ def test_a_series_inside_a_sum_keeps_its_values():
         nums = _batched_nums(node, ALPHABET, 4)
         values = [Fraction(x, node.den(b.degree)) for b, x in zip(domain, nums)]
         assert values == expected[name], name
+
+
+@pytest.mark.parametrize("alphabet, degree", [("a", 7), ("ab", 5), ("abc", 4)])
+@pytest.mark.parametrize("make", [exp_conv, log_conv, magnus, magnus_inverse],
+                         ids=lambda make: make.__name__)
+def test_chain_node_j_is_read_up_to_degree_d_minus_j(make, alphabet, degree):
+    """A series is evaluated in Horner form: after an exhaustive check to
+    degree D, its chain is ``H_0 .. H_{D - low}``, ``H_j`` holds degree
+    lists up to ``D - j`` only, and its tail ``L(H_{j+1})`` from ``1 +
+    low``, where it first can be nonzero.  So a degree costs the series one
+    split pass per term of L, not one per power."""
+    alphabet = list(alphabet)
+    arg = (rand_char if make is log_conv else rand_lie)(50, alphabet, degree)
+    node = make(arg)
+    assert functionals_agree(node, make(arg), alphabet, degree) is None
+    low = 0 if make in (exp_conv, log_conv) else 1
+    chain = _chain(node)
+    assert [h.j for h in chain] == list(range(degree - low + 1))
+    for j, h in enumerate(chain):
+        assert sorted(d for _, d in h._lists) == list(range(low if j else 0, degree - j + 1))
+        if j < len(chain) - 1:
+            assert sorted(d for _, d in h.tail._lists) == list(range(1 + low, degree - j + 1))
+    assert chain[-1].tail is None
 
 
 @pytest.mark.parametrize("include_unit", [True, False])
