@@ -15,6 +15,14 @@ heavily: one cache per kind, keyed by bar-word (``_full_cache``,
 coproduct is the constant ``_UNIT_SUM`` and its halves are undefined.
 Bar-words are interned (see ``words``), so the keys of these caches and the
 legs of their terms are shared, not copied.  The caches are never cleared.
+
+A one-factor bar-word is split from a letter-free plan of its length
+(``_plan``): per mask over the positions, in mask order, the extracted
+positions and the complement's runs.  One plan serves all three kinds, the
+halves being its rows that hold or avoid position 1.  The legs are found
+through the intern tables ``_WORDS`` and ``_BARWORDS`` before anything is
+constructed.  A multi-factor bar-word multiplies the split of its first
+factor by the full coproducts of the others, with ``BarWord.concat``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import DomainError
-from .words import UNIT, BarWord, Word, complement_components
+from .words import _BARWORDS, _WORDS, UNIT, BarWord, Word
 
 
 class TensorSum:
@@ -108,14 +116,51 @@ _left_cache: dict[BarWord, TensorSum] = {}
 _right_cache: dict[BarWord, TensorSum] = {}
 
 
-def _split_term(w: Word, mask: int, n: int) -> tuple[BarWord, BarWord]:
-    positions = [i + 1 for i in range(n) if mask >> i & 1]
-    if positions:
-        left = BarWord.of(Word(w.letters[p - 1] for p in positions))
-    else:
-        left = UNIT
-    right = complement_components(w, positions)
-    return left, right
+# One letter-free plan per word length n: per mask over the positions, in
+# mask order, the extracted 0-based positions and the complement's runs as
+# indices into the plan's list of ``(start, stop)`` runs.  The rows of odd
+# masks hold position 1, those of even masks avoid it.
+_plans: dict[int, tuple] = {}
+
+
+def _plan(n: int) -> tuple:
+    plan = _plans.get(n)
+    if plan is None:
+        runs = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+        run_index = {run: i for i, run in enumerate(runs)}
+        rows = []
+        for mask in range(1 << n):
+            positions = tuple(x for x in range(n) if mask >> x & 1)
+            bounds = (-1, *positions, n)
+            rows.append((positions, tuple(run_index[a + 1, b] for a, b in zip(bounds, bounds[1:])
+                                          if b > a + 1)))
+        plan = _plans[n] = (runs, rows)
+    return plan
+
+
+def _word_split(w: Word, keep_first: bool | None) -> TensorSum:
+    """The split of the one-factor bar-word of ``w`` from the plan of its
+    length, interning each leg through ``_WORDS``/``_BARWORDS`` lookups
+    before constructing anything."""
+    letters = w.letters
+    runs, rows = _plan(len(letters))
+    if keep_first is not None:
+        rows = rows[keep_first::2]
+    pieces = []
+    for a, b in runs:
+        sub = letters[a:b]
+        pieces.append(_WORDS.get(sub) or Word(sub))
+    terms = []
+    for positions, parts in rows:
+        if positions:
+            sub = tuple(map(letters.__getitem__, positions))
+            word = _WORDS.get(sub) or Word(sub)
+            left = _BARWORDS.get((word,)) or BarWord((word,))
+        else:
+            left = UNIT
+        factors = tuple(map(pieces.__getitem__, parts))
+        terms.append((left, _BARWORDS.get(factors) or BarWord(factors), 1))
+    return TensorSum(terms)
 
 
 def _split(b: BarWord, keep_first: bool | None, cache: dict) -> TensorSum:
@@ -130,11 +175,7 @@ def _split(b: BarWord, keep_first: bool | None, cache: dict) -> TensorSum:
         raise DomainError("the half-coproducts are not defined on the unit")
     first = factors[0]
     if len(factors) == 1:
-        n = len(first)
-        result = TensorSum(
-            (*_split_term(first, mask, n), 1) for mask in range(1 << n)
-            if keep_first is None or bool(mask & 1) == keep_first
-        )
+        result = _word_split(first, keep_first)
     else:
         head = BarWord.of(first)
         result = cache.get(head)

@@ -583,8 +583,9 @@ def is_infinitesimal(f: Functional, alphabet: Iterable[str], max_degree: int) ->
 def materialize(f: Functional, alphabet: Iterable[str], max_len: int, cls=ValueTable):
     """Evaluate f on all single-factor bar-words up to max_len and freeze the
     values into a table."""
-    values = {w: f(BarWord.of(w)) for w in words_up_to(alphabet, max_len)}
-    return cls(alphabet, max_len, values)
+    letters = _letters(alphabet, max_len)
+    values = {w: f(BarWord.of(w)) for w in words_up_to(letters, max_len)}
+    return cls(letters, max_len, values)
 
 
 def functionals_agree(

@@ -97,17 +97,23 @@ def _letters(alphabet: Iterable[str], max_len: int, names=None) -> tuple[str, ..
     that is not an integer or is below 1, a letter name that ``Word``
     refuses (each checked when its one-letter word is reached), or, given
     ``names``, the dotted names of the words a table has values for, a word
-    whose name is not among them."""
-    letters = tuple(sorted(set(alphabet)))
-    if not letters:
+    whose name is not among them.  A letter that is not a string cannot be
+    sorted among the others, so the first one, in the given order, is
+    refused before the walk."""
+    alphabet = tuple(alphabet)
+    if not alphabet:
         raise DomainError("alphabet must be nonempty")
     if not is_int(max_len):
         raise DomainError(f"max_len must be an integer, got {quoted(max_len)}")
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    for letter in alphabet:
+        if not isinstance(letter, str):
+            raise DomainError(f"invalid letter name: {quoted(letter)}")
+    letters = tuple(sorted(set(alphabet)))
     for n in range(1, max_len + 1 if names is not None else 2):
         for word in product(letters, repeat=n):
-            if n == 1 and (not isinstance(word[0], str) or not word[0] or "." in word[0]):
+            if n == 1 and (not word[0] or "." in word[0]):
                 raise DomainError(f"invalid letter name: {quoted(word[0])}")
             if names is not None and ".".join(word) not in names:
                 raise DomainError(f"table is missing a value for {quoted('.'.join(word))}")

@@ -20,6 +20,7 @@ from shufflecalc import (
     subword,
 )
 from shufflecalc import coalgebra
+from shufflecalc.functionals import barwords_up_to
 
 
 def W(text):
@@ -245,3 +246,17 @@ def test_multi_factor_splits_with_repeated_letters(b):
     assert terms(half_coproduct_left(b)) == direct_split(b, True)
     assert terms(half_coproduct_right(b)) == direct_split(b, False)
     assert terms(coproduct(b)) == direct_split(b, None)
+
+
+@pytest.mark.parametrize("alphabet, degree", [("abc", 4), ("ab", 5), ("a", 7)])
+def test_plan_splits_match_the_direct_sums(alphabet, degree):
+    """Every split kind on every bar-word, and the word splits read from the
+    length's mask plan, against the sums over position sets."""
+    for b in barwords_up_to(alphabet, degree):
+        assert terms(half_coproduct_left(b)) == direct_split(b, True)
+        assert terms(half_coproduct_right(b)) == direct_split(b, False)
+        assert terms(coproduct(b)) == direct_split(b, None)
+        if len(b.factors) == 1:
+            for keep_first in (True, False, None):
+                split = coalgebra._word_split(b.factors[0], keep_first)
+                assert terms(split) == direct_split(b, keep_first)

@@ -289,6 +289,37 @@ def test_materialize_freezes_word_values(moments):
     assert isinstance(table, MomentTable)
 
 
+@pytest.mark.parametrize("alphabet, line", [
+    ([3, "a"], "invalid letter name: 3"),
+    (["a", ["b"]], "invalid letter name: ['b']"),
+    (["b", 2.5, "a"], "invalid letter name: 2.5"),
+])
+def test_a_letter_that_is_no_string_gives_one_line(alphabet, line):
+    """Refused before the letters are sorted or hashed, by tables, the
+    table makers and materialize alike."""
+    for make in (lambda: MomentTable(alphabet, 1, {}),
+                 lambda: CumulantTable.random(alphabet, 2, random.Random(1)),
+                 lambda: ValueTable.zeros(alphabet, 2),
+                 lambda: materialize(unit(), alphabet, 2)):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == line
+
+
+@pytest.mark.parametrize("alphabet, max_len, line", [
+    (["a"], "3", "max_len must be an integer, got '3'"),
+    ([], 10**6, "alphabet must be nonempty"),
+    (["a.b"], 2, "invalid letter name: 'a.b'"),
+])
+def test_materialize_checks_its_domain_before_evaluating(alphabet, max_len, line):
+    """The table's domain is checked first, with the line a table gives: a
+    string max_len no longer escapes as a ``TypeError``, and an empty
+    alphabet is refused before any length is walked, whatever max_len."""
+    with pytest.raises(DomainError) as err:
+        materialize(unit(), alphabet, max_len)
+    assert str(err.value) == line
+
+
 _TABLE_MAKERS = {
     "dict": lambda max_len: MomentTable(["a"], max_len, {Word("a"): Fraction(1)}),
     "zeros": lambda max_len: MomentTable.zeros(["a"], max_len),
@@ -342,6 +373,8 @@ def test_exhaustive_checks_refuse_a_degree_that_is_no_natural_number(moments, ch
     (["a", "b.c"], "invalid letter name: 'b.c'"),
     (["", "a"], "invalid letter name: ''"),
     ([3], "invalid letter name: 3"),
+    ([3, "a"], "invalid letter name: 3"),
+    (["a", ["b"]], "invalid letter name: ['b']"),
 ])
 @pytest.mark.parametrize("degree", [0, 3])
 @pytest.mark.parametrize("check", _EXHAUSTIVE_CHECKS)

@@ -37,8 +37,10 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
+from shufflecalc import partitions
 from shufflecalc.enumeration import family_count, json_lines
-from shufflecalc.partitions import _adjoint_blocks, family_blocks
+from shufflecalc.errors import TruncationError
+from shufflecalc.partitions import _adjoint_blocks, _terms, family_blocks
 from shufflecalc.words import words_over, words_up_to
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -503,3 +505,130 @@ def test_integer_oracles_match_direct_fraction_sums(alphabet, max_len):
                 assert type(got) is Fraction
                 assert got == _direct_sum(expected, w)
             assert adjoint_sum_lower(t1, psi, w) == _direct_adjoint_lower(t1, psi, w)
+
+
+def reference_partition_sum(family, w, *tables, signed=False, tree=False):
+    """The per-word evaluation of a partition sum: each distinct block of
+    the length's term table is looked up as a ``Word`` in its table and
+    scaled to an integer over ``D^|B|``, D the lcm of the word's block
+    denominators, and the rows are summed in integers."""
+    n = len(w)
+    blocks, rows, den = _terms(family, n, len(tables) > 1, signed, tree)
+    letters = w.letters
+    values = [tables[table].lookup(Word(map(letters.__getitem__, block)))
+              for table, block in blocks]
+    base = math.lcm(*[v.denominator for v in values])
+    powers = [base**k for k in range(n + 1)]
+    nums = [v.numerator * (powers[len(block)] // v.denominator)
+            for v, (_, block) in zip(values, blocks)]
+    total = sum(weight * math.prod(map(nums.__getitem__, parts)) for weight, parts in rows)
+    return Fraction(total, den * powers[n])
+
+
+# each sum, the number of tables it reads and its reference
+TEN_SUMS = [
+    (free_moment_sum, 1, lambda w, *t: reference_partition_sum("nc", w, *t)),
+    (boolean_moment_sum, 1, lambda w, *t: reference_partition_sum("boolean", w, *t)),
+    (monotone_moment_sum, 1, lambda w, *t: reference_partition_sum("nc", w, *t, tree=True)),
+    (cfree_moment_sum, 2, lambda w, *t: reference_partition_sum("nc", w, *t)),
+    (boolean_from_free_sum, 1, lambda w, *t: reference_partition_sum("nc-irr", w, *t)),
+    (free_from_boolean_sum, 1,
+     lambda w, *t: reference_partition_sum("nc-irr", w, *t, signed=True)),
+    (boolean_from_monotone_sum, 1,
+     lambda w, *t: reference_partition_sum("nc-irr", w, *t, tree=True)),
+    (free_from_monotone_sum, 1,
+     lambda w, *t: reference_partition_sum("nc-irr", w, *t, signed=True, tree=True)),
+    (adjoint_sum_lower, 2, lambda w, *t: reference_partition_sum("adjoint", w, *t)),
+    (adjoint_sum_upper, 2,
+     lambda w, *t: reference_partition_sum("nc-irr", w, *t, signed=True)),
+]
+
+
+def _integer_table(cls, alphabet, max_len, seed):
+    """Integer values, so base 1."""
+    rng = random.Random(seed)
+    return cls(alphabet, max_len, {w: Fraction(rng.randint(-9, 9))
+                                   for w in words_up_to(alphabet, max_len)})
+
+
+@pytest.mark.parametrize("one_word", [False, True])
+@pytest.mark.parametrize("alphabet, max_len", [("a", 7), ("ab", 5), ("abc", 4)])
+def test_length_sums_match_the_per_word_reference(alphabet, max_len, one_word, monkeypatch):
+    """All ten sums on every word, repeated letters included, with two
+    tables of different bases: one of integers, one over mixed
+    denominators with a 40-digit value.  Evaluated by whole lengths, and
+    at the calling word alone, as on lengths with too many words."""
+    if one_word:
+        monkeypatch.setattr(partitions, "_LENGTH_WORDS", 0)
+    t1 = _mixed_table(CumulantTable, alphabet, max_len, 11)
+    t2 = _integer_table(MomentTable, alphabet, max_len, 12)
+    assert t1.base != t2.base == 1
+    for oracle, count, reference in TEN_SUMS:
+        for tables in [(t1, t2)[:count], (t2, t1)[:count]]:
+            for w in words_up_to(alphabet, max_len):
+                got = oracle(*tables, w)
+                assert type(got) is Fraction
+                assert got == reference(w, *tables), (oracle.__name__, w)
+
+
+def test_interleaved_tables_each_read_their_own_values():
+    """Calls alternating between tables, and between the orders of a pair,
+    at one length: the memo matches its tables by identity, never a
+    table's values with another's, and keeps at most its bound."""
+    alphabet, max_len = "ab", 4
+    tables = [CumulantTable.random(alphabet, max_len, random.Random(seed)) for seed in (21, 22)]
+    # equal values, another object
+    tables.append(CumulantTable.from_json(tables[0].to_json()))
+    assert tables[2] == tables[0] and tables[2] is not tables[0]
+    for w in words_over(alphabet, max_len):
+        for oracle, count, reference in TEN_SUMS:
+            for first in tables:
+                for second in tables:
+                    picked = (first, second)[:count]
+                    assert oracle(*picked, w) == reference(w, *picked)
+                    assert len(partitions._sums) <= partitions._RECENT_SUMS
+
+
+@pytest.mark.parametrize("oracle, count, reference", TEN_SUMS)
+def test_out_of_domain_words_raise_the_reference_line(oracle, count, reference):
+    """A letter outside the alphabet, or a word with a block longer than its
+    table holds: the line of the first block, in block order, that a table
+    does not hold.  Tables of different lengths agree with the reference
+    wherever it has a value."""
+    short = CumulantTable.random("ab", 2, random.Random(31))
+    long = MomentTable.random("ab", 4, random.Random(32))
+    raised = 0
+    for tables in [(long, short)[:count], (short, long)[:count]]:
+        for w in (Word("ac"), Word("ca"), Word("abz"), Word("aba"), Word("abab"),
+                  Word("ababa")):
+            try:
+                want = reference(w, *tables)
+            except TruncationError as exc:
+                raised += 1
+                with pytest.raises(TruncationError) as got:
+                    oracle(*tables, w)
+                assert str(got.value) == str(exc)
+            else:
+                assert oracle(*tables, w) == want
+    assert raised >= 6
+
+
+def test_a_single_call_on_a_deep_table_evaluates_its_word_alone():
+    """3^8 words of length 8 are more than a length is evaluated for: the
+    call builds no restricted-code map and no memo entry."""
+    kappa = CumulantTable.random("abc", 8, random.Random(51))
+    psi = MomentTable.random("abc", 8, random.Random(52))
+    maps, sums = partitions._restricted.cache_info().currsize, dict(partitions._sums)
+    for oracle, count, reference in TEN_SUMS:
+        w = Word("abcabcab")
+        assert oracle(*(kappa, psi)[:count], w) == reference(w, *(kappa, psi)[:count])
+    assert partitions._restricted.cache_info().currsize == maps
+    assert partitions._sums == sums
+
+
+def test_two_table_sums_refuse_tables_over_different_alphabets():
+    ab = CumulantTable.random("ab", 2, random.Random(41))
+    abc = CumulantTable.random("abc", 2, random.Random(42))
+    with pytest.raises(DomainError, match=r"^the tables of a partition sum must share one "
+                       r"alphabet, got \('a', 'b'\) and \('a', 'b', 'c'\)$"):
+        cfree_moment_sum(ab, abc, Word("ab"))
