@@ -19,22 +19,17 @@ rows of the adjoint sum come from that generator too: each first block of
 NC_irr(n), the block S holding 1 and n, followed by one block per gap, so
 every partition sum refuses an order outside [1, 14] by one check.
 
-The sum oracles run in integers, one word length at a time.  For the
-words of one length, each sum keeps its distinct blocks and, per
-partition, the block indices and an integer weight over one common
-denominator (signs and inverse tree factorials).  The first call at a
-length gathers each distinct block's values for every word code at once
-from the table's coded list, through a restricted-code map (the code of
-the block's letters for each word code), scales them to integers over
-``D^|B|``, D the lcm of the tables' bases, and sums each partition's
-product, which lies over ``D^n``, per code.  A small memo keeps the last
-evaluated lengths, matching its tables by identity, so each call reads
-the code of its word and builds one ``Fraction``; only there is
-``fractions`` imported.  A length with one word (one letter) or with
-more than ``_LENGTH_WORDS`` words is gathered at the calling word's code
-alone, so a single call on a deep table costs what one word costs.  The
-caches are bounded: the term tables (``_terms``), the restricted-code
-maps (``_restricted``) and the memo (``_sums``).
+The sum oracles run in integers.  For the words of one length, each sum
+keeps its distinct blocks and, per partition, the block indices and an
+integer weight over one common denominator (signs and inverse tree
+factorials).  A word reads each distinct block's value straight from its
+table's coded list, at the code of the block's letters over that table's
+alphabet, and scales it to an integer over ``D^|B|``, D the lcm of the
+tables' bases, so every partition's product lies over ``D^n``; no
+``Word`` is built for a block, one ``Fraction`` is built per word, and
+only there is ``fractions`` imported.  The caches are bounded: the term
+tables (``_terms``) and the letter places of the last few alphabets
+(``_places``).
 
 These evaluators deliberately share no code with the shuffle engine in
 ``series`` or the kernel in ``cumulants``; cross-checking them is the point.
@@ -274,69 +269,15 @@ def _terms(family: str, n: int, split: bool, signed: bool, tree: bool) -> tuple:
             tuple((sign * (den // t), parts) for sign, t, parts in rows), den)
 
 
-# Every distinct block of the lengths above reads its table through one
-# restricted-code map; at most 2^n - 1 blocks per length n.
-_RECENT_MAPS = 1 << 12
+# The alphabets of the tables the oracles last read.
+_RECENT_ALPHABETS = 16
 
 
-@lru_cache(maxsize=_RECENT_MAPS)
-def _restricted(k: int, n: int, block: tuple[int, ...]) -> list[int]:
-    """For every code of a word of length n over k letters, in code order,
-    the code of its letters at the 0-based positions ``block``."""
-    power = {x: k ** j for j, x in enumerate(reversed(block))}
-    codes = [0]
-    for x in range(n):
-        # position x is the next digit, the next less significant one
-        step = power.get(x, 0)
-        codes = [c + d * step for c in codes for d in range(k)]
-    return codes
-
-
-def _restrict(k: int, n: int, block: tuple[int, ...], code: int) -> int:
-    """The entry ``code`` of ``_restricted(k, n, block)``."""
-    return sum(code // k ** (n - 1 - x) % k * k ** j for j, x in enumerate(reversed(block)))
-
-
-def _length_sums(family: str, n: int, tables: tuple, signed: bool, tree: bool,
-                 code: int | None = None):
-    """``(totals, den)``: the sum over the partitions of ``family`` at the
-    word of length n and code c over the tables' common alphabet is
-    ``totals[c] / den``; given ``code``, only at that word, as ``totals[0]``.
-    Each distinct block gathers its values for all codes at once through
-    ``_restricted`` and scales them to integers over ``D^|B|``, D the lcm of
-    the tables' bases, so every row's product lies over ``D^n``; the rows
-    are then summed per code.  None for a length with a block longer than
-    its table holds."""
-    blocks, rows, den = _terms(family, n, len(tables) > 1, signed, tree)
-    alphabet = tables[0].alphabet
-    for table in tables[1:]:
-        if table.alphabet != alphabet:
-            raise DomainError("the tables of a partition sum must share one alphabet, got "
-                              f"{quoted(alphabet)} and {quoted(table.alphabet)}")
-    if any(len(block) > tables[t].max_len for t, block in blocks):
-        return None
-    k, base = len(alphabet), lcm(*(table.base for table in tables))
-    gathered = []
-    for t, block in blocks:
-        table = tables[t]
-        values, scale = table.coded[len(block)], (base // table.base) ** len(block)
-        codes = _restricted(k, n, block) if code is None else (_restrict(k, n, block, code),)
-        gathered.append([values[c] * scale for c in codes])
-    totals = [sum(weight * prod(map(nums.__getitem__, parts)) for weight, parts in rows)
-              for nums in zip(*gathered)]
-    return totals, den * base**n
-
-
-# The last few evaluated lengths, keyed by the sum, n and the ids of its
-# tables; each entry holds its tables, so no id is reused while it lives.
-# One entry per sum covers the suites that interleave several sums.
-_RECENT_SUMS = 10
-_sums: dict = {}
-
-# A length with one word, or with more words than this, is evaluated at the
-# calling word alone: a scan gains nothing from it, or a single call on a
-# deep table would pay for every word of the length.
-_LENGTH_WORDS = 1 << 12
+@lru_cache(maxsize=_RECENT_ALPHABETS)
+def _places(alphabet: tuple[str, ...]) -> dict[str, int]:
+    """The place of each letter in a table's sorted alphabet, its digit in
+    the codes of ``ValueTable.coded``."""
+    return {letter: i for i, letter in enumerate(alphabet)}
 
 
 def _partition_sum(family: str, w: Word, *tables: ValueTable,
@@ -344,40 +285,38 @@ def _partition_sum(family: str, w: Word, *tables: ValueTable,
     """The weighted sum over the partitions of ``family`` on the positions
     of w of the product of the block values, the one-table sums reading
     ``tables[0]`` and the two-table sums ``tables[0]`` on outer blocks and
-    ``tables[1]`` on inner ones.  The first call at a length evaluates every
-    word of that length (``_length_sums``), unless the length has one word
-    or more than ``_LENGTH_WORDS``; each call reads the code of w and builds
-    one ``Fraction``.  A word outside the tables' domain raises
-    the ``TruncationError`` of the first block, in block order, that a
-    table does not hold."""
+    ``tables[1]`` on inner ones.  Each distinct block reads its value from
+    its table's coded list, at the code of the block's letters over that
+    table's alphabet, scaled to an integer over ``D^|B|``, D the lcm of the
+    tables' bases, so every product lies over ``D^n`` and the sum runs in
+    integers; one ``Fraction`` is built per word.  A word outside the
+    tables' domain raises the ``TruncationError`` of the first block, in
+    block order, that a table does not hold."""
     from fractions import Fraction
 
-    n, letters, alphabet = len(w), w.letters, tables[0].alphabet
-    k, code = len(alphabet), 0
+    n, letters = len(w), w.letters
+    blocks, rows, den = _terms(family, n, len(tables) > 1, signed, tree)
+    base = lcm(*(table.base for table in tables))
+    # per table: its coded values, its number of letters, the place of each
+    # letter of w in its alphabet (None outside it) and its scale to base
+    reads = [(table.coded, len(table.alphabet), tuple(map(_places(table.alphabet).get, letters)),
+              base // table.base) for table in tables]
+    nums = []
     try:
-        for letter in letters:
-            code = code * k + alphabet.index(letter)
-    except ValueError:
-        sums = None  # a letter outside the alphabet
-    else:
-        if k == 1 or k ** n > _LENGTH_WORDS:
-            # the totals of this word alone, at index 0
-            sums, code = _length_sums(family, n, tables, signed, tree, code), 0
-        else:
-            key = (family, n, signed, tree, *map(id, tables))
-            sums = _sums.get(key)
-            if sums is None:
-                sums = _length_sums(family, n, tables, signed, tree)
-                if sums is not None:
-                    if len(_sums) >= _RECENT_SUMS:
-                        del _sums[next(iter(_sums))]
-                    _sums[key] = (*sums, tables)
-    if sums is not None:
-        return Fraction(sums[0][code], sums[1])
-    # outside the domain: a block with a letter outside the alphabet or
-    # longer than its table holds, and the first such one raises
-    for t, block in _terms(family, n, len(tables) > 1, signed, tree)[0]:
-        tables[t].lookup(Word(map(letters.__getitem__, block)))
+        for t, block in blocks:
+            coded, k, places, scale = reads[t]
+            code = 0
+            for x in block:
+                code = code * k + places[x]
+            nums.append(coded[len(block)][code] * scale ** len(block))
+    except (TypeError, IndexError):
+        # a letter outside an alphabet (a None place), or a block longer
+        # than its table holds: the first such block's lookup raises
+        for t, block in blocks:
+            tables[t].lookup(Word(map(letters.__getitem__, block)))
+        raise
+    total = sum(weight * prod(map(nums.__getitem__, parts)) for weight, parts in rows)
+    return Fraction(total, den * base**n)
 
 
 def free_moment_sum(kappa: CumulantTable, w: Word) -> Rational:

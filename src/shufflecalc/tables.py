@@ -200,6 +200,10 @@ class ValueTable:
     with words as dot-joined letter names and scalars as ``"p/q"`` strings
     in lowest terms (on input, JSON integers and any string of the
     ``_SCALAR`` grammar).
+
+    A table is immutable: no operation changes ``coded`` or ``base``
+    after construction, and the ``values`` view, built once, relies on
+    that; arithmetic returns a new table.
     """
 
     def __init__(self, alphabet: Iterable[str], max_len: int, values: dict):

@@ -37,7 +37,6 @@ from shufflecalc import (
     nesting_forest,
     tree_factorial,
 )
-from shufflecalc import partitions
 from shufflecalc.enumeration import family_count, json_lines
 from shufflecalc.errors import TruncationError
 from shufflecalc.partitions import _adjoint_blocks, _terms, family_blocks
@@ -551,15 +550,11 @@ def _integer_table(cls, alphabet, max_len, seed):
                                    for w in words_up_to(alphabet, max_len)})
 
 
-@pytest.mark.parametrize("one_word", [False, True])
 @pytest.mark.parametrize("alphabet, max_len", [("a", 7), ("ab", 5), ("abc", 4)])
-def test_length_sums_match_the_per_word_reference(alphabet, max_len, one_word, monkeypatch):
+def test_coded_sums_match_the_per_word_reference(alphabet, max_len):
     """All ten sums on every word, repeated letters included, with two
     tables of different bases: one of integers, one over mixed
-    denominators with a 40-digit value.  Evaluated by whole lengths, and
-    at the calling word alone, as on lengths with too many words."""
-    if one_word:
-        monkeypatch.setattr(partitions, "_LENGTH_WORDS", 0)
+    denominators with a 40-digit value."""
     t1 = _mixed_table(CumulantTable, alphabet, max_len, 11)
     t2 = _integer_table(MomentTable, alphabet, max_len, 12)
     assert t1.base != t2.base == 1
@@ -573,8 +568,8 @@ def test_length_sums_match_the_per_word_reference(alphabet, max_len, one_word, m
 
 def test_interleaved_tables_each_read_their_own_values():
     """Calls alternating between tables, and between the orders of a pair,
-    at one length: the memo matches its tables by identity, never a
-    table's values with another's, and keeps at most its bound."""
+    at one length: each call reads its own tables' values, also where
+    another table holds equal values."""
     alphabet, max_len = "ab", 4
     tables = [CumulantTable.random(alphabet, max_len, random.Random(seed)) for seed in (21, 22)]
     # equal values, another object
@@ -586,7 +581,6 @@ def test_interleaved_tables_each_read_their_own_values():
                 for second in tables:
                     picked = (first, second)[:count]
                     assert oracle(*picked, w) == reference(w, *picked)
-                    assert len(partitions._sums) <= partitions._RECENT_SUMS
 
 
 @pytest.mark.parametrize("oracle, count, reference", TEN_SUMS)
@@ -613,22 +607,62 @@ def test_out_of_domain_words_raise_the_reference_line(oracle, count, reference):
     assert raised >= 6
 
 
-def test_a_single_call_on_a_deep_table_evaluates_its_word_alone():
-    """3^8 words of length 8 are more than a length is evaluated for: the
-    call builds no restricted-code map and no memo entry."""
-    kappa = CumulantTable.random("abc", 8, random.Random(51))
-    psi = MomentTable.random("abc", 8, random.Random(52))
-    maps, sums = partitions._restricted.cache_info().currsize, dict(partitions._sums)
-    for oracle, count, reference in TEN_SUMS:
-        w = Word("abcabcab")
-        assert oracle(*(kappa, psi)[:count], w) == reference(w, *(kappa, psi)[:count])
-    assert partitions._restricted.cache_info().currsize == maps
-    assert partitions._sums == sums
+@pytest.mark.parametrize("oracle, count, reference", [s for s in TEN_SUMS if s[1] == 2])
+def test_two_table_sums_read_each_table_over_its_own_alphabet(oracle, count, reference):
+    """Tables over {a, c} and {a, b, c}, either way round, where c has
+    different places: each block is coded over its own table's alphabet,
+    so a word takes the reference value wherever every block's letters
+    are in its table, and the reference line otherwise, whatever the
+    word."""
+    ac = CumulantTable.random("ac", 3, random.Random(41))
+    abc = MomentTable.random("abc", 3, random.Random(42))
+    kinds = set()
+    for tables in [(ac, abc), (abc, ac)]:
+        for w in words_up_to("abc", 3):
+            try:
+                want = reference(w, *tables)
+            except TruncationError as exc:
+                kinds.add("raised")
+                with pytest.raises(TruncationError) as got:
+                    oracle(*tables, w)
+                assert str(got.value) == str(exc)
+            else:
+                kinds.add("b" in w.letters)
+                assert oracle(*tables, w) == want, (tables[0].alphabet, w)
+    # some words with a b in them have a value: the b is never read from {a, c}
+    assert kinds == {"raised", False, True}
 
 
-def test_two_table_sums_refuse_tables_over_different_alphabets():
-    ab = CumulantTable.random("ab", 2, random.Random(41))
-    abc = CumulantTable.random("abc", 2, random.Random(42))
-    with pytest.raises(DomainError, match=r"^the tables of a partition sum must share one "
-                       r"alphabet, got \('a', 'b'\) and \('a', 'b', 'c'\)$"):
-        cfree_moment_sum(ab, abc, Word("ab"))
+class _CountedReads(list):
+    """A list that counts the entries read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("alphabet, n", [("ab", 11), ("abc", 7)])
+def test_a_single_call_on_a_deep_table_reads_its_word_alone(alphabet, n):
+    """One call at a length with thousands of words reads one value per
+    distinct block of the word and none of the other words' values."""
+    kappa = CumulantTable.random(alphabet, n, random.Random(51))
+    psi = MomentTable.random(alphabet, n, random.Random(52))
+    w = Word((alphabet * n)[:n])
+    for table in (kappa, psi):
+        table.coded = [_CountedReads(values) for values in table.coded]
+    for (oracle, count, reference), (family, split) in zip(TEN_SUMS, [
+            ("nc", False), ("boolean", False), ("nc", False), ("nc", True), ("nc-irr", False),
+            ("nc-irr", False), ("nc-irr", False), ("nc-irr", False), ("adjoint", True),
+            ("nc-irr", True)]):
+        tables = (kappa, psi)[:count]
+        for table in tables:
+            for values in table.coded:
+                values.reads = 0
+        got = oracle(*tables, w)
+        reads = sum(values.reads for table in tables for values in table.coded)
+        assert reads == len(_terms(family, n, split, False, False)[0])
+        assert got == reference(w, *tables)
