@@ -29,13 +29,16 @@ relation's ``lower(x, phi, n)`` returns the list for all K^n words of
 length n at once, and ``_solve`` and ``_evaluate`` loop over lengths.  A
 subword at fixed positions is a fixed map of codes: ``w[a:b]`` repeats
 each value ``K^(n-b)`` times and tiles the result ``K^a`` times
-(``_spread``), and the code of ``w_S`` grows one position at a time,
-``code * K + digit``.  So each position set or interval costs a few
-C-level ``map`` passes over one length, not a Python loop over its words.
-The first-block sum is regrouped by ``max S`` into a boolean-like split
-sum and the sum over the sets that hold both ends of the word, which are
-walked depth-first; the monotone convolution is regrouped by ``min S``
-onto the first-block sum.
+(``_spread``), and the code of w minus a run of positions is a sum of two
+such maps (``_without``).  So each term costs a few C-level ``map`` passes
+over one length, not a Python loop over its words.  The first-block sum
+and the monotone convolution are one prefix recursion (``_first_block``):
+the first block grows from the left, from the first letter or, for the
+convolution, from the empty block, each next position of S taken past a
+gap run, and the sum over the rest of the word is read at w minus that
+run from a shorter length.  That makes about n^2/2 gathers per length n,
+and the recursion keeps each length's levels, one per prefix length, for
+the longer words that read them.
 
 All of them are homogeneous in word length and run in ``int``: a table
 holds its values times ``D^|w|``, and ``_scaled`` brings the tables of one
@@ -202,35 +205,11 @@ def _split_sum(left: list, right: list, K: int, n: int) -> list[int]:
     return total
 
 
-def _spanning_sum(x: list, gap: list, K: int, n: int) -> list[int]:
-    """``sum x(w_S) prod gap(run)`` for the words of length n, over the
-    position sets S that hold both ends of the word, other than all of
-    it; the runs are those of the complement, each between two elements of
-    S.  The sets are walked depth-first, each extending its parent's list
-    of ``w_S`` codes and of gap products."""
-    total = [0] * K**n
-    digits = [_spread(range(K), K ** (n - 1 - i), K**i) for i in range(n)]
-    runs: dict[tuple[int, int], list] = {}
-
-    def walk(last: int, size: int, codes: list, product: list | None) -> None:
-        nonlocal total
-        shifted = list(map(mul, codes, repeat(K)))
-        for i in range(last + 1, n):
-            extended = product
-            if i > last + 1:
-                run = runs.get((last, i))
-                if run is None:
-                    run = runs[last, i] = _spread(gap[i - last - 1], K ** (n - i), K ** (last + 1))
-                extended = run if product is None else list(map(mul, product, run))
-            codes_i = map(add, shifted, digits[i])
-            if i < n - 1:
-                walk(i, size + 1, list(codes_i), extended)
-            elif extended is not None:  # S has a gap, so it is not all of [n]
-                values = map(x[size + 1].__getitem__, codes_i)
-                total = list(map(add, total, map(mul, values, extended)))
-
-    walk(0, 1, digits[0], None)
-    return total
+def _without(K: int, n: int, i: int, j: int) -> list[int]:
+    """The code of w minus its positions ``i..j-1``, a word of length
+    ``n - j + i``, for every word w of length n, in code order."""
+    head = _spread(range(0, K ** (n - j + i), K ** (n - j)), K ** (n - i), 1)
+    return list(map(add, head, _spread(range(K ** (n - j)), 1, K**j)))
 
 
 # A relation maps the alphabet size K, and the relation's further states as
@@ -239,20 +218,41 @@ def _spanning_sum(x: list, gap: list, K: int, n: int) -> list[int]:
 # length, shortest first, so ``lower`` may read x and phi on every shorter
 # length and may keep what it computed for them.
 
-def _first_block(K: int, gap: list | None = None):
+def _first_block(K: int, gap: list | None = None, tail: list | None = None, start: int = 1):
     """The first-block sum over ``S != [n]``, with ``gap = psi`` (c-free)
-    or ``gap = phi`` (free) if no psi is given.  Grouped by ``j = max S``
-    it is ``sum_{k<n} A(w[:k]) phi(w[k:]) + spanning(w)``, where
-    ``A = x + spanning`` and ``spanning`` sums over the sets that hold both
-    ends of the word, other than all of it."""
-    heads: list[list[int]] = [[]]
-    spanning: list[list[int]] = [[]]
+    or ``gap = phi`` (free) if no psi is given, and ``tail = phi`` unless a
+    tail is given, by a prefix recursion on the first block.  ``G_p(w)``
+    sums ``x(w[:p] w_S) prod gap(run) tail(run)`` over the position sets S
+    after p, with the runs of the complement of S in ``w[p:]``.  Split by
+    ``min S = p + t``, with ``gap`` of the empty run 1,
+    ``G_p(w) = x(w[:p]) tail(w[p:]) + sum_{t=1..n-p} gap(w[p:p+t-1]) G_{p+1}(w minus p..p+t-2)``.
+    The first-block sum is ``G_1``; from ``start = 0``, ``G_0`` with
+    ``x(empty) = 1`` is the convolution sum over every S.  Every ``G_p(w)``
+    holds ``x(w)`` once, through the t = 1 chain down from ``G_n = x``, so
+    length n runs with ``x(w) = 0`` and its levels get x added when length
+    n + 1 starts, the first to read them."""
+    # levels[m][q] is G_{m-q} on length m, for the levels that a longer word
+    # reads: all but G_start
+    levels: list[list[list[int]]] = [[]]
 
     def lower(x: list, phi: list, n: int) -> list[int]:
+        gaps = phi if gap is None else gap
+        tails = phi if tail is None else tail
         if n > 1:
-            heads.append(list(map(add, x[n - 1], spanning[n - 1])))
-        spanning.append(_spanning_sum(x, phi if gap is None else gap, K, n))
-        return list(map(add, _split_sum(heads, phi, K, n), spanning[n]))
+            levels[n - 1] = [list(map(add, level, x[n - 1])) for level in levels[n - 1]]
+        level = [0] * K**n
+        kept = []
+        for p in range(n - 1, start - 1, -1):
+            kept.append(level)
+            head = _spread(x[p], K ** (n - p), 1) if p else repeat(1)
+            level = list(map(add, level, map(mul, head, tails[n - p] * K**p)))
+            for t in range(2, n - p + 1):
+                shorter = levels[n - t + 1][n - t - p]
+                terms = map(mul, _spread(gaps[t - 1], K ** (n - p - t + 1), K**p),
+                            map(shorter.__getitem__, _without(K, n, p, p + t - 1)))
+                level = list(map(add, level, terms))
+        levels.append(kept)
+        return level
     return lower
 
 
@@ -278,10 +278,8 @@ def _monotone(K: int):
         intervals = []
         for i in range(n):
             for j in range(i + 1, min(n, i + n - 1) + 1):
-                head = _spread(range(0, K ** (n - j + i), K ** (n - j)), K ** (n - i), 1)
-                rest = list(map(add, head, _spread(range(K ** (n - j)), 1, K**j)))
                 weighted = map(mul, _spread(x[j - i], K ** (n - j), K**i), repeat(comb(n, j - i)))
-                intervals.append((j - i, rest, list(weighted)))
+                intervals.append((j - i, _without(K, n, i, j), list(weighted)))
         total = [0] * K**n
         previous = x
         for m in range(2, n + 1):
@@ -308,19 +306,9 @@ def _monotone(K: int):
 def _convolution(K: int, second: list):
     """The convolution product of the characters phi1 = x and phi2 =
     ``second``, ``sum_S phi1(w_S) prod phi2(run)`` over all position sets
-    S, less its ``S = [n]`` term.  Grouped by ``i = min S`` it is
-    ``phi2(w) + sum_{0<i<n} phi2(w[:i]) B(w[i:]) + B(w)``, where B is
-    the first-block sum with ``gap = tail = phi2``."""
-    first_block = _first_block(K, second)
-    blocks: list[list[int]] = [[]]
-    rest: list[list[int]] = [[]]
-
-    def lower(x: list, phi: list, n: int) -> list[int]:
-        if n > 1:
-            blocks.append(list(map(add, x[n - 1], rest[n - 1])))
-        rest.append(first_block(x, second, n))
-        return list(map(add, map(add, second[n], rest[n]), _split_sum(second, blocks, K, n)))
-    return lower
+    S, less its ``S = [n]`` term: the first-block recursion from the
+    empty block, with ``gap = tail = phi2``."""
+    return _first_block(K, second, second, 0)
 
 
 _RELATIONS = {FREE: _first_block, BOOLEAN: _boolean, MONOTONE: _monotone}
@@ -329,7 +317,8 @@ _RELATIONS = {FREE: _first_block, BOOLEAN: _boolean, MONOTONE: _monotone}
 def convert(table: CumulantTable, src: str, dst: str) -> CumulantTable:
     """Convert between free, boolean and monotone cumulant tables: the
     ``dst`` cumulants of the state whose ``src`` cumulants are ``table``."""
-    if src not in _RELATIONS or dst not in _RELATIONS:
+    kinds = tuple(_RELATIONS)  # ``in`` a tuple compares, so an unhashable kind is refused too
+    if src not in kinds or dst not in kinds:
         raise DomainError(f"unknown cumulant kind: {src!r} -> {dst!r}")
     if src == dst:
         return table

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shufflecalc import (
     CumulantTable,
@@ -45,7 +45,7 @@ from shufflecalc import cumulants, partitions
 from shufflecalc.words import words_up_to
 from shufflecalc.verify import VerifyConfig, run_checks
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def rand_moments(seed, alphabet=("a", "b"), max_len=4):
@@ -180,6 +180,138 @@ def test_coded_lists_follow_product_order(alphabet):
     assert cumulants._table(MomentTable, table, scale, coded) == table
 
 
+# --- the first-block recursion against the position-set walk -------------
+#
+# The kernel's first-block relation before it became a prefix recursion:
+# the sum over every position set S, regrouped by ``max S`` into a split
+# sum and the sets that hold both ends of the word, walked depth-first; the
+# monotone convolution regrouped by ``min S`` onto it.  It is kept here as
+# the reference that the recursion's ``lower`` lists are held to.
+
+
+def _walk_spanning_sum(x, gap, K, n):
+    """``sum x(w_S) prod gap(run)`` for the words of length n, over the
+    position sets S that hold both ends of the word, other than all of it."""
+    total = [0] * K**n
+    digits = [cumulants._spread(range(K), K ** (n - 1 - i), K**i) for i in range(n)]
+    runs = {}
+
+    def walk(last, size, codes, product):
+        nonlocal total
+        shifted = [code * K for code in codes]
+        for i in range(last + 1, n):
+            extended = product
+            if i > last + 1:
+                run = runs.get((last, i))
+                if run is None:
+                    run = runs[last, i] = cumulants._spread(gap[i - last - 1], K ** (n - i),
+                                                            K ** (last + 1))
+                extended = run if product is None else [a * b for a, b in zip(product, run)]
+            codes_i = [a + b for a, b in zip(shifted, digits[i])]
+            if i < n - 1:
+                walk(i, size + 1, codes_i, extended)
+            elif extended is not None:  # S has a gap, so it is not all of [n]
+                values = [x[size + 1][c] for c in codes_i]
+                total = [t + v * e for t, v, e in zip(total, values, extended)]
+
+    walk(0, 1, digits[0], None)
+    return total
+
+
+def _walk_first_block(K, gap=None):
+    """``sum_{k<n} A(w[:k]) phi(w[k:]) + spanning(w)`` with
+    ``A = x + spanning``."""
+    heads, spanning = [[]], [[]]
+
+    def lower(x, phi, n):
+        if n > 1:
+            heads.append([a + b for a, b in zip(x[n - 1], spanning[n - 1])])
+        spanning.append(_walk_spanning_sum(x, phi if gap is None else gap, K, n))
+        split = cumulants._split_sum(heads, phi, K, n)
+        return [a + b for a, b in zip(split, spanning[n])]
+    return lower
+
+
+def _walk_convolution(K, second):
+    """``phi2(w) + sum_{0<i<n} phi2(w[:i]) B(w[i:]) + B(w)`` with B the
+    first-block sum with ``gap = tail = phi2``."""
+    first_block = _walk_first_block(K, second)
+    blocks, rest = [[]], [[]]
+
+    def lower(x, phi, n):
+        if n > 1:
+            blocks.append([a + b for a, b in zip(x[n - 1], rest[n - 1])])
+        rest.append(first_block(x, second, n))
+        split = cumulants._split_sum(second, blocks, K, n)
+        return [a + b + c for a, b, c in zip(second[n], rest[n], split)]
+    return lower
+
+
+def _lower_lists(relation, K, x, phi, *given):
+    """The relation's ``lower`` list of every length, each call handed x
+    and phi on the shorter lengths only."""
+    lower = relation(K, *given)
+    return [lower(x[:n], phi[:n], n) for n in range(1, len(x))]
+
+
+def _based_table(cls, alphabet, max_len, rng, den):
+    """Random values with denominators in [1, den], so base 1 for den 1."""
+    return cls(alphabet, max_len, {w: Fraction(rng.randint(-9, 9), rng.randint(1, den))
+                                   for w in words_up_to(alphabet, max_len)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("a",), ("b", "a"), ("a", "b", "c"), ("a", "b", "c", "d")]), st.data())
+def test_first_block_recursion_matches_the_position_set_walk(alphabet, data):
+    """The recursion's ``lower`` lists equal the walk's, length by length,
+    for free, c-free with psi != phi and the monotone convolution, on
+    tables of mixed bases brought to one scale."""
+    max_len = 7 if len(alphabet) <= 2 else 5  # every shorter length is compared too
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    tables = [_based_table(cls, alphabet, max_len, rng, data.draw(st.sampled_from([1, 2, 3, 5])))
+              for cls in (CumulantTable, MomentTable, MomentTable, MomentTable)]
+    _, (x, phi, psi, second) = cumulants._scaled(*tables)
+    K = len(alphabet)
+    assume(psi != phi)
+    for name, recursion, walk, given in [
+        ("free", cumulants._first_block, _walk_first_block, ()),
+        ("cfree", cumulants._first_block, _walk_first_block, (psi,)),
+        ("convolution", cumulants._convolution, _walk_convolution, (second,)),
+    ]:
+        expected = _lower_lists(walk, K, x, phi, *given)
+        assert _lower_lists(recursion, K, x, phi, *given) == expected, name
+
+
+def test_closed_forms_at_the_truncation_cap(monkeypatch):
+    """On one letter at ``max_len`` 12: kappa = 1 has the Catalan numbers
+    as moments; R = 1 with psi = e, the boolean case, has 2^(n-1); e is a
+    two-sided unit of the monotone convolution.  The free evaluation at
+    that depth makes at most n^2/2 gathers per length."""
+    letter, n = ("a",), 12
+    words = [Word("a" * m) for m in range(1, n + 1)]
+    ones = CumulantTable(letter, n, {w: 1 for w in words})
+    calls = {}
+    without = cumulants._without
+
+    def counted(K, m, i, j):
+        calls[m] = calls.get(m, 0) + 1
+        return without(K, m, i, j)
+
+    monkeypatch.setattr(cumulants, "_without", counted)
+    catalan = MomentTable(letter, n, {w: comb(2 * len(w), len(w)) // (len(w) + 1) for w in words})
+    assert moments_from_free(ones) == catalan
+    assert catalan.lookup(words[-1]) == 208012
+    # every length from 3 on gathers through the helper, and none more than n^2/2 times
+    assert sorted(calls) == list(range(3, n + 1)), calls
+    assert all(count <= m * m / 2 for m, count in calls.items()), calls
+    monkeypatch.undo()
+    e = unit_state(letter, n)
+    assert moments_from_cfree(ones, e) == MomentTable(letter, n, {w: 2 ** (len(w) - 1) for w in words})
+    phi = MomentTable.random(letter, n, random.Random(32))
+    assert convolve_monotone(phi, e) == phi
+    assert convolve_monotone(e, phi) == phi
+
+
 class TestConversions:
     def test_all_six_directions_agree_with_the_transforms(self):
         phi = rand_moments(4)
@@ -202,9 +334,13 @@ class TestConversions:
         kappa = free_cumulants(rand_moments(5))
         assert convert(kappa, "free", "free") is kappa
 
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            convert(free_cumulants(rand_moments(6)), "free", "classical")
+    @pytest.mark.parametrize("src, dst", [
+        ("free", "classical"), (["free"], "boolean"), ({"free": 1}, "boolean"),
+        ("free", ["boolean"]), ("free", {"boolean": 1}),
+    ], ids=["name", "src-list", "src-dict", "dst-list", "dst-dict"])
+    def test_unknown_kind(self, src, dst):
+        with pytest.raises(DomainError, match=r"^unknown cumulant kind: "):
+            convert(free_cumulants(rand_moments(6)), src, dst)
 
 
 class TestStatePair:
