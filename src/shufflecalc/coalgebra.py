@@ -21,8 +21,9 @@ A one-factor bar-word is split from a letter-free plan of its length
 positions and the complement's runs.  One plan serves all three kinds, the
 halves being its rows that hold or avoid position 1.  The legs are found
 through the intern tables ``_WORDS`` and ``_BARWORDS`` before anything is
-constructed.  A multi-factor bar-word multiplies the split of its first
-factor by the full coproducts of the others, with ``BarWord.concat``.
+constructed.  A multi-factor bar-word's split is one product, with
+``BarWord.concat``: the split of its first factor times the cached full
+coproduct of the bar-word of its other factors, itself split the same way.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def _word_split(w: Word, keep_first: bool | None) -> TensorSum:
 def _split(b: BarWord, keep_first: bool | None, cache: dict) -> TensorSum:
     """The full coproduct of ``b`` (``keep_first`` None) or its left (True)
     or right (False) half, stored in ``cache``: the first factor's position
-    sets hold position 1, avoid it, or either, and each further factor
-    multiplies in its full coproduct."""
+    sets hold position 1, avoid it, or either, and a bar-word of several
+    factors is the product of its first factor's split and the full
+    coproduct of the bar-word of the others."""
     factors = b.factors
     if not factors:
         if keep_first is None:
@@ -181,8 +183,8 @@ def _split(b: BarWord, keep_first: bool | None, cache: dict) -> TensorSum:
         result = cache.get(head)
         if result is None:
             result = _split(head, keep_first, cache)
-        for factor in factors[1:]:
-            result = result.product(coproduct(BarWord.of(factor)))
+        rest = factors[1:]
+        result = result.product(coproduct(_BARWORDS.get(rest) or BarWord(rest)))
     cache[b] = result
     return result
 

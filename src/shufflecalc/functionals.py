@@ -18,8 +18,9 @@ Below the public boundary everything is integer arithmetic: ``num(b)`` is
 the numerator of the value on b over ``den(b.degree)``, memoized per node,
 and a parent reads its children's numerators, rescaled by integer
 multipliers precomputed per degree.  ``__call__`` builds a ``Fraction``;
-the exhaustive checks at the end of this module compare cross-multiplied
-numerators and build ``Fraction``s only for a counterexample they report.
+the exhaustive checks at the end of this module compare numerators,
+cross-multiplied where the two denominators differ, and build
+``Fraction``s only for a counterexample they report.
 The same table reused under different operations lives in different nodes
 and therefore different memos.
 
@@ -39,13 +40,22 @@ integer weights, so both give the same numerators.
   against the character or the infinitesimal extension of f's own word
   values.  So each node gives it all its numerators on one degree d of a
   ``_Domain`` (the bar-words of d and the split indexes over them) at once
-  (``_degree``), kept as one list per degree beside the memo.  A parent
-  builds its list from its children's over flat split indexes
-  (``_split_sum``): per left-leg degree, a few C-level passes over its
-  terms (gather both legs, multiply, take running sums) and one gather of
-  those sums at the bar-words' bounds; per call, one difference per
-  bar-word.  A degree holds thousands of split terms, where one bar-word
-  holds about ten, too few for C-level passes to pay.  Lists, not memo
+  (``_degree``), kept as one list per degree beside the memo.  A table
+  leaf reads its list off the table's coded lists: a character's block
+  for a composition of d is the outer product of the coded lists of its
+  parts, and an infinitesimal's list is 0 on the multi-factor bar-words,
+  then ``coded[d]``; a domain over other letters than the table's, or
+  above its degree, takes the per-bar-word path.  A parent builds its
+  list from its children's over flat split indexes (``_split_sum``),
+  which hold each left-leg degree's terms in one part, or in two, those
+  of coefficient 1, where they number at least twice the bar-words, and
+  the others: per part, a few C-level passes over its terms (gather both
+  legs, multiply, by the coefficients unless the part has none, take
+  running sums) and one gather of those sums at the bar-words' bounds;
+  per call, one difference per bar-word.  The first term or part starts
+  the list, and a sum's part of weight 1 is added unscaled.  A degree
+  holds thousands of split terms, where one bar-word holds about ten, too
+  few for C-level passes to pay.  Lists, not memo
   entries, keep the extra memory small.  As the point path skips a zero
   known leg, ``_split_sum`` skips the terms that are 0 by the legs'
   values, read from the lists and never from the type of a node (the
@@ -67,8 +77,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, starmap
 from math import lcm
+from numbers import Rational
 from operator import add, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator
 
@@ -128,28 +139,34 @@ class _Domain:
     def split_index(self, split, d: int) -> list:
         """The terms of ``split`` on the bar-words of degree d, one entry per
         left-leg degree k: None if no term has a left leg of degree k, else
-        flat lists of the left leg's position in degree k, the right leg's
-        position in degree d - k and the coefficient (None if every one is
-        1), one item per term, and ``bounds``, where the terms of the i-th
-        bar-word are items ``bounds[i]`` to ``bounds[i + 1]``."""
+        a tuple of one or two parts.  A part is flat lists of the left leg's
+        position in degree k, the right leg's position in degree d - k and
+        the coefficient (the list None in a part whose coefficients are all
+        1), one item per term, and ``bounds``, where the part's terms of the i-th bar-word are items
+        ``bounds[i]`` to ``bounds[i + 1]``.  A second part costs one more
+        gather at the bounds and one more add over the bar-words, where it
+        saves a multiplication per term: so the terms of coefficient 1 get
+        a part of their own, with no coefficients, where they number at
+        least twice the bar-words, and stay with the others elsewhere."""
         key = (split, d)
         index = self._indexes.get(key)
         if index is None:
             positions = [{b: i for i, b in enumerate(self.bars(k))} for k in range(d + 1)]
-            legs = [([], [], [], [0]) for _ in range(d + 1)]
+            ones = [([], [], None, [0]) for _ in range(d + 1)]
+            others = [([], [], [], [0]) for _ in range(d + 1)]
             for b in self.bars(d):
                 for (l, r), c in split(b).pairs():
                     k = l.degree
-                    left, right, coeffs, _ = legs[k]
+                    if c == 1:
+                        left, right, _, _ = ones[k]
+                    else:
+                        left, right, coeffs, _ = others[k]
+                        coeffs.append(c)
                     left.append(positions[k][l])
                     right.append(positions[d - k][r])
-                    coeffs.append(c)
-                for left, _, _, bounds in legs:
+                for left, _, _, bounds in itertools.chain(ones, others):
                     bounds.append(len(left))
-            index = self._indexes[key] = [
-                (left, right, coeffs if any(c != 1 for c in coeffs) else None, bounds)
-                if left else None
-                for left, right, coeffs, bounds in legs]
+            index = self._indexes[key] = [_split_parts(*parts) for parts in zip(ones, others)]
         return index
 
     def start(self, values: list[int], n: int) -> int | None:
@@ -166,17 +183,38 @@ class _Domain:
         """The item ``split_index(split, d)[k]`` restricted to the terms whose
         left leg sits at ``left_start`` or later in degree k and whose right
         leg at ``right_start`` or later in degree d - k, in the same form;
-        None if no term is left.  Built once, by filtering the full item."""
+        None if no term is left.  Built once, by filtering each part of the
+        full item; two parts are then laid out again by ``_split_parts``."""
         key = (split, d, k, left_start, right_start)
         if key not in self._indexes:
-            left, right, coeffs, bounds = self.split_index(split, d)[k]
-            keep = [l >= left_start and r >= right_start for l, r in zip(left, right)]
-            kept = list(accumulate(keep, initial=0))
-            self._indexes[key] = (
-                list(compress(left, keep)), list(compress(right, keep)),
-                None if coeffs is None else list(compress(coeffs, keep)),
-                list(map(kept.__getitem__, bounds))) if kept[-1] else None
+            parts = []
+            for left, right, coeffs, bounds in self.split_index(split, d)[k]:
+                keep = [l >= left_start and r >= right_start for l, r in zip(left, right)]
+                kept = list(accumulate(keep, initial=0))
+                parts.append((list(compress(left, keep)), list(compress(right, keep)),
+                              None if coeffs is None else list(compress(coeffs, keep)),
+                              list(map(kept.__getitem__, bounds))))
+            self._indexes[key] = _split_parts(*parts)
         return self._indexes[key]
+
+
+def _split_parts(*parts: tuple) -> tuple | None:
+    """The item of one left-leg degree of ``_Domain.split_index`` from its
+    terms in one part, or in two, those of coefficient 1 and the others:
+    the nonempty ones of the parts, once the first of two is merged into
+    the second, bar-word by bar-word, where it holds fewer than twice as
+    many terms as there are bar-words."""
+    if len(parts) == 2:
+        (l1, r1, _, b1), (l2, r2, c2, b2) = parts
+        if l1 and l2 and len(l1) < 2 * (len(b1) - 1):
+            left, right, coeffs, bounds = [], [], [], [0]
+            for s1, e1, s2, e2 in zip(b1, islice(b1, 1, None), b2, islice(b2, 1, None)):
+                left += l1[s1:e1] + l2[s2:e2]
+                right += r1[s1:e1] + r2[s2:e2]
+                coeffs += [1] * (e1 - s1) + c2[s2:e2]
+                bounds.append(len(left))
+            return ((left, right, coeffs, bounds),)
+    return tuple(part for part in parts if part[0]) or None
 
 
 @lru_cache(maxsize=8)
@@ -237,7 +275,8 @@ class Functional:
         raise NotImplementedError
 
     def _batch(self, domain: _Domain, d: int) -> list[int]:
-        """The leaves compute their few values one by one."""
+        """One ``_num`` per bar-word: the unit, and a table leaf whose
+        table's coded lists do not hold the domain's values."""
         return list(map(self._num, domain.bars(d)))
 
     def _rescale(self, d: int) -> tuple:
@@ -254,6 +293,8 @@ class Functional:
         return _Sum(((-ONE, self),))
 
     def __mul__(self, other):
+        if isinstance(other, bool) or not isinstance(other, Rational):
+            raise DomainError(f"a functional's scalar must be rational, got {quoted(other)}")
         return _Sum(((Fraction(other), self),))
 
     __rmul__ = __mul__
@@ -269,19 +310,33 @@ class _Unit(Functional):
 class _TableFunctional(Functional):
     """A node read from a table: ``den(d) = D^d`` with D the table's base,
     the lcm of its denominators, so each word's value is the table's coded
-    integer."""
+    integer.  Point queries read a ``Word -> int`` dict of those integers,
+    built on the first one; a degree batch reads ``table.coded`` directly
+    (``_coded``)."""
 
     def __init__(self, table: ValueTable):
         super().__init__()
         self.table = table
         self._base = table.base
-        self._words = dict(zip(words_up_to(table.alphabet, table.max_len),
-                               itertools.chain.from_iterable(table.coded)))
+        self._words = None
 
     def _word_num(self, w: Word) -> int:
-        value = self._words.get(w)
+        words = self._words
+        if words is None:
+            table = self.table
+            words = self._words = dict(zip(words_up_to(table.alphabet, table.max_len),
+                                           itertools.chain.from_iterable(table.coded)))
+        value = words.get(w)
         # a word outside the table: its lookup raises TruncationError
         return self.table.lookup(w) if value is None else value
+
+    def _coded(self, domain: _Domain, d: int) -> list | None:
+        """``table.coded`` if it holds every word a bar-word of degree d of
+        the domain has, in the domain's letter order: the same letters and
+        d <= max_len.  None otherwise, and the batch then takes the
+        per-bar-word path, which raises a word's ``TruncationError``."""
+        table = self.table
+        return table.coded if domain.alphabet == table.alphabet and d <= table.max_len else None
 
     def _rescale(self, d: int) -> tuple:
         return self._base ** d, None
@@ -297,6 +352,23 @@ class CharacterFunctional(_TableFunctional):
             value *= self._word_num(factor)
         return value
 
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        """Per composition of d, in the domain's order, the outer product of
+        the coded lists of its parts: for a first part f, that of
+        ``coded[f]`` with each block of ``K^(d - f)`` values of the degree
+        ``d - f`` list, one block per composition of the rest."""
+        coded = self._coded(domain, d)
+        if coded is None:
+            return super()._batch(domain, d)
+        if not d:
+            return [1]
+        values = []
+        for first in range(1, d + 1):
+            rest, size = self._degree(domain, d - first), len(domain.alphabet) ** (d - first)
+            for start in range(0, len(rest), size):
+                values += starmap(mul, itertools.product(coded[first], rest[start:start + size]))
+        return values
+
 
 class InfinitesimalFunctional(_TableFunctional):
     """Extension of a cumulant table: vanishes on the unit and on bar-words
@@ -306,6 +378,14 @@ class InfinitesimalFunctional(_TableFunctional):
         if len(b.factors) != 1:
             return 0
         return self._word_num(b.factors[0])
+
+    def _batch(self, domain: _Domain, d: int) -> list[int]:
+        """0 on the multi-factor bar-words and the unit, then ``coded[d]``
+        on the single-factor ones, the last of the degree."""
+        coded = self._coded(domain, d)
+        if coded is None:
+            return super()._batch(domain, d)
+        return [0] * (len(domain.bars(d)) - len(coded[d])) + coded[d]
 
 
 class _Sum(Functional):
@@ -344,10 +424,13 @@ class _Sum(Functional):
         return total
 
     def _batch(self, domain: _Domain, d: int) -> list[int]:
-        total = [0] * len(domain.bars(d))
+        total = None
         for w, _, f in self._scale(d)[1]:
-            total = list(map(add, total, map(w.__mul__, f._degree(domain, d))))
-        return total
+            values = f._degree(domain, d)
+            if w != 1:
+                values = map(w.__mul__, values)
+            total = list(values) if total is None else list(map(add, total, values))
+        return [0] * len(domain.bars(d)) if total is None else total
 
 
 class _Product(Functional):
@@ -422,31 +505,33 @@ class _Product(Functional):
         if self.on_unit is not None and not d:
             return [self.on_unit]
         other = (self if self.other is None else self.other)._degree
-        total = [0] * len(domain.bars(d))
+        total = None
         for (_, split, known, known_left), weights in zip(self.terms, self._scale(d)[1]):
             total = _split_sum(domain, split, d, weights, known._degree, other, known_left, total)
-        return total
+        return [0] * len(domain.bars(d)) if total is None else total
 
 
 def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left: bool,
-               total) -> list[int]:
-    """The batched ``_Product._num``: ``total`` plus, for every bar-word b of
-    degree d of the domain, ``sum coeff * weights[k] * left(k)[l] *
-    right(d - k)[r]`` over the ``(l, r, coeff)`` terms of ``split(b)``,
-    where k is the degree of l and ``left``, ``right`` are ``known``,
-    ``other`` if ``known_left`` and the other way round if not.  ``known``
-    and ``other`` give the numerators of a leg on one degree, as
-    ``Functional._degree`` does.
+               total) -> list[int] | None:
+    """The batched ``_Product._num``: ``total`` (None for none) plus, for
+    every bar-word b of degree d of the domain, ``sum coeff * weights[k] *
+    left(k)[l] * right(d - k)[r]`` over the ``(l, r, coeff)`` terms of
+    ``split(b)``, where k is the degree of l and ``left``, ``right`` are
+    ``known``, ``other`` if ``known_left`` and the other way round if not.
+    ``known`` and ``other`` give the numerators of a leg on one degree, as
+    ``Functional._degree`` does.  None if no term is summed and ``total``
+    is None.
 
     The terms of one left-leg degree k are summed in a few C-level passes
-    over ``domain.split_index``: fold ``weights[k]`` into the shorter leg's
-    list (a new list; the child's is never scaled), gather both legs,
-    multiply and take running sums S.  The sum over the i-th bar-word's
-    terms is ``S[bounds[i + 1]] - S[bounds[i]]``, so only ``S`` at
-    ``bounds`` is kept, added into ``marks`` across the k; the per-bar-word
-    differences are taken once per call, at the end.  Terms that are 0 by
-    the legs' values are skipped, as the point path skips a zero known
-    leg:
+    over each part of ``domain.split_index``: fold ``weights[k]`` into the
+    shorter leg's list (a new list; the child's is never scaled), gather
+    both legs, multiply, by the coefficients unless the part has none, and
+    take running sums S.  The sum over the
+    i-th bar-word's terms of a part is ``S[bounds[i + 1]] - S[bounds[i]]``,
+    so only ``S`` at ``bounds`` is kept, added into ``marks`` across the
+    parts and the k; the per-bar-word differences are taken once per call,
+    at the end.  Terms that are 0 by the legs' values are skipped, as the
+    point path skips a zero known leg:
     - a k whose weight is 0 is skipped and its legs are never read, which
       keeps a fixed point or a series off its own values on degree d;
     - if the known leg's list is all 0, k is skipped without reading the
@@ -455,9 +540,9 @@ def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left
       as an infinitesimal character's is, only the terms whose leg on that
       side has one factor are summed (``domain.split_terms``)."""
     marks = None
-    for k, terms in enumerate(domain.split_index(split, d)):
+    for k, parts in enumerate(domain.split_index(split, d)):
         weight = weights[k]
-        if not weight or terms is None:
+        if not weight or parts is None:
             continue
         kdegree, odegree = (k, d - k) if known_left else (d - k, k)
         kvalues = known(domain, kdegree)
@@ -473,25 +558,26 @@ def _split_sum(domain: _Domain, split, d: int, weights, known, other, known_left
         else:
             left, right, lstart, rstart = ovalues, kvalues, ostart, kstart
         if lstart or rstart:
-            terms = domain.split_terms(split, d, k, lstart, rstart)
-            if terms is None:
+            parts = domain.split_terms(split, d, k, lstart, rstart)
+            if parts is None:
                 continue
-        lpos, rpos, coeffs, bounds = terms
         if weight != 1:
             # folded into a new list, never the child's own
             if len(left) <= len(right):
                 left = list(map(weight.__mul__, left))
             else:
                 right = list(map(weight.__mul__, right))
-        products = map(mul, _gather(left, lpos), _gather(right, rpos))
-        if coeffs is not None:
-            products = map(mul, coeffs, products)
-        # bounds holds one more item than the bar-words, so at least two
-        at = itemgetter(*bounds)(list(accumulate(products, initial=0)))
-        marks = at if marks is None else list(map(add, marks, at))
+        for lpos, rpos, coeffs, bounds in parts:
+            products = map(mul, _gather(left, lpos), _gather(right, rpos))
+            if coeffs is not None:
+                products = map(mul, coeffs, products)
+            # bounds holds one more item than the bar-words, so at least two
+            at = itemgetter(*bounds)(list(accumulate(products, initial=0)))
+            marks = at if marks is None else list(map(add, marks, at))
     if marks is None:
         return total
-    return list(map(add, total, map(sub, islice(marks, 1, None), marks)))
+    sums = map(sub, islice(marks, 1, None), marks)
+    return list(sums) if total is None else list(map(add, total, sums))
 
 
 def _gather(values: list[int], positions: list[int]):
@@ -598,12 +684,16 @@ def functionals_agree(
     """Return None if f and g agree on all bar-words of degree <= max_degree,
     else the first counterexample as (bar-word, f-value, g-value).  Values
     are compared one whole degree at a time, as cross-multiplied
-    numerators, ``f.num(b) * g.den(d)`` against ``g.num(b) * f.den(d)``."""
+    numerators, ``f.num(b) * g.den(d)`` against ``g.num(b) * f.den(d)``, or
+    as the numerators themselves where the two denominators are equal."""
     domain = _domain(_check_domain(alphabet, max_degree))
     for d in range(0 if include_unit else 1, max_degree + 1):
         fden, gden = f.den(d), g.den(d)
         fnums, gnums = f._degree(domain, d), g._degree(domain, d)
-        differ = list(map(ne, map(gden.__mul__, fnums), map(fden.__mul__, gnums)))
+        if fden == gden:
+            differ = list(map(ne, fnums, gnums))
+        else:
+            differ = list(map(ne, map(gden.__mul__, fnums), map(fden.__mul__, gnums)))
         if True in differ:
             i = differ.index(True)
             return (domain.bars(d)[i], Fraction(fnums[i], fden), Fraction(gnums[i], gden))

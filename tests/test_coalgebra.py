@@ -260,3 +260,24 @@ def test_plan_splits_match_the_direct_sums(alphabet, degree):
             for keep_first in (True, False, None):
                 split = coalgebra._word_split(b.factors[0], keep_first)
                 assert terms(split) == direct_split(b, keep_first)
+
+
+def chained_split(b, split):
+    """A multi-factor split as one product per further factor: the first
+    factor's split times the full coproduct of each later factor in turn."""
+    first, *rest = b.factors
+    result = split(BarWord.of(first))
+    for factor in rest:
+        result = result.product(coproduct(BarWord.of(factor)))
+    return result
+
+
+@pytest.mark.parametrize("alphabet, degree", [("ab", 5), ("abc", 4), ("a", 7)])
+def test_tail_products_match_the_per_factor_product_chain(alphabet, degree):
+    """Every split kind of every multi-factor bar-word, made as the first
+    factor's split times the coproduct of the others, is the chain of one
+    product per factor."""
+    for b in barwords_up_to(alphabet, degree):
+        if len(b.factors) > 1:
+            for split in (coproduct, half_coproduct_left, half_coproduct_right):
+                assert split(b) == chained_split(b, split)

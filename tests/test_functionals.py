@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,9 @@ from shufflecalc import (
     unit,
     unit_state,
 )
-from shufflecalc.functionals import barwords_up_to, functionals_agree
+from shufflecalc import coalgebra, functionals
+from shufflecalc.errors import quoted
+from shufflecalc.functionals import _check_domain, _domain, barwords_up_to, functionals_agree
 from shufflecalc.tables import ValueTable, _format
 from shufflecalc.words import words_up_to
 from test_series import LIE_SIDE, _guarded_nodes
@@ -213,6 +217,16 @@ class TestProducts:
         assert (k * Fraction(1, 3))(b) == k(b) / 3
         assert (k + k - k)(b) == k(b)
         assert (-k)(b) == -k(b)
+
+    @pytest.mark.parametrize("scalar", ["1/3", "x", 0.1, True, 1j, None, Decimal("0.1")],
+                             ids=["str", "junk-str", "float", "bool", "complex", "None",
+                                  "Decimal"])
+    def test_a_scalar_that_is_not_rational_is_refused(self, scalar):
+        line = f"a functional's scalar must be rational, got {quoted(scalar)}"
+        for scale in (lambda: unit() * scalar, lambda: scalar * unit()):
+            with pytest.raises(DomainError) as excinfo:
+                scale()
+            assert str(excinfo.value) == line
 
 
 class TestInverse:
@@ -471,3 +485,145 @@ def test_table_order_is_canonical():
     cumulants = free_cumulants(reversed_table)
     assert cumulants == free_cumulants(table)
     assert list(cumulants.values) == order
+
+
+# --- the exhaustive path's fast paths against the expressions they replace
+
+
+def _leaves(alphabet, degree, seed=0):
+    """A character and an infinitesimal on random tables over the
+    alphabet, given in that order, up to the degree."""
+    rng = random.Random(seed)
+    return (character(MomentTable.random(alphabet, degree, rng)),
+            infinitesimal(CumulantTable.random(alphabet, degree, rng)))
+
+
+@pytest.mark.parametrize("alphabet, degree", [
+    (["a"], 7), (["a", "b"], 5), (["a", "b", "c"], 4), (["c", "a", "b"], 4)])
+def test_leaf_lists_read_from_coded_lists_match_the_per_bar_word_values(alphabet, degree):
+    """A table leaf's degree list, read from its table's coded lists, is
+    ``_num`` on every bar-word of the degree in domain order."""
+    domain = _domain(_check_domain(alphabet, degree))
+    for leaf in _leaves(alphabet, degree):
+        for d in range(degree + 1):
+            assert leaf._coded(domain, d) is not None
+            assert leaf._degree(domain, d) == list(map(leaf._num, domain.bars(d)))
+
+
+def test_leaf_lists_fall_back_where_the_table_does_not_hold_the_domain():
+    """On a domain over other letters, or above the table's degree, a leaf
+    takes the per-bar-word path: over fewer letters it gives their values,
+    over more letters or a longer word it raises that word's
+    ``TruncationError``."""
+    fewer = _domain(_check_domain(["a"], 3))
+    more = _domain(_check_domain(["a", "b", "c"], 3))
+    same = _domain(_check_domain(["a", "b"], 4))
+    for leaf in _leaves(["a", "b"], 3):
+        for d in range(4):
+            assert leaf._coded(fewer, d) is None
+            assert leaf._degree(fewer, d) == list(map(leaf._num, fewer.bars(d)))
+        assert leaf._coded(more, 1) is None and leaf._coded(same, 4) is None
+        with pytest.raises(TruncationError) as excinfo:
+            functionals_agree(leaf, leaf, ["a", "b", "c"], 2)
+        assert str(excinfo.value) == (
+            "word 'c' exceeds the table domain (alphabet ('a', 'b'), max_len 3)")
+        with pytest.raises(TruncationError) as excinfo:
+            functionals_agree(leaf, leaf, ["a", "b"], 4)
+        assert str(excinfo.value) == (
+            "word 'a.a.a.a' exceeds the table domain (alphabet ('a', 'b'), max_len 3)")
+
+
+_INDEXED_SPLITS = (coalgebra.coproduct, coalgebra.half_coproduct_left,
+                   coalgebra.half_coproduct_right)
+
+
+def _indexed_terms(domain, d, parts_of):
+    """Per bar-word of degree d, the Counter of ``(k, l, r, c)`` items that
+    the parts ``parts_of(k)`` hold for it, a missing coefficient list read
+    as 1s.  Each k is checked to lay out its terms of coefficient 1 and
+    its others as ``_Domain.split_index`` says: one part with coefficients
+    if there are both and fewer than twice as many of coefficient 1 as
+    there are bar-words, else a part for each kind there is, the first
+    with no coefficients."""
+    found = [Counter() for _ in domain.bars(d)]
+    for k in range(d + 1):
+        parts = parts_of(k)
+        if parts is None:
+            continue
+        kinds = []
+        for left, right, coeffs, bounds in parts:
+            assert left and len(left) == len(right) == bounds[-1]
+            assert len(bounds) == len(found) + 1
+            assert coeffs is None or len(coeffs) == len(left)
+            kinds.append("ones" if coeffs is None else "mixed" if 1 in coeffs else "others")
+            for i, terms in enumerate(found):
+                for j in range(bounds[i], bounds[i + 1]):
+                    terms[k, left[j], right[j], 1 if coeffs is None else coeffs[j]] += 1
+        ones = sum(n for terms in found for (j, *_, c), n in terms.items() if j == k and c == 1)
+        others = sum(n for terms in found for (j, *_, c), n in terms.items() if j == k and c != 1)
+        if ones and others and ones < 2 * len(found):
+            assert kinds == ["mixed"]
+        else:
+            assert kinds == [kind for kind, n in (("ones", ones), ("others", others)) if n]
+    return found
+
+
+@pytest.mark.parametrize("split", _INDEXED_SPLITS, ids=lambda split: split.__name__)
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b"), ("a", "b", "c")])
+def test_split_index_parts_hold_exactly_the_split_terms(split, alphabet):
+    """The parts of each left-leg degree hold together the ``(position of
+    l, position of r, c)`` terms of ``split(b).pairs()`` for each bar-word
+    b, and so do their restrictions to the terms whose legs sit at or after
+    given positions, both laid out by the rule ``_indexed_terms`` checks.
+    Both layouts occur: {a} has too few terms of coefficient 1 at degree 4
+    for a part of their own, {a, b} and {a, b, c} have some."""
+    domain = functionals._Domain(alphabet)
+    for d in range(1 if split is not coalgebra.coproduct else 0, 5):
+        index = domain.split_index(split, d)
+        positions = [{b: i for i, b in enumerate(domain.bars(k))} for k in range(d + 1)]
+        expected = [Counter((l.degree, positions[l.degree][l], positions[d - l.degree][r], c)
+                            for (l, r), c in split(b).pairs())
+                    for b in domain.bars(d)]
+        assert _indexed_terms(domain, d, index.__getitem__) == expected
+        for lstart, rstart in ((1, 0), (0, 2), (3, 1)):
+            restricted = _indexed_terms(domain, d, lambda k: index[k] and domain.split_terms(
+                split, d, k, lstart, rstart))
+            assert restricted == [Counter({t: n for t, n in terms.items()
+                                           if t[1] >= lstart and t[2] >= rstart})
+                                  for terms in expected]
+    assert any(len(parts) == 2 for parts in domain.split_index(split, 4) if parts) is (
+        len(alphabet) > 1)
+
+
+def _cross_multiplied_agree(f, g, alphabet, max_degree):
+    """``functionals_agree`` as every degree's cross-multiplied comparison:
+    the first bar-word b with ``f.num(b) * g.den(d) != g.num(b) *
+    f.den(d)``, with both values."""
+    domain = _domain(_check_domain(alphabet, max_degree))
+    for d in range(max_degree + 1):
+        fden, gden = f.den(d), g.den(d)
+        for b, x, y in zip(domain.bars(d), f._degree(domain, d), g._degree(domain, d)):
+            if x * gden != y * fden:
+                return b, Fraction(x, fden), Fraction(y, gden)
+    return None
+
+
+@pytest.mark.parametrize("word", ["ba", "bb"])
+def test_comparisons_report_the_cross_multiplied_first_counterexample(moments, word):
+    """Pairs over equal and over unequal denominators, agreeing and not,
+    give the counterexample of the cross-multiplied comparison; they first
+    differ inside a degree, or on its last bar-word."""
+    changed = dict(moments.values)
+    changed[Word(word)] += Fraction(1, moments.base)
+    f, g = character(moments), character(MomentTable(["a", "b"], 4, changed))
+    half = Fraction(1, 2) * f + Fraction(1, 2) * g
+    pairs = [(f, g, True), (f, f + 0 * g, True), (f, half, False), (half, g, False),
+             (f, Fraction(1, 2) * f + Fraction(1, 2) * f, False)]
+    for lhs, rhs, equal_dens in pairs:
+        assert all((lhs.den(d) == rhs.den(d)) is equal_dens for d in range(1, 5))
+        expected = _cross_multiplied_agree(lhs, rhs, ["a", "b"], 4)
+        assert functionals_agree(lhs, rhs, ["a", "b"], 4) == expected
+        assert functionals_agree(rhs, lhs, ["a", "b"], 4) == (
+            None if expected is None else (expected[0], expected[2], expected[1]))
+    assert [_cross_multiplied_agree(lhs, rhs, ["a", "b"], 4) is None
+            for lhs, rhs, _ in pairs] == [False, True, False, False, True]

@@ -16,6 +16,7 @@ import pytest
 
 from shufflecalc import coalgebra, cumulants, partitions, series, verify
 from shufflecalc.coalgebra import TensorSum
+from shufflecalc.functionals import barwords_up_to
 from shufflecalc.verify import VerifyConfig, check_names, run_checks
 from shufflecalc.words import UNIT, BarWord, Word
 
@@ -149,13 +150,55 @@ def _replace_for_verify(monkeypatch, module, **functions):
     (lambda b: len(b.factors) > 1, "counterexample BarWord(a|a)"),
 ], ids=["word", "bar-word"])
 def test_noncoassociative_triples_fail_coassociativity_alone(monkeypatch, corrupted, line):
-    triples = verify._triples
-    monkeypatch.setattr(verify, "_triples",
-                        lambda b, left: {} if left and corrupted(b) else triples(b, left))
+    coassociative = verify._coassociative
+    monkeypatch.setattr(verify, "_coassociative", lambda b: not corrupted(b) and coassociative(b))
     assert _failures(run_checks(CONFIG)) == {"coassociativity": line}
 
 
 COPRODUCTS = ("coproduct", "half_coproduct_left", "half_coproduct_right")
+
+
+def _triples(b, left, coproduct):
+    """``(Delta (x) id) Delta b`` (``left``) or ``(id (x) Delta) Delta b`` as
+    a dict from ``(l, m, r)`` to its nonzero coefficient, both sides built
+    term by term."""
+    out: dict = {}
+    for (l, r), c in coproduct(b).pairs():
+        for (x, y), c2 in coproduct(l if left else r).pairs():
+            key = (x, y, r) if left else (l, x, y)
+            out[key] = out.get(key, 0) + c * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _scaling(target, position, factor):
+    """The coproduct with the term at ``position`` of ``Delta target``
+    multiplied by ``factor``."""
+    def coproduct(b):
+        terms = list(coalgebra.coproduct(b).items())
+        if b == target:
+            l, r, c = terms[position]
+            terms[position] = (l, r, factor * c)
+        return TensorSum(terms)
+    return coproduct
+
+
+@pytest.mark.parametrize("corruption", [
+    None, (BarWord.of(Word("ab")), 1, 2), (BarWord.of(Word("aa")), 1, 2),
+    (BarWord.of(Word("bca")), 3, 2), (BarWord((Word("a"), Word("b"))), 0, 2),
+    (BarWord.of(Word("c")), 0, 2), (BarWord.of(Word("b")), 1, -1),
+], ids=["exact", "ab", "aa", "bca", "a|b", "c", "b-negated"])
+def test_grouped_coassociativity_is_the_triple_comparison(monkeypatch, corruption):
+    """The per-first-leg comparison says equal exactly where the two triple
+    dicts are equal, on every bar-word of degree <= 4 over {a, b, c}, for
+    the coproduct, for coproducts with one term doubled, and for one with
+    a term negated, under which coefficients cancel."""
+    coproduct = coalgebra.coproduct if corruption is None else _scaling(*corruption)
+    _replace_for_verify(monkeypatch, coalgebra, coproduct=coproduct)
+    verdicts = [(verify._coassociative(b),
+                 _triples(b, True, coproduct) == _triples(b, False, coproduct))
+                for b in barwords_up_to("abc", 4)]
+    assert all(grouped == triples for grouped, triples in verdicts)
+    assert any(not grouped for grouped, _ in verdicts) is (corruption is not None)
 
 
 def test_doubled_coproduct_fails_counit_alone(monkeypatch):
